@@ -188,7 +188,6 @@ def equivalence(x: AdhmDatum, y: AdhmDatum, *, search_seed: int = 2024) -> Matri
     particular = solve(coeff, rhs)
     if particular is None:
         return None
-    homogeneous = kernel_basis(coeff)
 
     def as_matrix(flat):
         return Matrix(field, c, c, tuple(flat))
@@ -196,6 +195,7 @@ def equivalence(x: AdhmDatum, y: AdhmDatum, *, search_seed: int = 2024) -> Matri
     g0 = as_matrix(particular)
     if g0.inverse() is not None:
         return g0
+    homogeneous = kernel_basis(coeff)
     hbasis = [as_matrix(homogeneous.basis.row_tuple(i)) for i in range(homogeneous.dim)]
     for h in hbasis:
         for s in (field.one(), -field.one()):

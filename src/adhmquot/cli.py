@@ -272,8 +272,10 @@ def cmd_path_run(args) -> tuple[Any, bool]:
 
 
 def cmd_path_verify(args) -> tuple[Any, bool]:
-    x = _load_datum(args.file)
     k = args.grid
+    if k < 1:
+        raise serialize.FormatError(f"--grid must be at least 1, got {k}")
+    x = _load_datum(args.file)
     grid = [Fraction(i, k) for i in range(k + 1)]
     report = punctual.verify_path(x, grid, experimental=args.experimental)
     input_nilpotent = punctual.is_nilpotent_tuple(x)

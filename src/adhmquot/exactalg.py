@@ -30,16 +30,41 @@ class SingularMatrixError(LinearAlgebraError):
     """An invertible matrix was required."""
 
 
+# The primes up to 41 are Miller-Rabin witnesses for every composite below
+# this bound (Sorenson and Webster, 2015), so the test is deterministic there.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p < 3.3e24.
+
+    Larger moduli are rejected with a :class:`LinearAlgebraError` rather
+    than answered probabilistically.
+    """
+    if p >= _MILLER_RABIN_LIMIT:
+        raise LinearAlgebraError(
+            f"prime modulus {p} is too large (must be below {_MILLER_RABIN_LIMIT})"
+        )
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -554,21 +579,32 @@ class SpanBuilder:
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Right kernel {x : m @ x = 0} as a subspace of the column-index space."""
-    rows = m.to_rows()
-    pivots = _echelonize(rows)
+    """Right kernel {x : m @ x = 0} as a subspace of the column-index space.
+
+    The basis is the canonical one, the reduced row echelon form of the
+    kernel, and comes out of a single elimination.  Eliminating with the
+    columns reversed makes every pivot row vanish left of its pivot, so the
+    vector built for the free column f has its leading 1 at f and zeros at
+    every other free column: these vectors, in increasing f, are already the
+    RREF basis and need no second echelonization.
+    """
+    n = m.cols
+    rows = [list(reversed(m.row_tuple(i))) for i in range(m.rows)]
+    pivots = [n - 1 - p for p in _echelonize(rows)]
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
     zero = m.field.zero()
     one = m.field.one()
     vectors = []
-    for f in free_cols:
-        v = [zero] * m.cols
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        v = [zero] * n
         v[f] = one
-        for row_idx, p in enumerate(pivots):
-            v[p] = -rows[row_idx][f]
+        for row, p in zip(rows, pivots):
+            v[p] = -row[n - 1 - f]
         vectors.append(v)
-    return Subspace.from_vectors(m.field, m.cols, vectors)
+    basis = Matrix.from_rows(m.field, vectors) if vectors else Matrix.zero(m.field, 0, n)
+    return Subspace(n, basis)
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:
@@ -670,8 +706,9 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
             denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
         ints = [int(c * denom_lcm) for c in work]
         candidates = []
+        denominators = _divisors(ints[-1])
         for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
+            for q in denominators:
                 candidates.append(Fraction(p, q))
                 candidates.append(Fraction(-p, q))
         seen = set()

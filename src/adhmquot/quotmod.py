@@ -146,6 +146,16 @@ def _require_adhm(x: AdhmDatum) -> None:
         raise NonCommutingError("the matrices do not commute")
 
 
+def _evaluate(x: AdhmDatum, table: dict[Term, tuple], p: PolyVector) -> tuple:
+    """sum_j p_j(B) v_j read off a monomial vector table of x covering p's terms."""
+    field = x.field
+    acc = [field.zero()] * x.c
+    for term, coeff in p.terms.items():
+        coeff = field.coerce(coeff)
+        acc = [a + coeff * b for a, b in zip(acc, table[term])]
+    return tuple(acc)
+
+
 def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
     """Evaluate sum_j p_j(B_0, ..., B_{n-1}) v_j.
 
@@ -155,16 +165,7 @@ def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
     _require_adhm(x)
     if p.n != x.n or p.r != x.r:
         raise ShapeError("polynomial vector shape does not match the datum")
-    field = x.field
-    acc = [field.zero()] * x.c
-    for (alpha, j), coeff in p.terms.items():
-        w = x.v[j - 1]
-        for i in range(x.n - 1, -1, -1):
-            for _ in range(alpha[i]):
-                w = x.B[i].apply(w)
-        coeff = field.coerce(coeff)
-        acc = [a + coeff * b for a, b in zip(acc, w)]
-    return tuple(acc)
+    return _evaluate(x, _monomial_vector_table(x, p.degree()), p)
 
 
 def kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
@@ -306,8 +307,8 @@ def _certified(datum: AdhmDatum, gens: Sequence[PolyVector]) -> bool:
     """
     if not is_adhm(datum) or not is_stable(datum):
         return False
-    zero = (datum.field.zero(),) * datum.c
-    return all(phi_apply(datum, g) == zero for g in gens)
+    table = _monomial_vector_table(datum, max(g.degree() for g in gens))
+    return not any(any(_evaluate(datum, table, g)) for g in gens)
 
 
 def _freeze_quotient(n, r, field, columns, col_index, rows, pivots, standard) -> AdhmDatum:

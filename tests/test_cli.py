@@ -209,6 +209,30 @@ def test_path_cli(tmp_path, capsys):
     assert code == 0  # experimental reports without enforcing
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_path_verify_rejects_nonpositive_grid(tmp_path, capsys, grid):
+    src = gen_file(tmp_path, capsys, "g.json",
+                   "--n", "2", "--c", "2", "--r", "2", "--stable", "--nilpotent",
+                   "--seed", "12")
+    code, doc, err = run(capsys, "path", "verify", str(src), "--grid", grid)
+    assert code == 2 and doc is None
+    assert err.strip().splitlines() == [f"error: --grid must be at least 1, got {grid}"]
+
+
+def test_check_large_prime_field(tmp_path, capsys):
+    doc = {"schema": "adhm-datum@1", "field": {"prime": 1000000000000000003},
+           "n": 1, "c": 2, "r": 1, "B": [[["0", "1"], ["0", "0"]]], "v": [["0", "1"]]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(capsys, "check", str(path), "--stable")
+    assert code == 0 and report["is_stable"]
+    doc["field"] = {"prime": 10**30 + 57}
+    path.write_text(json.dumps(doc))
+    code, report, err = run(capsys, "check", str(path))
+    assert code == 2 and report is None
+    assert "too large" in err
+
+
 def test_path_run_output_feeds_check(tmp_path, capsys):
     src = gen_file(tmp_path, capsys, "pp.json",
                    "--n", "2", "--c", "3", "--r", "3", "--stable", "--nilpotent",

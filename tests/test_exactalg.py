@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from adhmquot import exactalg
 from adhmquot.exactalg import (
     GF,
     QQ,
     FieldMismatchError,
     GFElement,
+    LinearAlgebraError,
     Matrix,
     ShapeError,
     SpanBuilder,
@@ -212,3 +214,51 @@ def test_char_poly_matches_determinant_oracle(seed):
         expected = _cofactor_det(shifted)
         value = sum(c * lam**k for k, c in enumerate(coeffs))
         assert value == expected
+
+
+def test_rational_roots_computes_each_divisor_list_once(monkeypatch):
+    # (12z - 35)(35z + 12)(z^2 + 1): leading and constant coefficients 420, -420
+    coeffs = (Fraction(-420), Fraction(-1081), Fraction(0), Fraction(-1081), Fraction(420))
+    calls = []
+    divisors = exactalg._divisors
+
+    def counting(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(exactalg, "_divisors", counting)
+    roots, remainder = rational_roots(coeffs)
+    assert sorted(roots) == [(Fraction(-12, 35), 1), (Fraction(35, 12), 1)]
+    assert remainder == (Fraction(420), Fraction(0), Fraction(420))
+    assert len(calls) == 2
+
+
+def test_large_moduli():
+    p = 1000000000000000003
+    f = GF(p)
+    assert (f.coerce(p - 1) * f.coerce(p - 1)).value == 1
+    assert exactalg._is_prime((1 << 61) - 1)
+    with pytest.raises(LinearAlgebraError):
+        GF(10**25 + 13)  # beyond the range where primality is decided exactly
+
+
+@pytest.mark.parametrize("n", [
+    1000000007 * 998244353,  # product of two large primes
+    561,  # Carmichael number
+    41041,  # Carmichael number
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    318665857834031151167461,  # strong pseudoprime to every base up to 37
+])
+def test_composites_are_rejected(n):
+    assert not exactalg._is_prime(n)
+    with pytest.raises(LinearAlgebraError):
+        GF(n)
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 5000) if exactalg._is_prime(n)] == [
+        n for n in range(-3, 5000) if trial(n)
+    ]

@@ -12,6 +12,7 @@ from adhmquot.quotmod import (
     NonCommutingError,
     PolyVector,
     QuotientError,
+    _certified,
     hilbert_profile,
     kernel_basis_up_to_degree,
     module_from_generators,
@@ -150,6 +151,22 @@ def test_module_spurious_plateau_is_rejected():
     assert phi_apply(x, p) == zero and phi_apply(x, high) == zero
     with pytest.raises(QuotientError):
         module_from_generators(1, 1, [p, high], degree_cap=5)
+
+
+def test_certified_rejects_noncommuting_datum(noncommuting_pair):
+    b0, b1 = noncommuting_pair
+    x = AdhmDatum(2, 2, 1, (b0, b1), ((1, 0),))
+    # stable, and z_0 and z_1^2 both kill v: only the commutator check can fail
+    assert is_stable(x) and not is_adhm(x)
+    assert b0.apply(x.v[0]) == b1.apply(b1.apply(x.v[0])) == (Fraction(0),) * 2
+    assert not _certified(x, [mono(2, 1, (1, 0), 1), mono(2, 1, (0, 2), 1)])
+
+
+def test_certified_rejects_surviving_generator():
+    x = module_from_generators(1, 1, [mono(1, 1, (2,), 1)])
+    assert x.c == 2 and _certified(x, [mono(1, 1, (2,), 1)])
+    assert not _certified(x, [mono(1, 1, (2,), 1), mono(1, 1, (1,), 1)])
+    assert not _certified(x, [mono(1, 1, (3,), 1), mono(1, 1, (0,), 1, 5)])
 
 
 def test_hilbert_profile_examples():
