@@ -3,7 +3,8 @@
 Every subcommand reads and writes the JSON formats owned by the library
 modules, prints exactly one JSON document on stdout and a short summary on
 stderr.  Exit codes: 0 verified success, 1 property violation, 2 usage or
-input errors.  Randomized subcommands require an explicit seed.
+input errors, 3 internal error (an unexpected exception, reported on one
+line).  Randomized subcommands require an explicit seed.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from fractions import Fraction
 from typing import Any
 
 from . import adhm, geometry, monad, punctual, quiver, quotmod, serialize
-from .exactalg import LinearAlgebraError
+from .exactalg import QQ, LinearAlgebraError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 MANIFEST_SCHEMA = "manifest@1"
 
@@ -213,7 +215,7 @@ def cmd_monad_rank(args) -> tuple[Any, bool]:
     if args.point is None and args.seed is None:
         raise serialize.FormatError("sampling mode needs an explicit --seed")
     if args.point is not None:
-        coords = [s.strip() for s in args.point.split(",")]
+        coords = [serialize.parse_scalar(x.field, s.strip()) for s in args.point.split(",")]
         report = monad.fiber_report(x, coords)
         obj = {
             "schema": "fiber-report@1",
@@ -248,7 +250,7 @@ def cmd_monad_rank(args) -> tuple[Any, bool]:
 def cmd_quiver_check(args) -> tuple[Any, bool]:
     x = _load_datum(args.file)
     rep = quiver.QuiverRep(x)
-    theta = Fraction(args.theta)
+    theta = serialize.parse_scalar(QQ, args.theta)
     param = quiver.StabilityParameter(theta, -x.c * theta, x.c)
     stable, semistable = quiver.theta_verdicts(rep, param)
     obj = {
@@ -267,7 +269,8 @@ def cmd_quiver_check(args) -> tuple[Any, bool]:
 
 def cmd_path_run(args) -> tuple[Any, bool]:
     x = _load_datum(args.file)
-    point = punctual.homotopy_path(x, Fraction(args.t), experimental=args.experimental)
+    t = serialize.parse_scalar(QQ, args.t)
+    point = punctual.homotopy_path(x, t, experimental=args.experimental)
     return serialize.datum_to_obj(point), True
 
 
@@ -438,6 +441,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect, not a verdict: keep it off exit 1
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(report, f"{args.summary}: {'ok' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_VIOLATION
 

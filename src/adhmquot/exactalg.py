@@ -9,6 +9,7 @@ floating-point mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -400,47 +401,81 @@ class Matrix:
         return Matrix(field, sum(b.rows for b in blocks), cols, tuple(out))
 
 
-def _echelonize(rows: list[list]) -> list[int]:
+def _echelonize(rows: list[list], *, rank_only: bool = False) -> list[int]:
     """In-place reduced row echelon form.
 
     Returns the pivot column indices in order; after the call the first
     ``len(pivots)`` rows carry the nonzero part (pivot entries normalized
     to 1, pivot columns cleared elsewhere) and the remaining rows are zero.
+    With ``rank_only`` the rows are left untouched and only the pivot
+    columns are found, by clearing below each pivot and never above it.
+
+    The elimination runs on Python ints.  Over GF(p) it is ordinary
+    Gauss-Jordan on the residues.  Over QQ each row is scaled by the lcm of
+    its denominators and the elimination is fraction-free (Bareiss, Math.
+    Comp. 22, 1968): every update divides exactly by the previous pivot, so
+    the pivot entries all end equal to the last pivot d and the reduced
+    form is the integer matrix divided by d.
     """
-    if not rows:
+    if not rows or not rows[0]:
         return []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        if pv != _one_like(pv):
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
+    first = rows[0][0]
+    if isinstance(first, GFElement):
+        p = first.p
+        work = [[x.value for x in row] for row in rows]
+        pivots, _ = _eliminate(work, p, rank_only)
+        if not rank_only:
+            rows[:] = [[GFElement(x, p) for x in row] for row in work]
+        return pivots
+    work = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    pivots, d = _eliminate(work, None, rank_only)
+    if not rank_only:
+        rows[:] = [[Fraction(x, d) for x in row] for row in work]
     return pivots
 
 
-def _one_like(x):
-    if isinstance(x, GFElement):
-        return GFElement(1, x.p)
-    return Fraction(1)
+def _eliminate(work: list[list[int]], p: int | None, below_only: bool) -> tuple[list[int], int]:
+    """Gauss-Jordan on an integer matrix in place, mod p or (p None) over ZZ.
+
+    Returns the pivot columns and the last pivot d.  Mod p each pivot row is
+    normalized to 1, so d = 1.  Over ZZ the update is fraction-free and every
+    division by the previous pivot is exact, so when every row is cleared
+    (not ``below_only``) the reduced form is ``work`` divided by d.
+    """
+    nrows, ncols = len(work), len(work[0])
+    pivots: list[int] = []
+    d = 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        if p is not None and work[r][col] != 1:
+            inv = pow(work[r][col], -1, p)
+            work[r] = [a * inv % p for a in work[r]]
+        prow = work[r]
+        pv = prow[col]
+        for i in range(r + 1 if below_only else 0, nrows):
+            if i == r:
+                continue
+            row = work[i]
+            f = row[col]
+            if f:
+                if p is None:
+                    work[i] = [(pv * a - f * b) // d for a, b in zip(row, prow)]
+                else:
+                    work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+            elif pv != d:
+                work[i] = [pv * a // d for a in row]
+        d = pv
+        pivots.append(col)
+        if len(pivots) == nrows:
+            break
+    return pivots, d
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -456,8 +491,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(m: Matrix) -> int:
     """Rank of m over its field; rank + nullity = cols."""
-    rows = m.to_rows()
-    return len(_echelonize(rows))
+    return len(_echelonize(m.to_rows(), rank_only=True))
 
 
 @dataclass(frozen=True)
@@ -654,81 +688,41 @@ def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root); assumes root is exact
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    carry = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * root
-        out[i - 1] = carry
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
-
-
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...]]:
     """Rational roots (with multiplicity) and the root-free remaining factor.
 
     Input is a coefficient list, constant term first; the remainder is
-    returned in the same layout and has no rational roots.
+    returned in the same layout and has no rational roots.  Roots come zero
+    first, then ascending; the remainder is the input divided exactly by the
+    product of the (z - root)^multiplicity, so it keeps the leading
+    coefficient.  Both are read off one factorization over QQ (sympy).
     """
     work = [Fraction(c) for c in coeffs]
     while len(work) > 1 and not work[-1]:
         work.pop()
+    if len(work) <= 1:
+        return [], tuple(work)
+    import sympy
+
+    z = sympy.Symbol("z")
+    scale = math.lcm(*(c.denominator for c in work))
+    ints = [c.numerator * (scale // c.denominator) for c in reversed(work)]
+    content, factors = sympy.Poly.from_list(ints, z, domain=sympy.ZZ).factor_list()
+    # work = (content / scale) * prod(factor^mult); a linear factor a z + b
+    # is a (z - root), so the remainder collects the a's and the rest
+    lead = Fraction(int(content), scale)
+    rest = sympy.Poly(1, z, domain=sympy.ZZ)
     roots: list[tuple[Fraction, int]] = []
-    zero_mult = 0
-    while len(work) > 1 and not work[0]:
-        zero_mult += 1
-        work = work[1:]
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
-    if len(work) > 1:
-        denom_lcm = 1
-        for c in work:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in work]
-        candidates = []
-        denominators = _divisors(ints[-1])
-        for p in _divisors(ints[0]):
-            for q in denominators:
-                candidates.append(Fraction(p, q))
-                candidates.append(Fraction(-p, q))
-        seen = set()
-        for cand in sorted(set(candidates)):
-            if cand in seen:
-                continue
-            seen.add(cand)
-            mult = 0
-            while len(work) > 1 and _poly_eval(work, cand) == 0:
-                work = _deflate(work, cand)
-                mult += 1
-            if mult:
-                roots.append((cand, mult))
-    return roots, tuple(work)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    for factor, mult in factors:
+        if factor.degree() == 1:
+            a, b = (int(c) for c in factor.all_coeffs())
+            roots.append((Fraction(-b, a), mult))
+            lead *= a**mult
+        else:
+            rest *= factor**mult
+    roots.sort(key=lambda rm: (rm[0] != 0, rm[0]))
+    remainder = tuple(lead * int(c) for c in reversed(rest.all_coeffs()))
+    return roots, remainder
 
 
 def rational_eigenvalues(m: Matrix) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...]]:

@@ -9,7 +9,7 @@ target @ source, with row counts matching the target term.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
 
 from .adhm import AdhmDatum, is_adhm, is_stable, krylov_closure
@@ -51,6 +51,9 @@ class LinearFormMatrix:
     cols: int
     var_count: int
     entries: tuple  # row-major LinearForms
+    # per variable k, the (entry index, coefficient of z_k) pairs with a
+    # nonzero coefficient; derived from entries, so not part of equality
+    _by_var: tuple = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -58,6 +61,10 @@ class LinearFormMatrix:
         for e in self.entries:
             if len(e.coeffs) != self.var_count:
                 raise ShapeError("linear form arity differs from var_count")
+        object.__setattr__(self, "_by_var", tuple(
+            tuple((idx, e.coeffs[k]) for idx, e in enumerate(self.entries) if e.coeffs[k])
+            for k in range(self.var_count)
+        ))
 
     def entry(self, i: int, j: int) -> LinearForm:
         return self.entries[i * self.cols + j]
@@ -236,9 +243,16 @@ def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
         raise ShapeError("point arity does not match the variable count")
     if all(not z for z in pt):
         raise ValueError("the zero tuple is not a point of projective space")
-    return Matrix(
-        field, m.rows, m.cols, tuple(e.evaluate(pt) for e in m.entries)
-    )
+    one = field.one()
+    out = [field.zero()] * (m.rows * m.cols)
+    for z, pairs in zip(pt, m._by_var):
+        if not z:
+            continue
+        for idx, c in pairs:
+            term = c if z == one else c * z
+            acc = out[idx]
+            out[idx] = acc + term if acc else term
+    return Matrix(field, m.rows, m.cols, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Scalars serialize as strings: "p/q" (or "p" when the denominator is 1) over
 the rationals, decimal residues over a prime field whose modulus is recorded
-once per file in the "field" header.
+once per file in the "field" header.  On input every scalar must match
+``-?[0-9]+(/[0-9]+)?``.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Sequence
 
 from .adhm import AdhmDatum
@@ -40,9 +42,17 @@ def field_from_obj(obj: Any) -> Field:
     raise FormatError(f"unrecognized field header {obj!r}")
 
 
-def _scalar(field: Field, raw: Any):
+# "p" or "p/q" in ASCII decimal digits; checked before any arithmetic, so
+# forms such as "1e1000000000" never reach the number parser
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_scalar(field: Field, raw: Any):
+    """A scalar written "p" or "p/q", as a field element; FormatError otherwise."""
     if not isinstance(raw, str):
         raise FormatError(f"scalars are strings, got {raw!r}")
+    if not _SCALAR.fullmatch(raw):
+        raise FormatError(f"bad scalar {raw!r}: expected p or p/q")
     try:
         return field.coerce(raw)
     except (ValueError, ZeroDivisionError) as exc:
@@ -60,7 +70,7 @@ def matrix_from_obj(field: Field, obj: Any, rows: int, cols: int) -> Matrix:
     for row in obj:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError(f"expected a {rows}x{cols} matrix")
-        data.append([_scalar(field, x) for x in row])
+        data.append([parse_scalar(field, x) for x in row])
     if not data:
         return Matrix.zero(field, rows, cols)
     return Matrix.from_rows(field, data)
@@ -102,7 +112,7 @@ def datum_from_obj(obj: Any) -> AdhmDatum:
     for vec in obj["v"]:
         if not isinstance(vec, list) or len(vec) != c:
             raise FormatError(f"marked vectors must have length {c}")
-        vs.append(tuple(_scalar(field, x) for x in vec))
+        vs.append(tuple(parse_scalar(field, x) for x in vec))
     try:
         return AdhmDatum(n, c, r, bs, tuple(vs))
     except ValueError as exc:
@@ -144,7 +154,7 @@ def polyvectors_from_obj(obj: Any) -> tuple[int, int, list[PolyVector], Field]:
                 raise FormatError("term records need alpha, j and coeff")
             alpha = tuple(int(a) for a in rec["alpha"])
             j = int(rec["j"])
-            coeff = _scalar(field, rec["coeff"])
+            coeff = parse_scalar(field, rec["coeff"])
             if (alpha, j) in terms:
                 raise FormatError(f"duplicate term {(alpha, j)}")
             terms[(alpha, j)] = coeff
@@ -192,5 +202,5 @@ def form_matrix_from_obj(obj: Any) -> LinearFormMatrix:
         for cell in row:
             if not isinstance(cell, list) or len(cell) != nvars:
                 raise FormatError("each entry lists one coefficient per variable")
-            entries.append(LinearForm(tuple(_scalar(field, x) for x in cell)))
+            entries.append(LinearForm(tuple(parse_scalar(field, x) for x in cell)))
     return LinearFormMatrix(field, rows, cols, nvars, tuple(entries))

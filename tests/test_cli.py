@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import adhmquot
+from adhmquot import cli
 from adhmquot.cli import main
+from adhmquot.exactalg import PrimeField, RationalField
 
 
 def run(capsys, *argv):
@@ -265,3 +273,74 @@ def test_reports_reparse(tmp_path, capsys):
         code, doc, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(json.dumps(doc)) == doc
+
+
+@pytest.mark.parametrize("raw", ["1_000", " 2e3 ", "1.5", "1e1000000000"])
+def test_loose_scalars_are_rejected_before_parsing(tmp_path, capsys, monkeypatch, raw):
+    src = gen_file(tmp_path, capsys, "s.json",
+                   "--n", "2", "--c", "2", "--r", "2", "--stable", "--nilpotent",
+                   "--seed", "12", "--prime", "3")
+    doc = json.loads(src.read_text())
+    doc["v"][0][0] = raw
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(doc))
+
+    def guarded(coerce):
+        def checked(self, x):
+            if isinstance(x, str) and set(x) - set("-0123456789/"):
+                raise AssertionError(f"{x!r} reached the number parser")
+            return coerce(self, x)
+        return checked
+
+    for cls in (RationalField, PrimeField):
+        monkeypatch.setattr(cls, "coerce", guarded(cls.coerce))
+    for argv, shown in (
+        (["quiver", "check", str(src), f"--theta={raw}"], raw),
+        (["path", "run", str(src), f"--t={raw}"], raw),
+        (["monad", "rank", str(src), "--point", f"1,{raw},1"], raw.strip()),
+        (["check", str(bad_file)], raw),
+    ):
+        code, report, err = run(capsys, *argv)
+        assert code == 2 and report is None
+        assert err.splitlines() == [f"error: bad scalar {shown!r}: expected p or p/q"]
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    src = gen_file(tmp_path, capsys, "s.json",
+                   "--n", "2", "--c", "2", "--r", "1", "--stable", "--seed", "1")
+    code, report, err = run(capsys, "check", str(src))
+    assert code == 3 and report is None
+    assert err.splitlines() == ["internal error: RuntimeError: boom second line"]
+
+
+def test_round_trip_does_not_import_sympy(tmp_path):
+    # sympy is only needed for rational roots and factor reports, and its
+    # import is a large share of a short CLI run
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import adhmquot.exactalg
+        assert "sympy" not in sys.modules
+        from adhmquot.cli import main
+
+        def run(argv, out):
+            with open(out, "w") as fh, contextlib.redirect_stdout(fh):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    return main(argv)
+
+        d = {str(tmp_path)!r}
+        gen = ["gen", "--n", "2", "--c", "3", "--r", "2", "--stable", "--seed", "5"]
+        assert run(gen, d + "/x.json") == 0
+        assert run(["quot", "present", d + "/x.json"], d + "/k.json") == 0
+        assert run(["quot", "build", d + "/k.json"], d + "/y.json") == 0
+        assert run(["equiv", d + "/x.json", d + "/y.json"], d + "/e.json") == 0
+        assert "sympy" not in sys.modules
+    """)
+    package_root = str(Path(adhmquot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -216,21 +217,104 @@ def test_char_poly_matches_determinant_oracle(seed):
         assert value == expected
 
 
-def test_rational_roots_computes_each_divisor_list_once(monkeypatch):
+def test_rational_roots_computes_each_divisor_list_once():
     # (12z - 35)(35z + 12)(z^2 + 1): leading and constant coefficients 420, -420
     coeffs = (Fraction(-420), Fraction(-1081), Fraction(0), Fraction(-1081), Fraction(420))
-    calls = []
-    divisors = exactalg._divisors
-
-    def counting(n):
-        calls.append(n)
-        return divisors(n)
-
-    monkeypatch.setattr(exactalg, "_divisors", counting)
     roots, remainder = rational_roots(coeffs)
     assert sorted(roots) == [(Fraction(-12, 35), 1), (Fraction(35, 12), 1)]
     assert remainder == (Fraction(420), Fraction(0), Fraction(420))
-    assert len(calls) == 2
+
+
+def _reference_rational_roots(coeffs):
+    """Rational roots by trying every p/q with p | constant and q | leading coefficient."""
+
+    def divisors(n):
+        n = abs(n)
+        return [f for f in range(1, n + 1) if n % f == 0]
+
+    def value(poly, x):
+        acc = Fraction(0)
+        for c in reversed(poly):
+            acc = acc * x + c
+        return acc
+
+    def deflate(poly, root):
+        out = [Fraction(0)] * (len(poly) - 1)
+        carry = Fraction(0)
+        for i in range(len(poly) - 1, 0, -1):
+            carry = poly[i] + carry * root
+            out[i - 1] = carry
+        return out
+
+    work = [Fraction(c) for c in coeffs]
+    while len(work) > 1 and not work[-1]:
+        work.pop()
+    roots = []
+    zero_mult = 0
+    while len(work) > 1 and not work[0]:
+        zero_mult += 1
+        work = work[1:]
+    if zero_mult:
+        roots.append((Fraction(0), zero_mult))
+    if len(work) > 1:
+        scale = math.lcm(*(c.denominator for c in work))
+        ints = [int(c * scale) for c in work]
+        candidates = {
+            Fraction(sign * p, q)
+            for p in divisors(ints[0]) for q in divisors(ints[-1]) for sign in (1, -1)
+        }
+        for cand in sorted(candidates):
+            mult = 0
+            while len(work) > 1 and value(work, cand) == 0:
+                work = deflate(work, cand)
+                mult += 1
+            if mult:
+                roots.append((cand, mult))
+    return roots, tuple(work)
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_roots_match_divisor_enumeration(seed):
+    rng = random.Random(700 + seed)
+    for _ in range(40):
+        # products of small linear factors (zero and repeated roots included)
+        # and a random factor with small coefficients
+        poly = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))]
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.randint(1, 4), rng.choice((0, 0, 1, -1, 2, -3))
+            poly = _poly_mul(poly, [Fraction(-b), Fraction(a)])
+            if rng.random() < 0.3:
+                poly = _poly_mul(poly, [Fraction(-b), Fraction(a)])
+        extra = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(rng.randint(1, 4))]
+        if extra[-1] == 0:
+            extra[-1] = Fraction(1)
+        poly = _poly_mul(poly, extra) + [Fraction(0)] * rng.randint(0, 1)
+        assert rational_roots(poly) == _reference_rational_roots(poly)
+
+
+def test_rational_roots_degenerate_inputs():
+    assert rational_roots(()) == ([], ())
+    assert rational_roots((Fraction(0), Fraction(0))) == ([], (Fraction(0),))
+    assert rational_roots((Fraction(5), Fraction(0))) == ([], (Fraction(5),))
+    assert rational_roots((0, 0, 0, 2)) == ([(Fraction(0), 3)], (Fraction(2),))
+    assert rational_roots((Fraction(-1, 2), Fraction(3, 4))) == (
+        [(Fraction(2, 3), 1)], (Fraction(3, 4),)
+    )
+
+
+def test_rational_roots_large_constant_term():
+    # no real roots (every term dominates the next), and a constant term whose
+    # divisors are too many to try one by one
+    coeffs = tuple(Fraction(c) for c in (60000000000000, 19, 17, 13, 11, 7, 5))
+    assert rational_roots(coeffs) == ([], coeffs)
 
 
 def test_large_moduli():

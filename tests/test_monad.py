@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from adhmquot.adhm import AdhmDatum, is_stable, random_datum
-from adhmquot.exactalg import QQ, Matrix, ShapeError, rank
+from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, rank
 from adhmquot.monad import (
     LinearForm,
     alpha0,
@@ -153,6 +153,30 @@ def test_evaluate_rejects_zero_point():
     x = random_datum(2, 1, 1, seed=8)
     with pytest.raises(ValueError):
         evaluate(alpha0(x), (0, 0, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_evaluate_matches_entrywise_forms(field):
+    x = random_datum(3, 3, 2, seed=11, field=field)
+    points = [
+        (2, -1, 3, 1),  # affine chart
+        (Fraction(1, 2), 0, -4, 1),  # affine, zero coordinate
+        (0, 0, 0, 1),  # origin
+        (1, -2, 0, 0),  # at infinity
+        (0, 0, 5, 0),  # at infinity, one nonzero coordinate
+        (3, 1, 2, 7),  # a chart point not scaled to z_3 = 1
+    ]
+    for build in (alpha0, alpha_minus1, alpha_minus2_p3):
+        m = build(x)
+        for raw in points:
+            pt = tuple(
+                field.coerce(Fraction(z).numerator) / field.coerce(Fraction(z).denominator)
+                for z in raw
+            )
+            expected = tuple(e.evaluate(pt) for e in m.entries)
+            assert evaluate(m, pt) == Matrix(field, m.rows, m.cols, expected)
+        with pytest.raises(ValueError):
+            evaluate(m, (0, 0, 0, 0))
 
 
 def test_certificate_stable():

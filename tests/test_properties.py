@@ -7,7 +7,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adhmquot.exactalg import GF, QQ, Matrix, kernel_basis, rank, rref
+from adhmquot import exactalg
+from adhmquot.exactalg import GF, QQ, GFElement, Matrix, kernel_basis, rank, rref, solve
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
 
@@ -67,3 +68,159 @@ def test_degenerate_shapes():
     assert kernel_basis(Matrix(QQ, 1, 2, (Fraction(0), Fraction(2)))).basis == Matrix.from_rows(
         QQ, [[1, 0]]
     )
+
+
+# ------------------------------------------------ the elimination core
+
+
+def _reference_echelonize(rows: list[list]) -> list[int]:
+    """Gauss-Jordan on the scalar objects themselves, dividing by each pivot."""
+    if not rows:
+        return []
+    nrows, ncols = len(rows), len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _reference_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    rows = m.to_rows()
+    pivots = _reference_echelonize(rows)
+    entries = tuple(x for row in rows[: len(pivots)] for x in row)
+    return Matrix(m.field, len(pivots), m.cols, entries), tuple(pivots)
+
+
+def _reference_solve(a: Matrix, b: tuple) -> tuple | None:
+    rows = [list(a.row_tuple(i)) + [b[i]] for i in range(a.rows)]
+    pivots = _reference_echelonize(rows)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = [a.field.zero()] * a.cols
+    for k, p in enumerate(pivots):
+        x[p] = rows[k][a.cols]
+    return tuple(x)
+
+
+def _reference_inverse(m: Matrix) -> Matrix | None:
+    n = m.rows
+    rows = [list(m.row_tuple(i)) + list(Matrix.identity(m.field, n).row_tuple(i)) for i in range(n)]
+    pivots = _reference_echelonize(rows)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        return None
+    return Matrix.from_rows(m.field, [row[n:] for row in rows])
+
+
+def _bits(values) -> tuple:
+    """Exact representation of scalars, so equal values must also be equal objects."""
+    return tuple(
+        (type(x).__name__, x.p, x.value) if isinstance(x, GFElement)
+        else (type(x).__name__, x.numerator, x.denominator)
+        for x in values
+    )
+
+
+@st.composite
+def eliminable(draw, square: bool = False):
+    """Matrices with rational (non-integer) or residue entries, often rank-deficient."""
+    field = draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, 7))
+    cols = rows if square else draw(st.integers(0, 7))
+
+    def scalar():
+        num = draw(st.integers(-3, 3))
+        if field == QQ:
+            return Fraction(num, draw(st.sampled_from((1, 2, 3, 7))))
+        return field.coerce(num)
+
+    grid = [[scalar() for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):  # force a rank drop
+        c = scalar()
+        grid[-1] = [c * a + b for a, b in zip(grid[0], grid[1])]
+    if cols >= 1 and draw(st.booleans()):  # force a zero column
+        j = draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[j] = field.zero()
+    return Matrix(field, rows, cols, tuple(x for row in grid for x in row))
+
+
+@settings(max_examples=400, deadline=None)
+@given(eliminable())
+def test_echelonize_matches_reference(m):
+    rows = m.to_rows()
+    expected = m.to_rows()
+    assert exactalg._echelonize(rows) == _reference_echelonize(expected)
+    assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+
+
+@settings(max_examples=400, deadline=None)
+@given(eliminable())
+def test_rref_and_rank_match_reference(m):
+    reduced, pivots = rref(m)
+    ref_reduced, ref_pivots = _reference_rref(m)
+    assert pivots == ref_pivots
+    assert (reduced.rows, reduced.cols) == (ref_reduced.rows, ref_reduced.cols)
+    assert _bits(reduced.entries) == _bits(ref_reduced.entries)
+    assert rank(m) == len(ref_pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminable(), st.data())
+def test_solve_matches_reference(a, data):
+    b = tuple(
+        a.field.coerce(data.draw(st.integers(-3, 3))) for _ in range(a.rows)
+    )
+    if a.rows and data.draw(st.booleans()):  # a consistent right-hand side
+        b = a.apply(tuple(a.field.coerce(k) for k in range(a.cols)))
+    x = solve(a, b)
+    if a.rows == 0:
+        assert x == (a.field.zero(),) * a.cols
+        return
+    expected = _reference_solve(a, b)
+    assert (x is None) == (expected is None)
+    if x is not None:
+        assert _bits(x) == _bits(expected)
+        assert a.apply(x) == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminable(square=True))
+def test_inverse_matches_reference(m):
+    inv = m.inverse()
+    expected = _reference_inverse(m)
+    assert (inv is None) == (expected is None)
+    if inv is not None:
+        assert _bits(inv.entries) == _bits(expected.entries)
+        assert m @ inv == Matrix.identity(m.field, m.rows)
+
+
+def test_elimination_degenerate_shapes():
+    for field in FIELDS:
+        for shape in ((0, 4), (4, 0), (0, 0)):
+            m = Matrix.zero(field, *shape)
+            assert rank(m) == 0
+            assert rref(m) == (Matrix.zero(field, 0, shape[1]), ())
+        assert solve(Matrix.zero(field, 3, 0), (field.zero(),) * 3) == ()
+        assert solve(Matrix.zero(field, 3, 0), (field.one(),) * 3) is None
+        assert Matrix.zero(field, 0, 0).inverse() == Matrix.zero(field, 0, 0)
+
+
+def test_rank_leaves_rows_untouched():
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(1, 3)]]
+    before = [list(row) for row in rows]
+    assert exactalg._echelonize(rows, rank_only=True) == [0, 1]
+    assert rows == before
