@@ -86,14 +86,15 @@ def is_adhm(x: AdhmDatum) -> bool:
     return all(m.is_zero() for m in commutators(x))
 
 
-def krylov_closure(x: AdhmDatum) -> Subspace:
-    """Smallest subspace containing all v_j and invariant under every B_i.
+def _krylov_layers(x: AdhmDatum) -> tuple[SpanBuilder, list[int]]:
+    """Grow span{v_j} by B_i-images of the newest vectors until nothing is new.
 
-    Computed by iterating S <- S + sum_i B_i(S) from span{v_j}; the chain is
-    strictly increasing until it stabilizes, so at most c rounds happen.
+    Returns the span and its dimension after each layer that grew it, the
+    first entry being dim span{v_j}.
     """
     span = SpanBuilder(x.field, x.c)
     frontier = [vec for vec in x.v if span.add(vec)]
+    dims = [span.dim]
     while frontier:
         new_frontier = []
         for b in x.B:
@@ -101,7 +102,19 @@ def krylov_closure(x: AdhmDatum) -> Subspace:
                 img = b.apply(w)
                 if span.add(img):
                     new_frontier.append(img)
+        if new_frontier:
+            dims.append(span.dim)
         frontier = new_frontier
+    return span, dims
+
+
+def krylov_closure(x: AdhmDatum) -> Subspace:
+    """Smallest subspace containing all v_j and invariant under every B_i.
+
+    Computed by iterating S <- S + sum_i B_i(S) from span{v_j}; the chain is
+    strictly increasing until it stabilizes, so at most c rounds happen.
+    """
+    span, _ = _krylov_layers(x)
     return span.to_subspace()
 
 

@@ -391,7 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(handler=cmd_monad_check, summary="monad composition")
     m = msub.add_parser("rank", help="fiberwise ranks at a point or sampled points")
     m.add_argument("file")
-    m.add_argument("--point", default=None, help="comma-separated homogeneous coordinates")
+    m.add_argument(
+        "--point", default=None,
+        help="comma-separated homogeneous coordinates, e.g. --point=-1,2,0,1",
+    )
     m.add_argument("--samples", type=int, default=32)
     m.add_argument("--seed", type=int, default=None, help="required in sampling mode")
     m.set_defaults(handler=cmd_monad_rank, summary="fiber ranks")
@@ -400,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     qsub = p.add_subparsers(dest="quiver_command", required=True)
     q = qsub.add_parser("check")
     q.add_argument("file")
-    q.add_argument("--theta", required=True, help="rational theta, e.g. -1 or -2/3")
+    q.add_argument("--theta", required=True, help="rational theta, e.g. --theta=-2/3")
     q.set_defaults(handler=cmd_quiver_check, summary="quiver stability")
 
     p = sub.add_parser("path", help="the contraction path onto the basepoint")

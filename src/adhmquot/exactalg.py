@@ -688,20 +688,24 @@ def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...]]:
-    """Rational roots (with multiplicity) and the root-free remaining factor.
+def rational_factorization(
+    coeffs: Sequence[Fraction],
+) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...], list[tuple[tuple[int, ...], int]]]:
+    """Rational roots, the root-free remaining factor and its irreducible factors.
 
     Input is a coefficient list, constant term first; the remainder is
     returned in the same layout and has no rational roots.  Roots come zero
     first, then ascending; the remainder is the input divided exactly by the
     product of the (z - root)^multiplicity, so it keeps the leading
-    coefficient.  Both are read off one factorization over QQ (sympy).
+    coefficient.  The irreducible factors of the remainder are primitive
+    integer polynomials in the same layout, with multiplicities, in sympy's
+    order.  All three are read off one factorization over QQ (sympy).
     """
     work = [Fraction(c) for c in coeffs]
     while len(work) > 1 and not work[-1]:
         work.pop()
     if len(work) <= 1:
-        return [], tuple(work)
+        return [], tuple(work), []
     import sympy
 
     z = sympy.Symbol("z")
@@ -713,6 +717,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
     lead = Fraction(int(content), scale)
     rest = sympy.Poly(1, z, domain=sympy.ZZ)
     roots: list[tuple[Fraction, int]] = []
+    irreducible: list[tuple[tuple[int, ...], int]] = []
     for factor, mult in factors:
         if factor.degree() == 1:
             a, b = (int(c) for c in factor.all_coeffs())
@@ -720,16 +725,27 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int
             lead *= a**mult
         else:
             rest *= factor**mult
+            irreducible.append((tuple(int(c) for c in reversed(factor.all_coeffs())), mult))
     roots.sort(key=lambda rm: (rm[0] != 0, rm[0]))
     remainder = tuple(lead * int(c) for c in reversed(rest.all_coeffs()))
+    return roots, remainder, irreducible
+
+
+def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...]]:
+    """Rational roots (with multiplicity) and the root-free remaining factor,
+    as in :func:`rational_factorization`."""
+    roots, remainder, _ = rational_factorization(coeffs)
     return roots, remainder
 
 
-def rational_eigenvalues(m: Matrix) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...]]:
+def rational_eigenvalues(
+    m: Matrix,
+) -> tuple[list[tuple[Fraction, int]], list[tuple[tuple[int, ...], int]]]:
     """Rational eigenvalues of m with algebraic multiplicities.
 
-    Also returns the rational-root-free factor of the characteristic
-    polynomial (the constant polynomial (1,) when the spectrum splits).
+    Also returns the irreducible non-linear factors of the characteristic
+    polynomial with multiplicities (empty when the spectrum splits), as in
+    :func:`rational_factorization`.
     """
-    roots, remainder = rational_roots(char_poly(m))
-    return roots, remainder
+    roots, _, irreducible = rational_factorization(char_poly(m))
+    return roots, irreducible

@@ -9,7 +9,7 @@ target @ source, with row counts matching the target term.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .adhm import AdhmDatum, is_adhm, is_stable, krylov_closure
@@ -44,195 +44,138 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class LinearFormMatrix:
-    """Matrix whose entries are linear forms in a common set of variables."""
+    """Matrix of linear forms z_0 A_0 + ... + z_n A_n.
+
+    coeffs[k] is the coefficient matrix A_k, stored sparsely as a dict
+    {(i, j): scalar} that never holds a zero, so equal maps compare equal.
+    """
 
     field: Field
     rows: int
     cols: int
-    var_count: int
-    entries: tuple  # row-major LinearForms
-    # per variable k, the (entry index, coefficient of z_k) pairs with a
-    # nonzero coefficient; derived from entries, so not part of equality
-    _by_var: tuple = dataclass_field(init=False, repr=False, compare=False)
+    coeffs: tuple  # one sparse coefficient matrix per variable
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError("entry count does not match the declared shape")
-        for e in self.entries:
-            if len(e.coeffs) != self.var_count:
-                raise ShapeError("linear form arity differs from var_count")
-        object.__setattr__(self, "_by_var", tuple(
-            tuple((idx, e.coeffs[k]) for idx, e in enumerate(self.entries) if e.coeffs[k])
-            for k in range(self.var_count)
-        ))
+    @property
+    def var_count(self) -> int:
+        return len(self.coeffs)
 
     def entry(self, i: int, j: int) -> LinearForm:
-        return self.entries[i * self.cols + j]
+        zero = self.field.zero()
+        return LinearForm(tuple(a.get((i, j), zero) for a in self.coeffs))
 
 
 @dataclass(frozen=True)
 class QuadraticFormMatrix:
-    """Matrix of quadratic forms, each a map {(k, l), k <= l} -> coefficient."""
+    """Matrix of quadratic forms: the sum over k <= l of z_k z_l C_kl.
+
+    coeffs maps (k, l) to C_kl, a sparse matrix like those of
+    LinearFormMatrix; only nonzero coefficient matrices are kept.
+    """
 
     field: Field
     rows: int
     cols: int
-    var_count: int
-    entries: tuple  # row-major dicts
-
-    def entry(self, i: int, j: int) -> dict:
-        return self.entries[i * self.cols + j]
+    coeffs: dict
 
     def is_zero(self) -> bool:
-        return all(not e for e in self.entries)
+        return not self.coeffs
 
     def coefficient_matrix(self, k: int, l: int) -> Matrix:
         """Scalar matrix of the z_k z_l coefficients."""
-        key = (min(k, l), max(k, l))
+        c = self.coeffs.get((min(k, l), max(k, l)), {})
         zero = self.field.zero()
         return Matrix(
             self.field, self.rows, self.cols,
-            tuple(e.get(key, zero) for e in self.entries),
+            tuple(c.get((i, j), zero) for i in range(self.rows) for j in range(self.cols)),
         )
 
 
-def _form(field: Field, var_count: int, **coeffs) -> LinearForm:
-    vec = [field.zero()] * var_count
-    for idx, value in coeffs.items():
-        vec[int(idx)] = field.coerce(value)
-    return LinearForm(tuple(vec))
+def _assemble(x: AdhmDatum, grid: Sequence[Sequence]) -> list[dict]:
+    """Coefficient matrices of a grid of c x c blocks.
 
-
-def _zero_form(field: Field, var_count: int) -> LinearForm:
-    return LinearForm((field.zero(),) * var_count)
+    A cell is None (a zero block) or (sign, i), the block sign (B_i z_n - z_i).
+    """
+    n, c = x.n, x.c
+    coeffs: list[dict] = [{} for _ in range(n + 1)]
+    for block_row, cells in enumerate(grid):
+        for block_col, cell in enumerate(cells):
+            if cell is None:
+                continue
+            sign, i = cell
+            s = x.field.coerce(sign)
+            r0, c0 = block_row * c, block_col * c
+            for a in range(c):
+                coeffs[i][(r0 + a, c0 + a)] = -s
+                for b, value in enumerate(x.B[i].row_tuple(a)):
+                    if value:
+                        coeffs[n][(r0 + a, c0 + b)] = s * value
+    return coeffs
 
 
 def alpha0(x: AdhmDatum) -> LinearFormMatrix:
     """The c x (nc + r) map (B_0 z_n - z_0 | ... | B_{n-1} z_n - z_{n-1} | v_j z_n)."""
     n, c, r = x.n, x.c, x.r
-    field = x.field
-    nv = n + 1
-    zero = field.zero()
-    entries = []
-    for row in range(c):
-        for i in range(n):
-            for col in range(c):
-                vec = [zero] * nv
-                vec[n] = x.B[i].entry(row, col)
-                if row == col:
-                    vec[i] = vec[i] - field.one()
-                entries.append(LinearForm(tuple(vec)))
-        for j in range(r):
-            vec = [zero] * nv
-            vec[n] = x.v[j][row]
-            entries.append(LinearForm(tuple(vec)))
-    return LinearFormMatrix(field, c, n * c + r, nv, tuple(entries))
-
-
-def _a_block(x: AdhmDatum, i: int) -> list[list[LinearForm | None]]:
-    """Block A_i as an (n x (n-i-1)) grid of c x c form blocks; None means zero.
-
-    Block row i carries B_{i+1+m} z_n - z_{i+1+m} across the columns, and the
-    following block rows carry -B_i z_n + z_i down the diagonal.
-    """
-    n = x.n
-    grid: list[list] = [[None] * (n - i - 1) for _ in range(n)]
-    for m in range(n - i - 1):
-        grid[i][m] = ("plus", i + 1 + m)
-        grid[i + 1 + m][m] = ("minus", i)
-    return grid
-
-
-def _block_form(x: AdhmDatum, tag: tuple, row: int, col: int) -> LinearForm:
-    kind, idx = tag
-    field = x.field
-    n = x.n
-    vec = [field.zero()] * (n + 1)
-    if kind == "plus":  # B_idx z_n - z_idx
-        vec[n] = x.B[idx].entry(row, col)
-        if row == col:
-            vec[idx] = vec[idx] - field.one()
-    else:  # -B_idx z_n + z_idx
-        vec[n] = -x.B[idx].entry(row, col)
-        if row == col:
-            vec[idx] = vec[idx] + field.one()
-    return LinearForm(tuple(vec))
+    coeffs = _assemble(x, [[(1, i) for i in range(n)]])
+    for j in range(r):
+        for row, value in enumerate(x.v[j]):
+            if value:
+                coeffs[n][(row, n * c + j)] = value
+    return LinearFormMatrix(x.field, c, n * c + r, tuple(coeffs))
 
 
 def alpha_minus1(x: AdhmDatum) -> LinearFormMatrix:
-    """The (nc + r) x (c n(n-1)/2) map assembled from the blocks A_0, ..., A_{n-2}."""
+    """The (nc + r) x (c n(n-1)/2) map assembled from the blocks A_0, ..., A_{n-2}.
+
+    Block A_i has n - i - 1 block columns: block row i carries
+    B_{i+1+m} z_n - z_{i+1+m} across them, and the following block rows carry
+    -B_i z_n + z_i down the diagonal.  The r framing rows are zero.
+    """
     n, c, r = x.n, x.c, x.r
-    field = x.field
-    nv = n + 1
-    total_block_cols = sum(n - i - 1 for i in range(n - 1))
-    grids = [_a_block(x, i) for i in range(n - 1)]
-    entries: list[LinearForm] = []
-    zf = _zero_form(field, nv)
-    for block_row in range(n):
-        for row in range(c):
-            for i in range(n - 1):
-                grid = grids[i]
-                for m in range(n - i - 1):
-                    tag = grid[block_row][m]
-                    for col in range(c):
-                        if tag is None:
-                            entries.append(zf)
-                        else:
-                            entries.append(_block_form(x, tag, row, col))
-    for _ in range(r * total_block_cols * c):
-        entries.append(zf)
-    return LinearFormMatrix(field, n * c + r, total_block_cols * c, nv, tuple(entries))
+    block_cols = [(i, m) for i in range(n - 1) for m in range(n - i - 1)]
+    grid = [[None] * len(block_cols) for _ in range(n)]
+    for col, (i, m) in enumerate(block_cols):
+        grid[i][col] = (1, i + 1 + m)
+        grid[i + 1 + m][col] = (-1, i)
+    return LinearFormMatrix(
+        x.field, n * c + r, len(block_cols) * c, tuple(_assemble(x, grid))
+    )
 
 
 def alpha_minus2_p3(x: AdhmDatum) -> LinearFormMatrix:
     """For n = 3: the 3c x c block column (-B_2 z_3 + z_2; B_1 z_3 - z_1; -B_0 z_3 + z_0)."""
     if x.n != 3:
         raise ShapeError("the depth-two map is only constructed for n = 3")
-    c = x.c
-    field = x.field
-    nv = 4
-    tags = [("minus", 2), ("plus", 1), ("minus", 0)]
-    entries = []
-    for tag in tags:
-        for row in range(c):
-            for col in range(c):
-                entries.append(_block_form(x, tag, row, col))
-    return LinearFormMatrix(field, 3 * c, c, nv, tuple(entries))
+    grid = [[(-1, 2)], [(1, 1)], [(-1, 0)]]
+    return LinearFormMatrix(x.field, 3 * x.c, x.c, tuple(_assemble(x, grid)))
 
 
 def compose(a: LinearFormMatrix, b: LinearFormMatrix) -> QuadraticFormMatrix:
-    """Entrywise-exact product a @ b, coefficients collected by monomial z_k z_l."""
+    """Exact product a @ b: C_kl = A_k B_l + A_l B_k for k < l, C_kk = A_k B_k."""
     if a.cols != b.rows:
         raise ShapeError("inner dimensions do not match")
     if a.var_count != b.var_count or a.field != b.field:
         raise ShapeError("factors disagree on variables or field")
-    out = []
-    for i in range(a.rows):
-        arow = [a.entry(i, k) for k in range(a.cols)]
-        for j in range(b.cols):
-            acc: dict = {}
-            for k in range(a.cols):
-                f = arow[k]
-                if f.is_zero():
-                    continue
-                g = b.entry(k, j)
-                if g.is_zero():
-                    continue
-                for ki, ca in enumerate(f.coeffs):
-                    if not ca:
-                        continue
-                    for li, cb in enumerate(g.coeffs):
-                        if not cb:
-                            continue
-                        key = (ki, li) if ki <= li else (li, ki)
-                        prev = acc.get(key)
-                        value = ca * cb if prev is None else prev + ca * cb
-                        if value:
-                            acc[key] = value
-                        elif prev is not None:
-                            del acc[key]
-            out.append(acc)
-    return QuadraticFormMatrix(a.field, a.rows, b.cols, a.var_count, tuple(out))
+    # each B_l as {row: [(col, value), ...]}, so A_k B_l walks nonzeros only
+    b_rows = []
+    for bl in b.coeffs:
+        index: dict = {}
+        for (m, j), value in bl.items():
+            index.setdefault(m, []).append((j, value))
+        b_rows.append(index)
+    sums: dict = {}
+    for k, ak in enumerate(a.coeffs):
+        for l, index in enumerate(b_rows):
+            acc = sums.setdefault((min(k, l), max(k, l)), {})
+            for (i, m), av in ak.items():
+                for j, bv in index.get(m, ()):
+                    prev = acc.get((i, j))
+                    acc[(i, j)] = av * bv if prev is None else prev + av * bv
+    out = {}
+    for key, acc in sums.items():
+        nonzero = {ij: value for ij, value in acc.items() if value}
+        if nonzero:
+            out[key] = nonzero
+    return QuadraticFormMatrix(a.field, a.rows, b.cols, out)
 
 
 def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
@@ -244,11 +187,13 @@ def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
     if all(not z for z in pt):
         raise ValueError("the zero tuple is not a point of projective space")
     one = field.one()
-    out = [field.zero()] * (m.rows * m.cols)
-    for z, pairs in zip(pt, m._by_var):
+    cols = m.cols
+    out = [field.zero()] * (m.rows * cols)
+    for z, ak in zip(pt, m.coeffs):
         if not z:
             continue
-        for idx, c in pairs:
+        for (i, j), c in ak.items():
+            idx = i * cols + j
             term = c if z == one else c * z
             acc = out[idx]
             out[idx] = acc + term if acc else term

@@ -10,7 +10,6 @@ splits over the rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .adhm import AdhmDatum, equivalence, is_adhm, is_stable
@@ -68,16 +67,19 @@ def _restricted_operator(x: AdhmDatum, space: Subspace, i: int) -> Matrix:
     return Matrix.from_rows(x.field, images).transpose()
 
 
-def _irreducible_factors(axis: int, coeffs: Sequence[Fraction]) -> list[FactorReport]:
+def _factor_reports(axis: int, irreducible: Sequence) -> list[FactorReport]:
+    """Reports for integer factors (constant term first), printed by sympy in z."""
     import sympy
 
     z = sympy.Symbol("z")
-    poly = sum(sympy.Rational(c.numerator, c.denominator) * z**k for k, c in enumerate(coeffs))
-    _, factors = sympy.Poly(poly, z).factor_list()
-    out = []
-    for factor, mult in factors:
-        out.append(FactorReport(axis=axis, polynomial=str(factor.as_expr()), multiplicity=mult))
-    return out
+    return [
+        FactorReport(
+            axis=axis,
+            polynomial=str(sympy.Poly.from_list(coeffs[::-1], z, domain=sympy.ZZ).as_expr()),
+            multiplicity=mult,
+        )
+        for coeffs, mult in irreducible
+    ]
 
 
 def support(x: AdhmDatum) -> SupportReport:
@@ -100,9 +102,8 @@ def support(x: AdhmDatum) -> SupportReport:
             points.append((coords, space.dim))
             return
         op = _restricted_operator(x, space, axis)
-        roots, remainder = rational_eigenvalues(op)
-        if len(remainder) > 1:
-            factors.extend(_irreducible_factors(axis, remainder))
+        roots, irreducible = rational_eigenvalues(op)
+        factors.extend(_factor_reports(axis, irreducible))
         for lam, mult in sorted(roots):
             shifted = op - Matrix.identity(x.field, op.rows).scale(lam)
             gen_eigen = kernel_basis(shifted.power(mult))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, is_adhm, is_stable
+from .adhm import AdhmDatum, _krylov_layers, is_adhm, is_stable
 from .exactalg import QQ, Field, GFElement, Matrix, ShapeError, kernel_basis
 
 Term = tuple[tuple[int, ...], int]  # (exponent tuple, slot index, 1-based)
@@ -204,23 +204,8 @@ def hilbert_profile(x: AdhmDatum) -> tuple[int, ...]:
     the Krylov closure and equals c exactly when x is stable.
     """
     _require_adhm(x)
-    from .exactalg import SpanBuilder
-
-    span = SpanBuilder(x.field, x.c)
-    frontier = [vec for vec in x.v if span.add(vec)]
-    profile = [span.dim]
-    while frontier:
-        new_frontier = []
-        for b in x.B:
-            for w in frontier:
-                img = b.apply(w)
-                if span.add(img):
-                    new_frontier.append(img)
-        if span.dim == profile[-1]:
-            break
-        profile.append(span.dim)
-        frontier = new_frontier
-    return tuple(profile)
+    _, dims = _krylov_layers(x)
+    return tuple(dims)
 
 
 def _gens_field(gens: Sequence[PolyVector]) -> Field:

@@ -183,8 +183,6 @@ def form_matrix_to_obj(m: LinearFormMatrix) -> dict:
 
 
 def form_matrix_from_obj(obj: Any) -> LinearFormMatrix:
-    from .monad import LinearForm
-
     if not isinstance(obj, dict):
         raise FormatError("form matrix document must be a JSON object")
     for key in ("rows", "cols", "vars", "entries"):
@@ -195,12 +193,15 @@ def form_matrix_from_obj(obj: Any) -> LinearFormMatrix:
     raw = obj["entries"]
     if not isinstance(raw, list) or len(raw) != rows:
         raise FormatError("entries do not match the declared row count")
-    entries = []
-    for row in raw:
+    coeffs: tuple[dict, ...] = tuple({} for _ in range(nvars))
+    for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError("entries do not match the declared column count")
-        for cell in row:
+        for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != nvars:
                 raise FormatError("each entry lists one coefficient per variable")
-            entries.append(LinearForm(tuple(parse_scalar(field, x) for x in cell)))
-    return LinearFormMatrix(field, rows, cols, nvars, tuple(entries))
+            for a, text in zip(coeffs, cell):
+                value = parse_scalar(field, text)
+                if value:
+                    a[(i, j)] = value
+    return LinearFormMatrix(field, rows, cols, coeffs)

@@ -196,6 +196,30 @@ def test_quiver_cli(tmp_path, capsys):
     assert doc["theta_inf"] == "2"
 
 
+def test_negative_values_need_the_equals_form(tmp_path, capsys):
+    quiv = gen_file(tmp_path, capsys, "q.json",
+                    "--n", "2", "--c", "2", "--r", "2", "--stable", "--seed", "11",
+                    "--prime", "3")
+    mon = gen_file(tmp_path, capsys, "m.json",
+                   "--n", "3", "--c", "2", "--r", "1", "--stable", "--seed", "4")
+    code, doc, _ = run(capsys, "quiver", "check", str(quiv), "--theta=-2/3")
+    assert code == 0 and doc["theta"] == "-2/3"
+    code, doc, _ = run(capsys, "monad", "rank", str(mon), "--point=-1,2,0,1")
+    assert code == 0 and doc["point"] == ["-1", "2", "0", "1"]
+    # a value starting with "-" that is not a plain number reads as an option
+    for argv, option in (
+        (["quiver", "check", str(quiv), "--theta", "-2/3"], "--theta"),
+        (["monad", "rank", str(mon), "--point", "-1,2,0,1"], "--point"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert lines[0].startswith("usage:")
+        assert lines[-1].endswith(f"argument {option}: expected one argument")
+
+
 def test_path_cli(tmp_path, capsys):
     src = gen_file(tmp_path, capsys, "p.json",
                    "--n", "2", "--c", "2", "--r", "2", "--stable", "--nilpotent",

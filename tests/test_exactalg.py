@@ -25,7 +25,7 @@ from adhmquot.exactalg import (
     solve,
 )
 
-from conftest import mat
+from conftest import mat, poly_mul
 
 
 def rand_matrix(rng, rows, cols, bound=4):
@@ -273,14 +273,6 @@ def _reference_rational_roots(coeffs):
     return roots, tuple(work)
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_rational_roots_match_divisor_enumeration(seed):
     rng = random.Random(700 + seed)
@@ -290,13 +282,13 @@ def test_rational_roots_match_divisor_enumeration(seed):
         poly = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))]
         for _ in range(rng.randint(0, 4)):
             a, b = rng.randint(1, 4), rng.choice((0, 0, 1, -1, 2, -3))
-            poly = _poly_mul(poly, [Fraction(-b), Fraction(a)])
+            poly = poly_mul(poly, [Fraction(-b), Fraction(a)])
             if rng.random() < 0.3:
-                poly = _poly_mul(poly, [Fraction(-b), Fraction(a)])
+                poly = poly_mul(poly, [Fraction(-b), Fraction(a)])
         extra = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(rng.randint(1, 4))]
         if extra[-1] == 0:
             extra[-1] = Fraction(1)
-        poly = _poly_mul(poly, extra) + [Fraction(0)] * rng.randint(0, 1)
+        poly = poly_mul(poly, extra) + [Fraction(0)] * rng.randint(0, 1)
         assert rational_roots(poly) == _reference_rational_roots(poly)
 
 

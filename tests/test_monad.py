@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adhmquot.adhm import AdhmDatum, is_stable, random_datum
 from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, rank
 from adhmquot.monad import (
     LinearForm,
+    LinearFormMatrix,
     alpha0,
     alpha_minus1,
     alpha_minus2_p3,
@@ -97,13 +100,50 @@ def test_alpha_minus2_column():
 
 
 def test_compose_zero_factor():
-    from adhmquot.monad import LinearFormMatrix
-
     x = random_datum(2, 2, 1, seed=5)
     a0 = alpha0(x)
-    zero_form = LinearForm((Fraction(0),) * 3)
-    zero_factor = LinearFormMatrix(QQ, a0.cols, 4, 3, (zero_form,) * (a0.cols * 4))
+    zero_factor = LinearFormMatrix(QQ, a0.cols, 4, ({}, {}, {}))
     assert compose(a0, zero_factor).is_zero()
+
+
+def _dense(m: LinearFormMatrix, k: int) -> Matrix:
+    """The coefficient matrix of z_k, read through the entry() views."""
+    return Matrix(m.field, m.rows, m.cols, tuple(
+        m.entry(i, j).coeffs[k] for i in range(m.rows) for j in range(m.cols)
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from([QQ, GF(32003)]),
+    n=st.integers(1, 4),
+    c=st.integers(1, 3),
+    r=st.integers(1, 2),
+    seed=st.integers(0, 10**6),
+    perturb=st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+)
+def test_compose_matches_dense_products(field, n, c, r, seed, perturb):
+    x = random_datum(n, c, r, seed=seed, field=field)
+    # adding a random matrix to B_0 usually breaks commuting
+    bump = Matrix(field, c, c, tuple(field.coerce(e) for e in perturb[: c * c]))
+    y = AdhmDatum(n, c, r, (x.B[0] + bump,) + x.B[1:], x.v)
+    for d in (x, y):
+        pairs = [(alpha0(d), alpha_minus1(d))]
+        if n == 3:
+            pairs.append((alpha_minus1(d), alpha_minus2_p3(d)))
+        for a, b in pairs:
+            prod = compose(a, b)
+            all_zero = True
+            for k in range(n + 1):
+                for l in range(k, n + 1):
+                    expected = _dense(a, k) @ _dense(b, l)
+                    if l != k:
+                        expected = expected + _dense(a, l) @ _dense(b, k)
+                    all_zero = all_zero and expected.is_zero()
+                    assert prod.coefficient_matrix(k, l) == expected
+                    assert prod.coefficient_matrix(l, k) == expected
+            assert prod.is_zero() == all_zero
+    assert compose(alpha0(x), alpha_minus1(x)).is_zero()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -173,7 +213,9 @@ def test_evaluate_matches_entrywise_forms(field):
                 field.coerce(Fraction(z).numerator) / field.coerce(Fraction(z).denominator)
                 for z in raw
             )
-            expected = tuple(e.evaluate(pt) for e in m.entries)
+            expected = tuple(
+                m.entry(i, j).evaluate(pt) for i in range(m.rows) for j in range(m.cols)
+            )
             assert evaluate(m, pt) == Matrix(field, m.rows, m.cols, expected)
         with pytest.raises(ValueError):
             evaluate(m, (0, 0, 0, 0))

@@ -12,9 +12,11 @@ from adhmquot.adhm import (
     is_stable,
     random_datum,
 )
-from adhmquot.exactalg import QQ, Matrix
+from adhmquot.exactalg import QQ, Matrix, char_poly, rational_factorization, rational_roots
 from adhmquot.punctual import (
+    FactorReport,
     PathConstructionError,
+    _factor_reports,
     basepoint,
     homotopy_path,
     is_nilpotent_tuple,
@@ -25,7 +27,7 @@ from adhmquot.punctual import (
 )
 from adhmquot.quotmod import NonCommutingError
 
-from conftest import datum, mat
+from conftest import datum, mat, poly_mul
 
 
 def test_nilpotency_examples(jordan2):
@@ -69,6 +71,78 @@ def test_support_mixed_rational_part():
     assert not report.complete
     assert report.points == (((Fraction(2),), 1),)
     assert report.total_multiplicity() == 1
+
+
+def _reference_irreducible_factors(axis, coeffs):
+    """The earlier path: refactor the root-free remainder over QQ with sympy."""
+    import sympy
+
+    z = sympy.Symbol("z")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * z**k for k, c in enumerate(coeffs))
+    _, factors = sympy.Poly(poly, z).factor_list()
+    return [
+        FactorReport(axis=axis, polynomial=str(factor.as_expr()), multiplicity=mult)
+        for factor, mult in factors
+    ]
+
+
+def _reference_reports(axis, coeffs):
+    _, remainder = rational_roots(coeffs)
+    return _reference_irreducible_factors(axis, remainder) if len(remainder) > 1 else []
+
+
+def _product(content, *factors):
+    poly = [Fraction(content)]
+    for f in factors:
+        poly = poly_mul(poly, [Fraction(c) for c in f])
+    return poly
+
+
+FACTOR_PIECES = (
+    (1, 0, 1), (-2, 0, 1), (1, 1, 1), (3, 0, 0, 2), (-1, -1, 0, 1), (5, 0, -3),
+    (7, 0, 0, 0, 1), (1, 2, 0, 5), (2, 1), (-3, 2), (0, 1), (1, -1),
+)
+
+
+@pytest.mark.parametrize("poly", [
+    _product(Fraction(1, 2), (1, 0, 1), (-3, 1)),  # rational content, mixed
+    _product(Fraction(-3, 7), (5, 0, -3), (1, 2, 0, 5)),  # content, two non-linear
+    _product(1, (-2, 0, 1), (-2, 0, 1), (1, 1, 1)),  # repeated irreducible factor
+    _product(Fraction(2, 5), (1, 2), (1, 2), (3, 0, 0, 2), (3, 0, 0, 2), (0, 1)),
+    _product(1, (1, -1), (2, 1)),  # splits: no factors
+    _product(4, (7, 0, 0, 0, 1)),
+], ids=["content-mixed", "content-two", "repeated", "repeated-mixed", "split", "quartic"])
+def test_factor_reports_match_refactoring(poly):
+    _, _, irreducible = rational_factorization(poly)
+    assert _factor_reports(1, irreducible) == _reference_reports(1, poly)
+
+
+def test_factor_reports_match_refactoring_random():
+    rng = random.Random(31)
+    for _ in range(150):
+        poly = [Fraction(rng.choice((1, -1, 2, 3)), rng.choice((1, 2, 3, 5, 7)))]
+        for _ in range(rng.randint(1, 5)):
+            poly = poly_mul(poly, [Fraction(c) for c in rng.choice(FACTOR_PIECES)])
+        _, _, irreducible = rational_factorization(poly)
+        assert _factor_reports(0, irreducible) == _reference_reports(0, poly)
+
+
+def test_support_factorizations_match_refactoring():
+    # B_0 is the companion matrix of (z^2 - 2)^2 (z^2 + z + 1) (z - 1)
+    poly = _product(1, (-2, 0, 1), (-2, 0, 1), (1, 1, 1), (-1, 1))
+    c = len(poly) - 1
+    rows = [[0] * c for _ in range(c)]
+    for i in range(1, c):
+        rows[i][i - 1] = 1
+    for i in range(c):
+        rows[i][c - 1] = -poly[i]
+    b0 = mat(rows)
+    assert char_poly(b0) == tuple(poly)
+    x = AdhmDatum(1, c, 1, (b0,), (tuple([1] + [0] * (c - 1)),))
+    report = support(x)
+    assert report.points == (((Fraction(1),), 1),)
+    assert list(report.factorizations) == _reference_reports(0, poly)
+    assert [f.multiplicity for f in report.factorizations] == [1, 2]
 
 
 def test_support_joint_multiplicity():

@@ -18,6 +18,8 @@ from adhmquot.serialize import (
     polyvectors_to_obj,
 )
 
+from conftest import datum
+
 
 def test_field_headers():
     assert field_to_obj(QQ) == "rational"
@@ -99,3 +101,20 @@ def test_form_matrix_round_trip(seed):
     x = random_datum(3, 2, 1, seed=seed)
     for m in (alpha0(x), alpha_minus1(x)):
         assert form_matrix_from_obj(form_matrix_to_obj(m)) == m
+
+
+def test_form_matrix_from_obj_drops_explicit_zeros():
+    # alpha0 of the n = 2, c = 1, r = 1 datum with B = 0 and v = (1,)
+    x = datum(2, 1, 1, [[[0]], [[0]]], [(1,)])
+    obj = {
+        "schema": "linear-form-matrix@1",
+        "field": "rational",
+        "rows": 1,
+        "cols": 3,
+        "vars": 3,
+        "entries": [[["-1", "0", "-0"], ["0/3", "-1", "0"], ["0", "0", "1"]]],
+    }
+    parsed = form_matrix_from_obj(obj)
+    assert parsed == alpha0(x)
+    assert all(value for a in parsed.coeffs for value in a.values())
+    assert form_matrix_to_obj(parsed) == form_matrix_to_obj(alpha0(x))
