@@ -90,12 +90,13 @@ def _krylov_layers(x: AdhmDatum) -> tuple[SpanBuilder, list[int]]:
     """Grow span{v_j} by B_i-images of the newest vectors until nothing is new.
 
     Returns the span and its dimension after each layer that grew it, the
-    first entry being dim span{v_j}.
+    first entry being dim span{v_j}.  The loop also stops once the span is
+    all of V: it is then invariant, so the next layer would add nothing.
     """
     span = SpanBuilder(x.field, x.c)
     frontier = [vec for vec in x.v if span.add(vec)]
     dims = [span.dim]
-    while frontier:
+    while frontier and span.dim < x.c:
         new_frontier = []
         for b in x.B:
             for w in frontier:

@@ -350,8 +350,10 @@ class Matrix:
     def power(self, e: int) -> "Matrix":
         if self.rows != self.cols:
             raise ShapeError("power of a non-square matrix")
-        result = Matrix.identity(self.field, self.rows)
-        for _ in range(e):
+        if e <= 0:
+            return Matrix.identity(self.field, self.rows)
+        result = self
+        for _ in range(e - 1):
             result = result @ self
         return result
 

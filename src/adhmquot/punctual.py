@@ -67,17 +67,35 @@ def _restricted_operator(x: AdhmDatum, space: Subspace, i: int) -> Matrix:
     return Matrix.from_rows(x.field, images).transpose()
 
 
-def _factor_reports(axis: int, irreducible: Sequence) -> list[FactorReport]:
-    """Reports for integer factors (constant term first), printed by sympy in z."""
-    import sympy
+def _poly_str(coeffs: Sequence[int]) -> str:
+    """An integer polynomial (constant term first) in z, printed as sympy prints it.
 
-    z = sympy.Symbol("z")
+    Terms run by descending degree; a coefficient of magnitude 1 is left out
+    in front of z**k, and signs become the joining " + " / " - ".  The match
+    with sympy holds for a positive leading coefficient, which every factor
+    from ``factor_list`` over ZZ has (sympy reorders some negative-leading ones).
+    """
+    out = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        a = coeffs[k]
+        if not a:
+            continue
+        if k == 0:
+            term = str(abs(a))
+        else:
+            monomial = "z" if k == 1 else f"z**{k}"
+            term = monomial if abs(a) == 1 else f"{abs(a)}*{monomial}"
+        if not out:
+            out = "-" + term if a < 0 else term
+        else:
+            out += (" - " if a < 0 else " + ") + term
+    return out
+
+
+def _factor_reports(axis: int, irreducible: Sequence) -> list[FactorReport]:
+    """Reports for integer factors (constant term first), printed in z."""
     return [
-        FactorReport(
-            axis=axis,
-            polynomial=str(sympy.Poly.from_list(coeffs[::-1], z, domain=sympy.ZZ).as_expr()),
-            multiplicity=mult,
-        )
+        FactorReport(axis=axis, polynomial=_poly_str(coeffs), multiplicity=mult)
         for coeffs, mult in irreducible
     ]
 
@@ -212,7 +230,11 @@ def homotopy_path(x: AdhmDatum, t, *, experimental: bool = False) -> AdhmDatum:
     (the completion list is truncated or zero-padded to fit); no stability
     promise is made there, the verification report just records what happens.
     """
-    data = _path_data(x, experimental=experimental)
+    return _phi(x, _path_data(x, experimental=experimental), t)
+
+
+def _phi(x: AdhmDatum, data: PathData, t) -> AdhmDatum:
+    """phi(t) from path data already computed for x."""
     field = x.field
     t = field.coerce(t)
     one = field.one()
@@ -256,12 +278,14 @@ def verify_path(x: AdhmDatum, grid: Sequence, *, experimental: bool = False) -> 
     For a stable nilpotent datum with r = c the whole segment stays inside the
     stable nilpotent commuting locus, so every grid row should be all-true;
     the report is the desk-scale verification artifact, including whether the
-    t = 1 endpoint is GL-equivalent to the reindexed input.
+    t = 1 endpoint is GL-equivalent to the reindexed input.  The path data
+    (validation of x, selected vectors, completion) is computed once and
+    shared by every sample; each sample's flags are exact checks on phi(t).
     """
     data = _path_data(x, experimental=experimental)
     samples = []
     for t in grid:
-        pt = homotopy_path(x, t, experimental=experimental)
+        pt = _phi(x, data, t)
         samples.append(
             PathSample(
                 t=x.field.coerce(t),
@@ -270,7 +294,7 @@ def verify_path(x: AdhmDatum, grid: Sequence, *, experimental: bool = False) -> 
                 nilpotent=is_nilpotent_tuple(pt),
             )
         )
-    endpoint = homotopy_path(x, x.field.one(), experimental=experimental)
+    endpoint = _phi(x, data, x.field.one())
     target = reindex_vectors(x, data.permutation)
     endpoint_equivalent = equivalence(endpoint, target) is not None
     return PathReport(

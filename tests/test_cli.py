@@ -346,7 +346,7 @@ def test_round_trip_does_not_import_sympy(tmp_path):
     # import is a large share of a short CLI run
     script = textwrap.dedent(f"""
         import contextlib, io, sys
-        import adhmquot.exactalg
+        import adhmquot.exactalg, adhmquot.punctual
         assert "sympy" not in sys.modules
         from adhmquot.cli import main
 

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adhmquot import exactalg
-from adhmquot.exactalg import GF, QQ, GFElement, Matrix, kernel_basis, rank, rref, solve
+from adhmquot.adhm import AdhmDatum, act, is_adhm, is_stable, krylov_closure, random_datum
+from adhmquot.exactalg import (
+    GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, kernel_basis, rank, rref, solve,
+)
+from adhmquot.punctual import is_nilpotent_tuple
+from adhmquot.quotmod import hilbert_profile
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
 
@@ -224,3 +230,110 @@ def test_rank_leaves_rows_untouched():
     before = [list(row) for row in rows]
     assert exactalg._echelonize(rows, rank_only=True) == [0, 1]
     assert rows == before
+
+
+def _reference_power(m: Matrix, e: int) -> Matrix:
+    """The earlier loop: e products starting from the identity."""
+    result = Matrix.identity(m.field, m.rows)
+    for _ in range(e):
+        result = result @ m
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminable(square=True), st.integers(0, 5))
+def test_power_matches_repeated_products(m, e):
+    got = m.power(e)
+    expected = _reference_power(m, e)
+    assert (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert _bits(got.entries) == _bits(expected.entries)
+
+
+def test_power_degenerate_shapes():
+    for field in (QQ, GF(2), GF(32003)):
+        empty = Matrix.zero(field, 0, 0)
+        for e in range(6):
+            assert empty.power(e) == empty
+        with pytest.raises(ShapeError):
+            Matrix.zero(field, 2, 3).power(2)
+
+
+DATUM_FIELDS = [QQ, GF(3), GF(32003)]
+
+
+@st.composite
+def adhm_data(draw, min_c: int = 0):
+    """Stable, unstable, perturbed (often non-commuting) and raw random data."""
+    field = draw(st.sampled_from(DATUM_FIELDS))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(min_c, 4)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("stable", "unstable", "perturbed", "raw")))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "raw" or (kind == "unstable" and c == 0):
+        def entries(k):
+            values = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+            return tuple(field.coerce(e) for e in values)
+        bs = tuple(Matrix(field, c, c, entries(c * c)) for _ in range(n))
+        return AdhmDatum(n, c, r, bs, tuple(entries(c) for _ in range(r)))
+    stable = {"stable": True, "unstable": False, "perturbed": None}[kind]
+    x = random_datum(n, c, r, seed, stable=stable, nilpotent=draw(st.booleans()), field=field)
+    if kind == "perturbed" and c >= 2:
+        b0 = x.B[0].to_rows()
+        b0[0][c - 1] += field.one()
+        x = AdhmDatum(n, c, r, (Matrix.from_rows(field, b0),) + x.B[1:], x.v)
+    return x
+
+
+def _reference_krylov(x: AdhmDatum):
+    """The earlier layer loop, with no stop once the span is all of V."""
+    span = SpanBuilder(x.field, x.c)
+    frontier = [vec for vec in x.v if span.add(vec)]
+    dims = [span.dim]
+    while frontier:
+        new_frontier = []
+        for b in x.B:
+            for w in frontier:
+                img = b.apply(w)
+                if span.add(img):
+                    new_frontier.append(img)
+        if new_frontier:
+            dims.append(span.dim)
+        frontier = new_frontier
+    return span.to_subspace(), tuple(dims)
+
+
+@settings(max_examples=300, deadline=None)
+@given(adhm_data())
+def test_krylov_verdicts_match_full_layer_loop(x):
+    closure, dims = _reference_krylov(x)
+    assert is_stable(x) == (closure.dim == x.c)
+    got = krylov_closure(x)
+    assert got == closure and _bits(got.basis.entries) == _bits(closure.basis.entries)
+    if is_adhm(x):
+        assert hilbert_profile(x) == dims
+
+
+@st.composite
+def invertible(draw, field, c: int) -> Matrix:
+    """L D U with unit triangular L, U and a nonzero diagonal D."""
+    def scalar(nonzero=False):
+        # 1 and 2 are nonzero in every field drawn here
+        return field.coerce(draw(st.integers(1, 2) if nonzero else st.integers(-3, 3)))
+
+    zero, one = field.zero(), field.one()
+    lower = Matrix.from_rows(field, [[scalar() if j < i else one if j == i else zero
+                                      for j in range(c)] for i in range(c)])
+    upper = Matrix.from_rows(field, [[scalar() if j > i else one if j == i else zero
+                                      for j in range(c)] for i in range(c)])
+    diag = Matrix.from_rows(field, [[scalar(nonzero=True) if j == i else zero
+                                     for j in range(c)] for i in range(c)])
+    return lower @ diag @ upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(adhm_data(min_c=1), st.data())
+def test_verdicts_invariant_under_act(x, data):
+    g = data.draw(invertible(x.field, x.c))
+    y = act(g, x)
+    assert is_stable(y) == is_stable(x)
+    assert is_adhm(y) == is_adhm(x)
+    assert is_nilpotent_tuple(y) == is_nilpotent_tuple(x)

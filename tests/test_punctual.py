@@ -12,11 +12,13 @@ from adhmquot.adhm import (
     is_stable,
     random_datum,
 )
-from adhmquot.exactalg import QQ, Matrix, char_poly, rational_factorization, rational_roots
+from adhmquot import punctual
+from adhmquot.exactalg import GF, QQ, Matrix, char_poly, rational_factorization, rational_roots
 from adhmquot.punctual import (
     FactorReport,
     PathConstructionError,
     _factor_reports,
+    _poly_str,
     basepoint,
     homotopy_path,
     is_nilpotent_tuple,
@@ -125,6 +127,24 @@ def test_factor_reports_match_refactoring_random():
             poly = poly_mul(poly, [Fraction(c) for c in rng.choice(FACTOR_PIECES)])
         _, _, irreducible = rational_factorization(poly)
         assert _factor_reports(0, irreducible) == _reference_reports(0, poly)
+
+
+def test_poly_str_matches_sympy_on_random_irreducible_factors():
+    import sympy
+
+    z = sympy.Symbol("z")
+    rng = random.Random(57)
+    checked = 0
+    while checked < 240:
+        degree = rng.randint(2, 6)
+        coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((1, -1, 2, -5, 12))]
+        _, factors = sympy.Poly.from_list(coeffs[::-1], z, domain=sympy.ZZ).factor_list()
+        for factor, _ in factors:
+            if factor.degree() < 2:
+                continue
+            ints = tuple(int(c) for c in reversed(factor.all_coeffs()))
+            assert _poly_str(ints) == str(factor.as_expr())
+            checked += 1
 
 
 def test_support_factorizations_match_refactoring():
@@ -274,3 +294,61 @@ def test_path_permutation_orders_selected_first():
     )
     assert is_stable(x)
     assert path_permutation(x) == (1, 0)
+
+
+def _reference_verify_path(x, grid, experimental):
+    """The earlier loop: every sample and the endpoint through homotopy_path."""
+    samples = []
+    for t in grid:
+        pt = homotopy_path(x, t, experimental=experimental)
+        samples.append((x.field.coerce(t), is_stable(pt), is_adhm(pt), is_nilpotent_tuple(pt)))
+    permutation = path_permutation(x)
+    endpoint = homotopy_path(x, x.field.one(), experimental=experimental)
+    equivalent = equivalence(endpoint, reindex_vectors(x, permutation)) is not None
+    return samples, equivalent, permutation
+
+
+# strings, because GF(p) coerces "p/q" but not a Fraction
+PATH_REFERENCE_GRID = ("0", "1/3", "1/2", "1", "2", "-1/2")
+
+
+def _path_cases():
+    shapes = [(n, c, c, nilpotent, False)
+              for n in (1, 2, 3) for c in (1, 2, 3, 4) for nilpotent in (True, False)]
+    shapes += [(n, c, r, True, True)
+               for n, c, r in ((1, 3, 1), (2, 4, 2), (2, 3, 2), (2, 2, 4), (3, 1, 3), (1, 3, 5))]
+    return [
+        pytest.param(field, *shape, id=f"{field}-n{shape[0]}-c{shape[1]}-r{shape[2]}"
+                     + ("-nil" if shape[3] else "") + ("-exp" if shape[4] else ""))
+        for field in (QQ, GF(32003)) for shape in shapes
+    ]
+
+
+@pytest.mark.parametrize("field,n,c,r,nilpotent,experimental", _path_cases())
+def test_verify_path_matches_sample_by_sample_reference(field, n, c, r, nilpotent, experimental):
+    x = random_datum(n, c, r, seed=7 * n + c + r, stable=True, nilpotent=nilpotent, field=field)
+    report = verify_path(x, PATH_REFERENCE_GRID, experimental=experimental)
+    samples, equivalent, permutation = _reference_verify_path(
+        x, PATH_REFERENCE_GRID, experimental
+    )
+    assert [(s.t, s.stable, s.commuting, s.nilpotent) for s in report.samples] == samples
+    assert report.endpoint_equivalent == equivalent
+    assert report.permutation == permutation
+
+
+def test_verify_path_computes_path_data_once(monkeypatch):
+    calls = []
+    original = punctual._path_data
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(punctual, "_path_data", counting)
+    x = random_datum(2, 3, 3, seed=40, stable=True, nilpotent=True)
+    report = verify_path(x, [Fraction(k, 16) for k in range(17)])
+    assert report.all_flags() and len(report.samples) == 17
+    assert len(calls) == 1
+    y = random_datum(2, 3, 2, seed=41, stable=True, nilpotent=True)
+    verify_path(y, [Fraction(0), Fraction(1)], experimental=True)
+    assert len(calls) == 2
