@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import adhm, geometry, monad, punctual, quiver, quotmod, serialize
@@ -269,7 +268,7 @@ def cmd_quiver_check(args) -> tuple[Any, bool]:
 
 def cmd_path_run(args) -> tuple[Any, bool]:
     x = _load_datum(args.file)
-    t = serialize.parse_scalar(QQ, args.t)
+    t = serialize.parse_scalar(x.field, args.t)
     point = punctual.homotopy_path(x, t, experimental=args.experimental)
     return serialize.datum_to_obj(point), True
 
@@ -279,7 +278,13 @@ def cmd_path_verify(args) -> tuple[Any, bool]:
     if k < 1:
         raise serialize.FormatError(f"--grid must be at least 1, got {k}")
     x = _load_datum(args.file)
-    grid = [Fraction(i, k) for i in range(k + 1)]
+    if not x.field.coerce(k):
+        raise serialize.FormatError(
+            f"--grid {k} is a multiple of the characteristic of {x.field}, "
+            f"where 1/{k} does not exist"
+        )
+    step = x.field.one() / x.field.coerce(k)
+    grid = [x.field.coerce(i) * step for i in range(k + 1)]
     report = punctual.verify_path(x, grid, experimental=args.experimental)
     input_nilpotent = punctual.is_nilpotent_tuple(x)
     rows = [
@@ -410,12 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="path_command", required=True)
     q = psub.add_parser("run", help="evaluate the path at one parameter value")
     q.add_argument("file")
-    q.add_argument("--t", required=True, help="rational parameter in [0, 1]")
+    q.add_argument("--t", required=True, help="parameter p or p/q in the datum's field")
     q.add_argument("--experimental", action="store_true", help="allow r != c")
     q.set_defaults(handler=cmd_path_run, summary="path point")
     q = psub.add_parser("verify", help="flags of the path on a uniform grid")
     q.add_argument("file")
-    q.add_argument("--grid", type=int, default=64, help="number of subintervals")
+    q.add_argument("--grid", type=int, default=64,
+                   help="number of subintervals (over GF(p), not a multiple of p)")
     q.add_argument("--experimental", action="store_true", help="allow r != c")
     q.set_defaults(handler=cmd_path_verify, summary="path verification")
 

@@ -230,21 +230,20 @@ def homotopy_path(x: AdhmDatum, t, *, experimental: bool = False) -> AdhmDatum:
     (the completion list is truncated or zero-padded to fit); no stability
     promise is made there, the verification report just records what happens.
     """
-    return _phi(x, _path_data(x, experimental=experimental), t)
+    data = _path_data(x, experimental=experimental)
+    t = x.field.coerce(t)
+    return AdhmDatum(x.n, x.c, x.r, tuple(b.scale(t) for b in x.B), _path_vectors(x, data, t))
 
 
-def _phi(x: AdhmDatum, data: PathData, t) -> AdhmDatum:
-    """phi(t) from path data already computed for x."""
-    field = x.field
-    t = field.coerce(t)
-    one = field.one()
-    new_b = tuple(b.scale(t) for b in x.B)
+def _path_vectors(x: AdhmDatum, data: PathData, t) -> tuple:
+    """The marked vectors of phi(t), for t already in x's field."""
+    one = x.field.one()
     vectors = [x.v[j] for j in data.selected]
     for w, j in zip(data.completion, data.remaining):
         vectors.append(
             tuple(wi * (one - t) + vi * t for wi, vi in zip(w, x.v[j]))
         )
-    return AdhmDatum(x.n, x.c, x.r, new_b, tuple(vectors))
+    return tuple(vectors)
 
 
 @dataclass(frozen=True)
@@ -275,26 +274,44 @@ class PathReport:
 def verify_path(x: AdhmDatum, grid: Sequence, *, experimental: bool = False) -> PathReport:
     """Flags (stable, commuting, nilpotent) of phi(t) on a sample grid.
 
-    For a stable nilpotent datum with r = c the whole segment stays inside the
-    stable nilpotent commuting locus, so every grid row should be all-true;
-    the report is the desk-scale verification artifact, including whether the
-    t = 1 endpoint is GL-equivalent to the reindexed input.  The path data
-    (validation of x, selected vectors, completion) is computed once and
-    shared by every sample; each sample's flags are exact checks on phi(t).
+    ``x`` is the datum the path contracts; ``grid`` holds the parameters t,
+    each anything x's field coerces (over GF(p): ints, residues or "p/q"
+    strings).  For a stable nilpotent datum with r = c the whole segment
+    stays inside the stable nilpotent commuting locus, so every grid row
+    should be all-true; the report is the desk-scale verification artifact,
+    including whether the t = 1 endpoint is GL-equivalent to the reindexed
+    input.  The path data (validation of x, selected vectors, completion) is
+    computed once and shared by every sample.
+
+    Each flag is an exact verdict on phi(t) = (t B, v(t)), read off without
+    forming t B, a commutator or a matrix power at any sample:
+
+    - commuting: [t B_i, t B_j] = t^2 [B_i, B_j], and the path data has
+      already checked that x commutes, so every sample commutes;
+    - nilpotent: (t B_i)^c = t^c B_i^c and t^c != 0 in a field when t != 0,
+      so phi(t) is nilpotent iff t = 0 or x is nilpotent, which is checked
+      once per path;
+    - stable: for t != 0 a subspace is t B_i-invariant iff it is
+      B_i-invariant, so phi(t) is stable iff (B, v(t)) is; phi(0) is
+      (0, v(0)).  ``is_stable`` runs on that datum at every sample.
     """
     data = _path_data(x, experimental=experimental)
+    field = x.field
+    x_nilpotent = is_nilpotent_tuple(x)
+    zero_tuple = (Matrix.zero(field, x.c, x.c),) * x.n
     samples = []
     for t in grid:
-        pt = _phi(x, data, t)
+        t = field.coerce(t)
+        at_zero = not t
+        pt = AdhmDatum(
+            x.n, x.c, x.r, zero_tuple if at_zero else x.B, _path_vectors(x, data, t)
+        )
         samples.append(
             PathSample(
-                t=x.field.coerce(t),
-                stable=is_stable(pt),
-                commuting=is_adhm(pt),
-                nilpotent=is_nilpotent_tuple(pt),
+                t=t, stable=is_stable(pt), commuting=True, nilpotent=at_zero or x_nilpotent
             )
         )
-    endpoint = _phi(x, data, x.field.one())
+    endpoint = AdhmDatum(x.n, x.c, x.r, x.B, _path_vectors(x, data, field.one()))
     target = reindex_vectors(x, data.permutation)
     endpoint_equivalent = equivalence(endpoint, target) is not None
     return PathReport(

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -239,6 +242,91 @@ def test_path_cli(tmp_path, capsys):
     code, doc, _ = run(capsys, "path", "verify", str(other), "--grid", "4",
                        "--experimental")
     assert code == 0  # experimental reports without enforcing
+
+
+def test_path_cli_prime_field(tmp_path, capsys):
+    src = gen_file(tmp_path, capsys, "pp.json",
+                   "--prime", "32003", "--n", "2", "--c", "3", "--r", "3",
+                   "--stable", "--nilpotent", "--seed", "5")
+    code, doc, _ = run(capsys, "path", "verify", str(src), "--grid", "4")
+    assert code == 0 and doc["passed"]
+    # i/4 in GF(32003): 1/4 = 8001, 1/2 = 16002, 3/4 = 24003
+    assert [row["t"] for row in doc["grid"]] == ["0", "8001", "16002", "24003", "1"]
+    code, doc, _ = run(capsys, "path", "run", str(src), "--t=1/2")
+    assert code == 0 and doc["field"] == {"prime": 32003}
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps(doc))
+    code, doc, _ = run(capsys, "check", str(half), "--adhm", "--stable", "--nilpotent")
+    assert code == 0 and doc["passed"]
+
+
+@pytest.mark.parametrize("prime,grid", [("2", "3"), ("3", "4")])
+def test_path_verify_small_prime_grid(tmp_path, capsys, prime, grid):
+    src = gen_file(tmp_path, capsys, "small.json",
+                   "--prime", prime, "--n", "2", "--c", "3", "--r", "3",
+                   "--stable", "--nilpotent", "--seed", "1")
+    code, doc, _ = run(capsys, "path", "verify", str(src), "--grid", grid)
+    assert code == 0 and doc["passed"] and len(doc["grid"]) == int(grid) + 1
+
+
+@pytest.mark.parametrize("prime,grid", [("2", "64"), ("2", "4"), ("3", "6")])
+def test_path_verify_refuses_grid_divisible_by_p(tmp_path, capsys, prime, grid):
+    src = gen_file(tmp_path, capsys, "small.json",
+                   "--prime", prime, "--n", "2", "--c", "3", "--r", "3",
+                   "--stable", "--nilpotent", "--seed", "1")
+    code, doc, err = run(capsys, "path", "verify", str(src), "--grid", grid)
+    assert code == 2 and doc is None
+    assert err.strip().splitlines() == [
+        f"error: --grid {grid} is a multiple of the characteristic of GF({prime}), "
+        f"where 1/{grid} does not exist"
+    ]
+
+
+def test_path_run_parses_t_in_the_datum_field(tmp_path, capsys):
+    src = gen_file(tmp_path, capsys, "small.json",
+                   "--prime", "2", "--n", "2", "--c", "3", "--r", "3",
+                   "--stable", "--nilpotent", "--seed", "1")
+    code, doc, err = run(capsys, "path", "run", str(src), "--t=1/2")
+    assert code == 2 and doc is None
+    assert err.strip().splitlines() == ["error: bad scalar '1/2': division by zero residue"]
+
+
+def _captured(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# gen --nilpotent data over QQ, n <= 3 and c <= 4 with r = c, plus r != c
+# shapes, stable and unstable, seeds 0-1
+PATH_SWEEP_SHAPES = [(n, c, c) for n in (1, 2, 3) for c in (1, 2, 3, 4)] + [
+    (1, 3, 1), (2, 4, 2), (2, 3, 2), (2, 2, 4), (3, 1, 3), (1, 3, 5), (3, 2, 1),
+]
+# sha256 of the sweep's outcomes, recorded before verify_path stopped forming
+# products per sample; a change to any output byte or exit code changes it
+PATH_SWEEP_DIGEST = "13147b74dbc19d544844c119ccfb287ee5ac2e192941353c41b2892f7733cf29"
+
+
+def test_path_outputs_unchanged_over_the_sweep(tmp_path):
+    sha = hashlib.sha256()
+    src = tmp_path / "sweep.json"
+    for n, c, r in PATH_SWEEP_SHAPES:
+        for flag in ("--stable", "--unstable"):
+            for seed in ("0", "1"):
+                gen = ["gen", "--n", str(n), "--c", str(c), "--r", str(r), "--nilpotent",
+                       flag, "--seed", seed]
+                outcome = _captured(gen)
+                sha.update(repr((gen, outcome)).encode())
+                if outcome[0] != 0:
+                    continue
+                src.write_text(outcome[1])
+                for command in (["verify", "--grid", "64"],
+                                ["verify", "--grid", "64", "--experimental"],
+                                ["run", "--t=1/2"]):
+                    outcome = _captured(["path", command[0], str(src), *command[1:]])
+                    sha.update(repr((command, outcome)).encode())
+    assert sha.hexdigest() == PATH_SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

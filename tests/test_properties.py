@@ -5,15 +5,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adhmquot import exactalg
-from adhmquot.adhm import AdhmDatum, act, is_adhm, is_stable, krylov_closure, random_datum
+from adhmquot.adhm import (
+    AdhmDatum, GenerationError, act, is_adhm, is_stable, krylov_closure, random_datum,
+)
 from adhmquot.exactalg import (
     GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, kernel_basis, rank, rref, solve,
 )
-from adhmquot.punctual import is_nilpotent_tuple
+from adhmquot.punctual import homotopy_path, is_nilpotent_tuple, verify_path
 from adhmquot.quotmod import hilbert_profile
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
@@ -337,3 +339,39 @@ def test_verdicts_invariant_under_act(x, data):
     assert is_stable(y) == is_stable(x)
     assert is_adhm(y) == is_adhm(x)
     assert is_nilpotent_tuple(y) == is_nilpotent_tuple(x)
+
+
+# ------------------------------------------------ the contraction path
+
+
+@st.composite
+def path_inputs(draw):
+    """Stable data with r = c, r < c or r > c, and a grid with t = 0, t < 0 and t > 1."""
+    field = draw(st.sampled_from(DATUM_FIELDS))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    nilpotent = draw(st.booleans())
+    try:
+        x = random_datum(n, c, r, draw(st.integers(0, 10**6)), stable=True,
+                         nilpotent=nilpotent, field=field)
+    except GenerationError:
+        assume(False)
+    # denominators prime to every characteristic drawn here
+    extra = draw(st.lists(st.tuples(st.integers(-6, 6), st.sampled_from((1, 2, 4, 5))),
+                          max_size=4))
+    grid = ["0", "-1/2", "3/2"] + [f"{a}/{b}" for a, b in extra]
+    return x, draw(st.permutations(grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_inputs())
+def test_verify_path_flags_are_the_flags_of_each_point(case):
+    x, grid = case
+    experimental = x.r != x.c
+    report = verify_path(x, grid, experimental=experimental)
+    assert len(report.samples) == len(grid)
+    for sample, t in zip(report.samples, grid):
+        pt = homotopy_path(x, t, experimental=experimental)
+        assert sample.t == x.field.coerce(t)
+        assert (sample.stable, sample.commuting, sample.nilpotent) == (
+            is_stable(pt), is_adhm(pt), is_nilpotent_tuple(pt)
+        )

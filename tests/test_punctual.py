@@ -352,3 +352,29 @@ def test_verify_path_computes_path_data_once(monkeypatch):
     y = random_datum(2, 3, 2, seed=41, stable=True, nilpotent=True)
     verify_path(y, [Fraction(0), Fraction(1)], experimental=True)
     assert len(calls) == 2
+
+
+def test_verify_path_products_do_not_grow_with_the_grid(monkeypatch):
+    products, nilpotency = [], []
+    matmul, nilpotent = Matrix.__matmul__, punctual.is_nilpotent_tuple
+
+    def counting_matmul(a, b):
+        products.append(None)
+        return matmul(a, b)
+
+    def counting_nilpotent(x):
+        nilpotency.append(x)
+        return nilpotent(x)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(punctual, "is_nilpotent_tuple", counting_nilpotent)
+    x = random_datum(3, 4, 4, seed=43, stable=True, nilpotent=True)
+    counts = []
+    for k in (1, 4, 64):
+        products.clear()
+        nilpotency.clear()
+        report = verify_path(x, [Fraction(i, k) for i in range(k + 1)])
+        assert report.all_flags() and len(report.samples) == k + 1
+        assert nilpotency == [x]
+        counts.append(len(products))
+    assert counts[0] == counts[1] == counts[2]
