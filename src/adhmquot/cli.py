@@ -10,6 +10,7 @@ line).  Randomized subcommands require an explicit seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -62,6 +63,11 @@ def _emit(report: Any, summary: str) -> None:
 
 def _fmt(field, value) -> str:
     return field.format(value)
+
+
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise serialize.FormatError(f"{flag} must be at least {low}, got {value}")
 
 
 # ---------------------------------------------------------------- check
@@ -152,7 +158,9 @@ def cmd_equiv(args) -> tuple[Any, bool]:
 
 
 def cmd_gen(args) -> tuple[Any, bool]:
-    field = serialize.field_from_obj({"prime": args.prime} if args.prime else None)
+    _require_at_least("--entry-bound", args.entry_bound, 0)
+    header = None if args.prime is None else {"prime": args.prime}
+    field = serialize.field_from_obj(header)
     stable = True if args.stable else (False if args.unstable else None)
     x = adhm.random_datum(
         args.n, args.c, args.r, args.seed,
@@ -166,6 +174,8 @@ def cmd_gen(args) -> tuple[Any, bool]:
 
 
 def cmd_quot_present(args) -> tuple[Any, bool]:
+    if args.degree is not None:
+        _require_at_least("--degree", args.degree, 0)
     x = _load_datum(args.file)
     degree = args.degree if args.degree is not None else x.c
     basis = quotmod.kernel_basis_up_to_degree(x, degree)
@@ -210,6 +220,7 @@ def cmd_monad_check(args) -> tuple[Any, bool]:
 
 
 def cmd_monad_rank(args) -> tuple[Any, bool]:
+    _require_at_least("--samples", args.samples, 0)
     x = _load_datum(args.file)
     if args.point is None and args.seed is None:
         raise serialize.FormatError("sampling mode needs an explicit --seed")
@@ -275,8 +286,7 @@ def cmd_path_run(args) -> tuple[Any, bool]:
 
 def cmd_path_verify(args) -> tuple[Any, bool]:
     k = args.grid
-    if k < 1:
-        raise serialize.FormatError(f"--grid must be at least 1, got {k}")
+    _require_at_least("--grid", k, 1)
     x = _load_datum(args.file)
     if not x.field.coerce(k):
         raise serialize.FormatError(
@@ -286,7 +296,6 @@ def cmd_path_verify(args) -> tuple[Any, bool]:
     step = x.field.one() / x.field.coerce(k)
     grid = [x.field.coerce(i) * step for i in range(k + 1)]
     report = punctual.verify_path(x, grid, experimental=args.experimental)
-    input_nilpotent = punctual.is_nilpotent_tuple(x)
     rows = [
         {
             "t": str(s.t),
@@ -297,7 +306,7 @@ def cmd_path_verify(args) -> tuple[Any, bool]:
         for s in report.samples
     ]
     ok = report.endpoint_equivalent and all(
-        s.stable and s.commuting and (s.nilpotent or not input_nilpotent)
+        s.stable and s.commuting and (s.nilpotent or not report.input_nilpotent)
         for s in report.samples
     )
     obj = {
@@ -305,7 +314,7 @@ def cmd_path_verify(args) -> tuple[Any, bool]:
         "grid": rows,
         "endpoint_equivalent": report.endpoint_equivalent,
         "permutation": list(report.permutation),
-        "input_nilpotent": input_nilpotent,
+        "input_nilpotent": report.input_nilpotent,
         "passed": ok,
     }
     return obj, (ok or args.experimental)
@@ -315,6 +324,7 @@ def cmd_path_verify(args) -> tuple[Any, bool]:
 
 
 def cmd_dim_experiment(args) -> tuple[Any, bool]:
+    _require_at_least("--trials", args.trials, 0)
     result = geometry.dimension_experiment(
         args.n, args.c, args.r,
         punctual=args.punctual, trials=args.trials, seed=args.seed,
@@ -351,16 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nilpotent", action="store_true", help="require nilpotency")
     p.add_argument("--adhm", action="store_true", help="require commutation")
     p.add_argument("--manifest", action="store_true", help="treat FILE as a manifest of paths")
-    p.set_defaults(handler=cmd_check, summary="datum check")
+    p.set_defaults(handler="cmd_check", summary="datum check")
 
     p = sub.add_parser("support", help="joint spectrum of a commuting datum")
     p.add_argument("file")
-    p.set_defaults(handler=cmd_support, summary="support")
+    p.set_defaults(handler="cmd_support", summary="support")
 
     p = sub.add_parser("equiv", help="GL-equivalence witness between two data")
     p.add_argument("file")
     p.add_argument("other")
-    p.set_defaults(handler=cmd_equiv, summary="equivalence")
+    p.set_defaults(handler="cmd_equiv", summary="equivalence")
 
     p = sub.add_parser("gen", help="generate a random commuting datum")
     p.add_argument("--n", type=int, required=True)
@@ -373,27 +383,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nilpotent", action="store_true")
     p.add_argument("--entry-bound", type=int, default=3)
     p.add_argument("--prime", type=int, default=None, help="prime-field modulus")
-    p.set_defaults(handler=cmd_gen, summary="generated datum")
+    p.set_defaults(handler="cmd_gen", summary="generated datum")
 
     p = sub.add_parser("quot", help="kernel presentation / quotient reconstruction")
     qsub = p.add_subparsers(dest="quot_command", required=True)
     q = qsub.add_parser("present", help="kernel basis of the evaluation map")
     q.add_argument("file")
     q.add_argument("--degree", type=int, default=None, help="degree bound (default c)")
-    q.set_defaults(handler=cmd_quot_present, summary="kernel basis")
+    q.set_defaults(handler="cmd_quot_present", summary="kernel basis")
     q = qsub.add_parser("build", help="multiplication matrices from generators")
     q.add_argument("file")
     q.add_argument("--degree-cap", type=int, default=None)
-    q.set_defaults(handler=cmd_quot_build, summary="reconstructed datum")
+    q.set_defaults(handler="cmd_quot_build", summary="reconstructed datum")
 
     p = sub.add_parser("monad", help="monad maps: build, composition check, ranks")
     msub = p.add_subparsers(dest="monad_command", required=True)
     m = msub.add_parser("build", help="emit the linear-form matrices")
     m.add_argument("file")
-    m.set_defaults(handler=cmd_monad_build, summary="monad maps")
+    m.set_defaults(handler="cmd_monad_build", summary="monad maps")
     m = msub.add_parser("check", help="verify the compositions vanish")
     m.add_argument("file")
-    m.set_defaults(handler=cmd_monad_check, summary="monad composition")
+    m.set_defaults(handler="cmd_monad_check", summary="monad composition")
     m = msub.add_parser("rank", help="fiberwise ranks at a point or sampled points")
     m.add_argument("file")
     m.add_argument(
@@ -402,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     m.add_argument("--samples", type=int, default=32)
     m.add_argument("--seed", type=int, default=None, help="required in sampling mode")
-    m.set_defaults(handler=cmd_monad_rank, summary="fiber ranks")
+    m.set_defaults(handler="cmd_monad_rank", summary="fiber ranks")
 
     p = sub.add_parser("quiver", help="theta-stability of the associated representation")
     qsub = p.add_subparsers(dest="quiver_command", required=True)
     q = qsub.add_parser("check")
     q.add_argument("file")
     q.add_argument("--theta", required=True, help="rational theta, e.g. --theta=-2/3")
-    q.set_defaults(handler=cmd_quiver_check, summary="quiver stability")
+    q.set_defaults(handler="cmd_quiver_check", summary="quiver stability")
 
     p = sub.add_parser("path", help="the contraction path onto the basepoint")
     psub = p.add_subparsers(dest="path_command", required=True)
@@ -417,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("file")
     q.add_argument("--t", required=True, help="parameter p or p/q in the datum's field")
     q.add_argument("--experimental", action="store_true", help="allow r != c")
-    q.set_defaults(handler=cmd_path_run, summary="path point")
+    q.set_defaults(handler="cmd_path_run", summary="path point")
     q = psub.add_parser("verify", help="flags of the path on a uniform grid")
     q.add_argument("file")
     q.add_argument("--grid", type=int, default=64,
                    help="number of subintervals (over GF(p), not a multiple of p)")
     q.add_argument("--experimental", action="store_true", help="allow r != c")
-    q.set_defaults(handler=cmd_path_verify, summary="path verification")
+    q.set_defaults(handler="cmd_path_verify", summary="path verification")
 
     p = sub.add_parser("dim", help="tangent-dimension experiments")
     dsub = p.add_subparsers(dest="dim_command", required=True)
@@ -434,16 +444,27 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--punctual", action="store_true")
     d.add_argument("--trials", type=int, required=True)
     d.add_argument("--seed", type=int, required=True)
-    d.set_defaults(handler=cmd_dim_experiment, summary="dimension experiment")
+    d.set_defaults(handler="cmd_dim_experiment", summary="dimension experiment")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first ``main`` call of a process.
+
+    Later calls reuse it; each parses its own argv into a fresh namespace,
+    so nothing carries from one call to the next.  The tree stores handler
+    names, which ``main`` looks up in this module at call time, so a
+    rebound ``cmd_*`` attribute reaches every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        report, ok = args.handler(args)
+        report, ok = globals()[args.handler](args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

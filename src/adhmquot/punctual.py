@@ -263,6 +263,7 @@ class PathReport:
     samples: tuple
     endpoint_equivalent: bool
     permutation: tuple[int, ...]
+    input_nilpotent: bool
 
     def all_stable_commuting(self) -> bool:
         return all(s.stable and s.commuting for s in self.samples)
@@ -293,23 +294,29 @@ def verify_path(x: AdhmDatum, grid: Sequence, *, experimental: bool = False) -> 
       once per path;
     - stable: for t != 0 a subspace is t B_i-invariant iff it is
       B_i-invariant, so phi(t) is stable iff (B, v(t)) is; phi(0) is
-      (0, v(0)).  ``is_stable`` runs on that datum at every sample.
+      (0, v(0)).  ``is_stable`` runs on that datum once per distinct t:
+      over GF(p) the grid may repeat a value, and a repeat reuses the
+      verdict.
     """
     data = _path_data(x, experimental=experimental)
     field = x.field
     x_nilpotent = is_nilpotent_tuple(x)
     zero_tuple = (Matrix.zero(field, x.c, x.c),) * x.n
+    # keyed by str(t), which is canonical in the field and, unlike a
+    # Fraction, cheap to hash
+    stable_at: dict[str, bool] = {}
     samples = []
     for t in grid:
         t = field.coerce(t)
         at_zero = not t
-        pt = AdhmDatum(
-            x.n, x.c, x.r, zero_tuple if at_zero else x.B, _path_vectors(x, data, t)
-        )
-        samples.append(
-            PathSample(
-                t=t, stable=is_stable(pt), commuting=True, nilpotent=at_zero or x_nilpotent
+        stable = stable_at.get(str(t))
+        if stable is None:
+            pt = AdhmDatum(
+                x.n, x.c, x.r, zero_tuple if at_zero else x.B, _path_vectors(x, data, t)
             )
+            stable = stable_at[str(t)] = is_stable(pt)
+        samples.append(
+            PathSample(t=t, stable=stable, commuting=True, nilpotent=at_zero or x_nilpotent)
         )
     endpoint = AdhmDatum(x.n, x.c, x.r, x.B, _path_vectors(x, data, field.one()))
     target = reindex_vectors(x, data.permutation)
@@ -318,4 +325,5 @@ def verify_path(x: AdhmDatum, grid: Sequence, *, experimental: bool = False) -> 
         samples=tuple(samples),
         endpoint_equivalent=endpoint_equivalent,
         permutation=data.permutation,
+        input_nilpotent=x_nilpotent,
     )

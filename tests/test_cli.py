@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import adhmquot
-from adhmquot import cli
+from adhmquot import cli, punctual
 from adhmquot.cli import main
 from adhmquot.exactalg import PrimeField, RationalField
 
@@ -292,9 +292,13 @@ def test_path_run_parses_t_in_the_datum_field(tmp_path, capsys):
 
 
 def _captured(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of one in-process call, argparse exits included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -456,3 +460,164 @@ def test_round_trip_does_not_import_sympy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------- flag ranges
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["gen", "--n", "2", "--c", "2", "--r", "2", "--seed", "1", "--prime", "0"],
+                 "0 is not prime", id="gen-prime-0"),
+    pytest.param(["gen", "--n", "2", "--c", "2", "--r", "2", "--seed", "1",
+                  "--entry-bound", "-3"],
+                 "--entry-bound must be at least 0, got -3", id="gen-entry-bound"),
+    pytest.param(["dim", "experiment", "--n", "2", "--c", "2", "--r", "1",
+                  "--trials", "-1", "--seed", "1"],
+                 "--trials must be at least 0, got -1", id="dim-trials"),
+])
+def test_negative_generation_flags_are_usage_errors(capsys, argv, message):
+    code, doc, err = run(capsys, *argv)
+    assert code == 2 and doc is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["monad", "rank", "--samples", "-2", "--seed", "1"],
+                 "--samples must be at least 0, got -2", id="monad-rank-samples"),
+    pytest.param(["quot", "present", "--degree", "-1"],
+                 "--degree must be at least 0, got -1", id="quot-present-degree"),
+])
+def test_negative_datum_flags_are_usage_errors(tmp_path, capsys, argv, message):
+    src = gen_file(tmp_path, capsys, "f.json",
+                   "--n", "2", "--c", "2", "--r", "1", "--stable", "--seed", "1")
+    code, doc, err = run(capsys, *argv, str(src))
+    assert code == 2 and doc is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_zero_trials_stays_legal(capsys):
+    code, doc, _ = run(capsys, "dim", "experiment", "--n", "2", "--c", "2", "--r", "1",
+                       "--trials", "0", "--seed", "1")
+    assert code == 0 and doc["trials"] == 0 and doc["histogram"] == {}
+
+
+def test_path_verify_checks_input_nilpotency_once(tmp_path, capsys, monkeypatch):
+    src = gen_file(tmp_path, capsys, "n.json",
+                   "--n", "2", "--c", "3", "--r", "3", "--stable", "--nilpotent", "--seed", "2")
+    calls = []
+    original = punctual.is_nilpotent_tuple
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(punctual, "is_nilpotent_tuple", counting)
+    code, doc, _ = run(capsys, "path", "verify", str(src), "--grid", "8")
+    assert code == 0 and doc["input_nilpotent"] is True
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------- one parser per process
+
+
+HELP_ARGVS = [[*command, "-h"] for command in (
+    [], ["check"], ["support"], ["equiv"], ["gen"],
+    ["quot"], ["quot", "present"], ["quot", "build"],
+    ["monad"], ["monad", "build"], ["monad", "check"], ["monad", "rank"],
+    ["quiver"], ["quiver", "check"],
+    ["path"], ["path", "run"], ["path", "verify"],
+    ["dim"], ["dim", "experiment"],
+)]
+
+
+def _reuse_argvs(tmp_path: Path) -> list:
+    x = str(tmp_path / "x.json")
+    k = str(tmp_path / "k.json")
+    y = str(tmp_path / "y.json")
+    gen = ["gen", "--n", "2", "--c", "2", "--r", "2", "--stable", "--nilpotent", "--seed", "3"]
+    code, out, _ = _captured(gen)
+    assert code == 0
+    Path(x).write_text(out)
+    code, out, _ = _captured(["quot", "present", x])
+    assert code == 0
+    Path(k).write_text(out)
+    code, out, _ = _captured(["quot", "build", k])
+    assert code == 0
+    Path(y).write_text(out)
+    valid = [
+        gen,
+        ["check", x, "--stable", "--nilpotent"],
+        ["quot", "present", x, "--degree", "1"],
+        ["quot", "present", x],  # the default degree, not the previous call's
+        ["equiv", x, y],
+        ["monad", "check", x],
+        ["quiver", "check", x, "--theta=-2/3"],
+        ["path", "verify", x, "--grid", "4"],
+        ["path", "verify", x],
+        ["dim", "experiment", "--n", "2", "--c", "2", "--r", "1", "--trials", "2",
+         "--seed", "1"],
+    ]
+    usage_errors = [
+        ["gen", "--n", "2", "--c", "2", "--r", "2"],  # missing --seed
+        ["monad", "frobnicate", x],  # invalid choice
+        ["quiver", "check", x, "--theta", "-2/3"],  # the space form
+        ["path", "verify", x, "--grid", "0"],
+        [],
+    ]
+    return valid + usage_errors + HELP_ARGVS
+
+
+def test_repeated_calls_match_a_one_shot_process(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = _reuse_argvs(tmp_path)
+    first = [_captured(argv) for argv in argvs]
+    second = [_captured(argv) for argv in argvs]
+    assert first == second
+    package_root = str(Path(adhmquot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root, "COLUMNS": "80"}
+    for argv, outcome in zip(argvs, first):
+        done = subprocess.run([sys.executable, "-m", "adhmquot.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == outcome, argv
+
+
+def test_help_of_the_reused_parser_follows_the_terminal_width(monkeypatch):
+    _captured(["check", "-h"])  # the shared parser exists before the width changes
+    top_level = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in HELP_ARGVS:
+            code, out, err = _captured(argv)
+            fresh = io.StringIO()
+            with contextlib.redirect_stdout(fresh), pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+            assert code == 0 and err == ""
+            assert out == fresh.getvalue(), (columns, argv)
+        top_level.append(_captured(["-h"])[1])
+    assert top_level[0] != top_level[1]
+
+
+def test_handlers_are_looked_up_at_call_time(monkeypatch, capsys):
+    gen = ["gen", "--n", "1", "--c", "2", "--r", "1", "--seed", "9"]
+    assert main(gen) == 0  # the shared parser exists before the rebinding
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: ({"stub": args.seed}, True))
+    code, doc, err = run(capsys, *gen)
+    assert code == 0 and doc == {"stub": 9}
+    assert err.splitlines() == ["generated datum: ok"]
+
+
+def test_many_calls_build_the_parser_once(monkeypatch, capsys):
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(None)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for seed in range(5):
+        assert main(["gen", "--n", "1", "--c", "2", "--r", "1", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1

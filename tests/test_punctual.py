@@ -378,3 +378,29 @@ def test_verify_path_products_do_not_grow_with_the_grid(monkeypatch):
         assert nilpotency == [x]
         counts.append(len(products))
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_verify_path_decides_stability_once_per_distinct_t(monkeypatch):
+    field = GF(3)
+    x = random_datum(2, 3, 3, seed=1, stable=True, nilpotent=True, field=field)
+    # the CLI's --grid 64 over GF(3): i/64 runs through 0, 1, 2 repeatedly
+    step = field.one() / field.coerce(64)
+    grid = [field.coerce(i) * step for i in range(65)]
+    assert len(set(grid)) == 3
+    calls = []
+    original = punctual.is_stable
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(punctual, "is_stable", counting)
+    verify_path(x, [])
+    setup_calls = len(calls)
+    calls.clear()
+    report = verify_path(x, grid)
+    assert len(calls) - setup_calls <= 3
+    samples, equivalent, permutation = _reference_verify_path(x, grid, False)
+    assert [(s.t, s.stable, s.commuting, s.nilpotent) for s in report.samples] == samples
+    assert report.endpoint_equivalent == equivalent
+    assert report.permutation == permutation
