@@ -70,6 +70,12 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
         raise serialize.FormatError(f"{flag} must be at least {low}, got {value}")
 
 
+def _require_shape(args) -> None:
+    _require_at_least("--n", args.n, 1)
+    _require_at_least("--c", args.c, 0)
+    _require_at_least("--r", args.r, 1)
+
+
 # ---------------------------------------------------------------- check
 
 
@@ -158,6 +164,7 @@ def cmd_equiv(args) -> tuple[Any, bool]:
 
 
 def cmd_gen(args) -> tuple[Any, bool]:
+    _require_shape(args)
     _require_at_least("--entry-bound", args.entry_bound, 0)
     header = None if args.prime is None else {"prime": args.prime}
     field = serialize.field_from_obj(header)
@@ -324,6 +331,7 @@ def cmd_path_verify(args) -> tuple[Any, bool]:
 
 
 def cmd_dim_experiment(args) -> tuple[Any, bool]:
+    _require_shape(args)
     _require_at_least("--trials", args.trials, 0)
     result = geometry.dimension_experiment(
         args.n, args.c, args.r,

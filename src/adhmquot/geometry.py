@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, commutator_pairs, is_stable, stabilizer_lie_dimension
+from .adhm import AdhmDatum, commutator_pairs, is_stable
 from .exactalg import QQ, Field, Matrix, ShapeError, rank
 from .quotmod import PolyVector
 
@@ -265,14 +265,16 @@ def tangent_dimension(x: AdhmDatum, sys: EquationSystem) -> int:
 
 
 def moduli_dimension_estimate(x: AdhmDatum, sys: EquationSystem) -> int:
-    """Tangent dimension minus dim GL(V), corrected by the stabilizer dimension.
+    """Tangent dimension minus dim GL(V), at a stable point; unstable input
+    is rejected.
 
-    Only meaningful at stable points, where the correction vanishes and the
-    quotient by GL(V) is free; unstable input is rejected.
+    The stabilizer term of the general count is 0 there, so it is not
+    computed: a xi with [xi, B_i] = 0 and xi v_j = 0 for all i, j has a
+    B-invariant kernel that contains every v_j, hence is V, so xi = 0.
     """
     if not is_stable(x):
         raise ResidualError("moduli estimates need a stable datum")
-    return tangent_dimension(x, sys) - x.c * x.c + stabilizer_lie_dimension(x)
+    return tangent_dimension(x, sys) - x.c * x.c
 
 
 def _random_invertible(rng: random.Random, field: Field, c: int, bound: int = 3) -> Matrix:

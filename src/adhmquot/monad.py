@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, is_adhm, is_stable, krylov_closure
+from .adhm import AdhmDatum, is_adhm, krylov_closure
 from .exactalg import (
     Field,
     Matrix,
@@ -211,14 +211,14 @@ class SurjectivityCertificate:
     note: str = ""
 
 
-def _common_left_eigenvector(x: AdhmDatum) -> tuple[tuple, tuple] | None:
+def _common_left_eigenvector(x: AdhmDatum, closure: Subspace) -> tuple[tuple, tuple] | None:
     """A covector w != 0 and rational eigentuple z with w B_i = z_i w, w v_j = 0.
 
-    Witnesses must annihilate the Krylov closure, so the search runs inside
-    its annihilator, splitting one operator at a time along rational
-    eigenvalues.  Returns None when no fully rational witness exists.
+    Witnesses must annihilate the Krylov closure of x, passed in as
+    ``closure``, so the search runs inside its annihilator, splitting one
+    operator at a time along rational eigenvalues.  Returns None when no
+    fully rational witness exists.
     """
-    closure = krylov_closure(x)
     ann = kernel_basis(closure.basis)
     if ann.dim == 0:
         return None
@@ -281,9 +281,10 @@ def surjectivity_certificate(x: AdhmDatum) -> SurjectivityCertificate:
     """
     if not is_adhm(x):
         raise NonCommutingError("certificate requires a commuting datum")
-    if is_stable(x):
+    closure = krylov_closure(x)
+    if closure.dim == x.c:  # stable, as in is_stable
         return SurjectivityCertificate(surjective=True)
-    found = _common_left_eigenvector(x)
+    found = _common_left_eigenvector(x, closure)
     if found is None:
         return SurjectivityCertificate(
             surjective=False,

@@ -293,31 +293,29 @@ def verify_path(x: AdhmDatum, grid: Sequence, *, experimental: bool = False) -> 
       so phi(t) is nilpotent iff t = 0 or x is nilpotent, which is checked
       once per path;
     - stable: for t != 0 a subspace is t B_i-invariant iff it is
-      B_i-invariant, so phi(t) is stable iff (B, v(t)) is; phi(0) is
-      (0, v(0)).  ``is_stable`` runs on that datum once per distinct t:
-      over GF(p) the grid may repeat a value, and a repeat reuses the
-      verdict.
+      B_i-invariant, so phi(t) is stable iff (B, v(t)) is.  The selected
+      vectors ride along unchanged in v(t), and the greedy selection makes
+      span(v_sel) = span{v_j}; so the B-closure of v(t) contains the
+      B-closure of x's vectors, which is V because the path data has
+      checked that x is stable.  So every sample with t != 0 is stable, in
+      any field and for r != c too.  Only phi(0) = (0, v(0)) is decided, by
+      ``is_stable`` once per path: it is stable iff v(0) spans V, which
+      fails when r < c.
     """
     data = _path_data(x, experimental=experimental)
     field = x.field
     x_nilpotent = is_nilpotent_tuple(x)
-    zero_tuple = (Matrix.zero(field, x.c, x.c),) * x.n
-    # keyed by str(t), which is canonical in the field and, unlike a
-    # Fraction, cheap to hash
-    stable_at: dict[str, bool] = {}
-    samples = []
-    for t in grid:
-        t = field.coerce(t)
-        at_zero = not t
-        stable = stable_at.get(str(t))
-        if stable is None:
-            pt = AdhmDatum(
-                x.n, x.c, x.r, zero_tuple if at_zero else x.B, _path_vectors(x, data, t)
-            )
-            stable = stable_at[str(t)] = is_stable(pt)
-        samples.append(
-            PathSample(t=t, stable=stable, commuting=True, nilpotent=at_zero or x_nilpotent)
-        )
+    ts = [field.coerce(t) for t in grid]
+    # phi(0) is decided only when the grid reaches t = 0
+    zeros = (Matrix.zero(field, x.c, x.c),) * x.n
+    stable_at_zero = all(ts) or is_stable(
+        AdhmDatum(x.n, x.c, x.r, zeros, _path_vectors(x, data, field.zero()))
+    )
+    samples = [
+        PathSample(t=t, stable=bool(t) or stable_at_zero, commuting=True,
+                   nilpotent=not t or x_nilpotent)
+        for t in ts
+    ]
     endpoint = AdhmDatum(x.n, x.c, x.r, x.B, _path_vectors(x, data, field.one()))
     target = reindex_vectors(x, data.permutation)
     endpoint_equivalent = equivalence(endpoint, target) is not None

@@ -482,6 +482,37 @@ def test_negative_generation_flags_are_usage_errors(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv,message", [
+    pytest.param(["gen", "--n", "0", "--c", "2", "--r", "2", "--seed", "1"],
+                 "--n must be at least 1, got 0", id="gen-n"),
+    pytest.param(["gen", "--n", "2", "--c", "-2", "--r", "2", "--seed", "1"],
+                 "--c must be at least 0, got -2", id="gen-c"),
+    pytest.param(["gen", "--n", "2", "--c", "2", "--r", "0", "--seed", "1"],
+                 "--r must be at least 1, got 0", id="gen-r"),
+    pytest.param(["dim", "experiment", "--n", "0", "--c", "2", "--r", "1",
+                  "--trials", "2", "--seed", "1"],
+                 "--n must be at least 1, got 0", id="dim-n"),
+    pytest.param(["dim", "experiment", "--n", "2", "--c", "-1", "--r", "1",
+                  "--trials", "2", "--seed", "1"],
+                 "--c must be at least 0, got -1", id="dim-c"),
+    pytest.param(["dim", "experiment", "--n", "2", "--c", "2", "--r", "0",
+                  "--trials", "2", "--seed", "1"],
+                 "--r must be at least 1, got 0", id="dim-r"),
+])
+def test_out_of_range_shape_flags_are_usage_errors(capsys, argv, message):
+    code, doc, err = run(capsys, *argv)
+    assert code == 2 and doc is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_zero_c_stays_legal(capsys):
+    code, doc, _ = run(capsys, "gen", "--n", "2", "--c", "0", "--r", "2", "--seed", "1")
+    assert code == 0 and doc["c"] == 0 and doc["v"] == [[], []]
+    code, doc, _ = run(capsys, "dim", "experiment", "--n", "2", "--c", "0", "--r", "1",
+                       "--trials", "2", "--seed", "1")
+    assert code == 0 and doc["histogram"] == {"0": 2} and doc["moduli_histogram"] == {"0": 2}
+
+
+@pytest.mark.parametrize("argv,message", [
     pytest.param(["monad", "rank", "--samples", "-2", "--seed", "1"],
                  "--samples must be at least 0, got -2", id="monad-rank-samples"),
     pytest.param(["quot", "present", "--degree", "-1"],

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from adhmquot.adhm import act, random_datum
-from adhmquot.exactalg import QQ, Matrix
+from adhmquot import adhm, geometry
+from adhmquot.adhm import act, random_datum, stabilizer_lie_dimension
+from adhmquot.exactalg import GF, QQ, Matrix
 from adhmquot.geometry import (
     EquationSystem,
     ResidualError,
@@ -163,3 +164,42 @@ def test_punctual_sampler_guard():
             2, 2, 1, trials=1, seed=0,
             variety_relations=(PolyVector.monomial(2, 1, (1, 0), 1, Fraction(1)),),
         )
+
+
+def test_moduli_estimate_does_not_compute_the_stabilizer(monkeypatch):
+    calls = []
+    original = adhm.stabilizer_lie_dimension
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(adhm, "stabilizer_lie_dimension", counting)
+    monkeypatch.setattr(geometry, "stabilizer_lie_dimension", counting, raising=False)
+    rng = random.Random(12)
+    assert moduli_dimension_estimate(sample_generic_commuting(2, 3, 2, rng), COMMUTATORS) == 9
+    assert moduli_dimension_estimate(sample_punctual(3, 3, 2, rng), PUNCTUAL) == 7
+    assert calls == []
+
+
+def _criterion_shaped_stable_data():
+    """Stable data shaped like criteria 4 (generic, n = 2) and 5 (punctual)."""
+    rng = random.Random(13)
+    prime = GF(32003)
+    for c, r in ((1, 1), (2, 3), (3, 2), (4, 1)):
+        yield sample_generic_commuting(2, c, r, rng), COMMUTATORS
+        yield random_datum(2, c, r, seed=10 * c + r, stable=True, field=prime), COMMUTATORS
+    for n, c, r in ((2, 2, 1), (4, 2, 3), (2, 3, 2), (3, 3, 3)):
+        yield sample_punctual(n, c, r, rng), PUNCTUAL
+        yield random_datum(n, c, r, seed=10 * n + c + r, stable=True, nilpotent=True,
+                           field=prime), PUNCTUAL
+
+
+def test_moduli_estimate_matches_the_formula_with_the_stabilizer_term():
+    fields = set()
+    for x, sys in _criterion_shaped_stable_data():
+        fields.add(x.field)
+        assert moduli_dimension_estimate(x, sys) == (
+            tangent_dimension(x, sys) - x.c * x.c + stabilizer_lie_dimension(x)
+        )
+    assert fields == {QQ, GF(32003)}

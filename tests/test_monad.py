@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adhmquot import adhm, monad
 from adhmquot.adhm import AdhmDatum, is_stable, random_datum
 from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, rank
 from adhmquot.monad import (
@@ -293,3 +294,26 @@ def test_rank_sample_report_includes_support():
     assert report["support_complete"]
     assert any(row["support_point"] for row in report["samples"])
     assert report["all_full_rank"]
+
+
+def test_certificate_computes_the_krylov_closure_once(monkeypatch, jordan2):
+    calls = []
+    original = adhm.krylov_closure
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(adhm, "krylov_closure", counting)
+    monkeypatch.setattr(monad, "krylov_closure", counting)
+    rot = mat([[0, -1], [1, 0]])
+    cases = [
+        (random_datum(3, 3, 2, seed=9, stable=True), True),
+        (AdhmDatum(1, 2, 1, (jordan2,), ((1, 0),)), False),
+        (AdhmDatum(1, 2, 1, (rot,), ((0, 0),)), False),
+        (random_datum(2, 3, 1, seed=5, stable=False), False),
+    ]
+    for x, surjective in cases:
+        calls.clear()
+        assert surjectivity_certificate(x).surjective is surjective
+        assert calls == [x]

@@ -404,3 +404,41 @@ def test_verify_path_decides_stability_once_per_distinct_t(monkeypatch):
     assert [(s.t, s.stable, s.commuting, s.nilpotent) for s in report.samples] == samples
     assert report.endpoint_equivalent == equivalent
     assert report.permutation == permutation
+
+
+def _count_is_stable(monkeypatch):
+    calls = []
+    original = punctual.is_stable
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(punctual, "is_stable", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field,k", [(QQ, 64), (GF(3), 64)], ids=["QQ", "GF3"])
+def test_verify_path_decides_stability_only_at_zero(monkeypatch, field, k):
+    x = random_datum(2, 3, 3, seed=1, stable=True, nilpotent=True, field=field)
+    step = field.one() / field.coerce(k)
+    grid = [field.coerce(i) * step for i in range(k + 1)]
+    calls = _count_is_stable(monkeypatch)
+    report = verify_path(x, grid)
+    # one call on x in the path set-up, one on phi(0) = (0, v(0))
+    assert len(calls) == 2 and calls[0] == x
+    assert all(b.is_zero() for b in calls[1].B)
+    assert len(report.samples) == k + 1 and report.all_flags()
+    calls.clear()
+    nonzero = [t for t in grid if t]
+    report = verify_path(x, nonzero)
+    assert calls == [x]
+    assert len(report.samples) == len(nonzero) and report.all_flags()
+
+
+def test_experimental_path_decides_stability_only_at_zero(monkeypatch):
+    x = random_datum(2, 3, 2, seed=41, stable=True, nilpotent=True)
+    calls = _count_is_stable(monkeypatch)
+    report = verify_path(x, [Fraction(i, 8) for i in range(9)], experimental=True)
+    assert len(calls) == 2
+    assert [s.stable for s in report.samples] == [False] + [True] * 8
