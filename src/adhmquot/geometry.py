@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .adhm import AdhmDatum, commutator_pairs, is_stable
 from .exactalg import QQ, Field, Matrix, ShapeError, rank
-from .quotmod import PolyVector
 
 
 class ResidualError(ValueError):
@@ -39,46 +38,70 @@ class EquationSystem:
     def power(self, c: int) -> int:
         return self.nilpotency_power if self.nilpotency_power is not None else c
 
-    def describe(self) -> str:
-        parts = []
-        if self.commutators:
-            parts.append("commutators")
-        if self.nilpotent:
-            parts.append("nilpotency")
-        if self.variety_relations:
-            parts.append(f"{len(self.variety_relations)} variety relations")
-        return " + ".join(parts) if parts else "no equations"
 
+def _equations(x: AdhmDatum, sys: EquationSystem) -> list[list[tuple]]:
+    """The equation blocks in residual order, each a sum of words.
 
-def _variety_value(x: AdhmDatum, f: PolyVector) -> Matrix:
-    """f(B_0, ..., B_{n-1}) for a one-slot polynomial, canonical index order."""
-    if f.r != 1 or f.n != x.n:
-        raise ShapeError("variety relations are one-slot polynomials in n variables")
+    A block is a list of (coefficient, word) pairs; a word is a tuple of
+    B-indices read as a matrix product, so the block's value is the c x c
+    matrix sum(coefficient * B_{w_0} B_{w_1} ...).  Commutators are
+    B_i B_j - B_j B_i, nilpotency is the word (i,) * e, and a variety
+    relation has one word per monomial, its letters in index order.
+    """
     field = x.field
-    acc = Matrix.zero(field, x.c, x.c)
-    for (alpha, _j), coeff in f.terms.items():
-        word = Matrix.identity(field, x.c)
-        for i in range(x.n):
-            for _ in range(alpha[i]):
-                word = word @ x.B[i]
-        acc = acc + word.scale(field.coerce(coeff))
-    return acc
+    one = field.one()
+    blocks = []
+    if sys.commutators:
+        for i, j in commutator_pairs(x.n):
+            blocks.append([(one, (i, j)), (-one, (j, i))])
+    if sys.nilpotent:
+        e = sys.power(x.c)
+        blocks.extend([(one, (i,) * e)] for i in range(x.n))
+    for f in sys.variety_relations:
+        if f.r != 1 or f.n != x.n:
+            raise ShapeError("variety relations are one-slot polynomials in n variables")
+        blocks.append([
+            (field.coerce(coeff), tuple(i for i in range(x.n) for _ in range(alpha[i])))
+            for (alpha, _j), coeff in f.terms.items()
+        ])
+    return blocks
+
+
+def _word_products(x: AdhmDatum):
+    """Memoised product of a word of B-indices; the empty word is the identity.
+
+    Each product extends its longest proper prefix by one factor, so powers
+    and prefixes shared between words are multiplied once.
+    """
+    memo = {(): Matrix.identity(x.field, x.c)}
+    memo.update(((i,), b) for i, b in enumerate(x.B))
+
+    def product(word: tuple) -> Matrix:
+        m = memo.get(word)
+        if m is None:
+            m = memo[word] = product(word[:-1]) @ x.B[word[-1]]
+        return m
+
+    return product
+
+
+def _block_value(x: AdhmDatum, block: list, product) -> list:
+    """Row-major entries of one equation block's value."""
+    one = x.field.one()
+    acc = None
+    for coeff, word in block:
+        entries = product(word).entries
+        if coeff != one:
+            entries = [coeff * v for v in entries]
+        acc = entries if acc is None else [a + v for a, v in zip(acc, entries)]
+    return [x.field.zero()] * (x.c * x.c) if acc is None else acc
 
 
 def residual(x: AdhmDatum, sys: EquationSystem) -> tuple:
     """All equation values stacked: commutator entries (pairs in lexicographic
     order), then B_i^e entries per i, then each variety relation's entries."""
-    values: list = []
-    if sys.commutators:
-        for i, j in commutator_pairs(x.n):
-            values.extend((x.B[i] @ x.B[j] - x.B[j] @ x.B[i]).entries)
-    if sys.nilpotent:
-        e = sys.power(x.c)
-        for b in x.B:
-            values.extend(b.power(e).entries)
-    for f in sys.variety_relations:
-        values.extend(_variety_value(x, f).entries)
-    return tuple(values)
+    product = _word_products(x)
+    return tuple(v for block in _equations(x, sys) for v in _block_value(x, block, product))
 
 
 def coordinate_count(x: AdhmDatum) -> int:
@@ -91,107 +114,39 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
     x must satisfy the system exactly.  The marked vectors enter no equation,
     so their columns are zero; they are kept so the column space matches the
     coordinate space of the datum.
+
+    Every block is differentiated word by word and letter by letter: for the
+    letter B_k at position p of a word with L and R the products before and
+    after it, the unit E_ab in B_k changes the word by L E_ab R, whose entry
+    (s, q) is L[s][a] R[b][q].
     """
-    res = residual(x, sys)
-    if any(v for v in res):
+    blocks = _equations(x, sys)
+    product = _word_products(x)
+    if any(any(_block_value(x, block, product)) for block in blocks):
         raise ResidualError("datum does not satisfy the equation system exactly")
     field = x.field
     c = x.c
-    zero = field.zero()
-    n_eqs = len(res)
-    # columns are assembled per B-variable; derivative blocks use the product
-    # rule with a unit perturbation in entry (a, b) of B_k
-    pairs = commutator_pairs(x.n) if sys.commutators else []
-    e_pow = sys.power(c) if sys.nilpotent else 0
-
-    variety_pre_suf = []
-    for f in sys.variety_relations:
-        per_term = []
-        for (alpha, _j), coeff in f.terms.items():
-            prefixes = []
-            acc = Matrix.identity(field, c)
-            # prefix[i] = product of B_0^a0 .. B_{i-1}^a_{i-1}
-            for i in range(x.n):
-                prefixes.append(acc)
-                for _ in range(alpha[i]):
-                    acc = acc @ x.B[i]
-            suffixes = [None] * x.n
-            acc = Matrix.identity(field, c)
-            for i in range(x.n - 1, -1, -1):
-                suffixes[i] = acc
-                for _ in range(alpha[i]):
-                    acc = x.B[i] @ acc
-            per_term.append((alpha, field.coerce(coeff), prefixes, suffixes))
-        variety_pre_suf.append(per_term)
-
-    columns: list[list] = []
-    for k in range(x.n):
-        bk_powers = [Matrix.identity(field, c)]
-        max_alpha = 0
-        for per_term in variety_pre_suf:
-            for alpha, _co, _p, _s in per_term:
-                max_alpha = max(max_alpha, alpha[k])
-        for _ in range(max(e_pow, max_alpha, 1) - 1):
-            bk_powers.append(bk_powers[-1] @ x.B[k])
-        for a in range(c):
-            for b in range(c):
-                col: list = []
-                if sys.commutators:
-                    for i, j in pairs:
-                        block = [[zero] * c for _ in range(c)]
-                        if k == i:
-                            # d[B_i, B_j] = E B_j - B_j E
-                            for y in range(c):
-                                block[a][y] = block[a][y] + x.B[j].entry(b, y)
-                            for xx in range(c):
-                                block[xx][b] = block[xx][b] - x.B[j].entry(xx, a)
-                        elif k == j:
-                            # d[B_i, B_j] = B_i E - E B_i
-                            for xx in range(c):
-                                block[xx][b] = block[xx][b] + x.B[i].entry(xx, a)
-                            for y in range(c):
-                                block[a][y] = block[a][y] - x.B[i].entry(b, y)
-                        for row in block:
-                            col.extend(row)
-                if sys.nilpotent:
-                    for i in range(x.n):
-                        block = [[zero] * c for _ in range(c)]
-                        if k == i:
-                            # d(B^e) = sum_t B^t E B^{e-1-t}
-                            for t in range(e_pow):
-                                left = bk_powers[t]
-                                right = bk_powers[e_pow - 1 - t]
-                                for xx in range(c):
-                                    lv = left.entry(xx, a)
-                                    if lv:
-                                        for y in range(c):
-                                            block[xx][y] = block[xx][y] + lv * right.entry(b, y)
-                        for row in block:
-                            col.extend(row)
-                for per_term in variety_pre_suf:
-                    block = [[zero] * c for _ in range(c)]
-                    for alpha, coeff, prefixes, suffixes in per_term:
-                        if alpha[k] == 0:
+    zero, one = field.zero(), field.one()
+    rows = [[zero] * coordinate_count(x) for _ in range(len(blocks) * c * c)]
+    for eq, block in enumerate(blocks):
+        for coeff, word in block:
+            for p, k in enumerate(word):
+                left = product(word[:p]).entries
+                right = [(i // c, i % c, rv)
+                         for i, rv in enumerate(product(word[p + 1:]).entries) if rv]
+                for s in range(c):
+                    out = rows[(eq * c + s) * c:(eq * c + s + 1) * c]
+                    for a in range(c):
+                        lv = left[s * c + a]
+                        if not lv:
                             continue
-                        for t in range(alpha[k]):
-                            left = prefixes[k] @ bk_powers[t]
-                            right = bk_powers[alpha[k] - 1 - t] @ suffixes[k]
-                            for xx in range(c):
-                                lv = left.entry(xx, a)
-                                if lv:
-                                    lv = lv * coeff
-                                    for y in range(c):
-                                        block[xx][y] = block[xx][y] + lv * right.entry(b, y)
-                    for row in block:
-                        col.extend(row)
-                columns.append(col)
-    zero_col = [zero] * n_eqs
-    for _ in range(x.r * c):
-        columns.append(zero_col)
-    if not columns or n_eqs == 0:
-        return Matrix.zero(field, n_eqs, coordinate_count(x))
-    entries = tuple(columns[j][i] for i in range(n_eqs) for j in range(len(columns)))
-    return Matrix(field, n_eqs, coordinate_count(x), entries)
+                        if coeff != one:
+                            lv = lv * coeff
+                        terms = right if lv == one else [(b, q, lv * rv) for b, q, rv in right]
+                        col = (k * c + a) * c
+                        for b, q, v in terms:
+                            out[q][col + b] += v
+    return Matrix(field, len(rows), coordinate_count(x), tuple(v for row in rows for v in row))
 
 
 class _Dual:
@@ -233,7 +188,7 @@ def residual_directional(
     """First-order change of the residual along a direction in the B-coordinates.
 
     Computed with formal dual numbers (eps^2 = 0), independently of the
-    product-rule assembly in :func:`jacobian`; exact, no step size involved.
+    word derivation in :func:`jacobian`; exact, no step size involved.
     """
     if len(direction) != x.n:
         raise ShapeError("direction needs one matrix per B_i")
@@ -402,6 +357,10 @@ def dimension_experiment(
 
     The minimum over trials is the experiment's dimension estimate at a
     generic point.  trials = 0 yields an empty histogram without error.
+    Each trial's moduli value is its tangent dimension minus c^2, as in
+    :func:`moduli_dimension_estimate`: both samplers return a datum only
+    after ``is_stable`` has accepted it, so neither the rank nor stability
+    is decided a second time.
     """
     if variety_relations:
         raise SamplerError("no constructive sampler for explicit variety relations")
@@ -416,7 +375,7 @@ def dimension_experiment(
             datum = sample_generic_commuting(n, c, r, rng)
         tangent = tangent_dimension(datum, sys)
         histogram[tangent] = histogram.get(tangent, 0) + 1
-        estimate = moduli_dimension_estimate(datum, sys)
+        estimate = tangent - c * c
         moduli_histogram[estimate] = moduli_histogram.get(estimate, 0) + 1
     return DimensionExperiment(
         trials=trials,

@@ -298,21 +298,18 @@ def verify_path(x: AdhmDatum, grid: Sequence, *, experimental: bool = False) -> 
       span(v_sel) = span{v_j}; so the B-closure of v(t) contains the
       B-closure of x's vectors, which is V because the path data has
       checked that x is stable.  So every sample with t != 0 is stable, in
-      any field and for r != c too.  Only phi(0) = (0, v(0)) is decided, by
-      ``is_stable`` once per path: it is stable iff v(0) spans V, which
-      fails when r < c.
+      any field and for r != c too.  phi(0) = (0, v(0)) is stable iff v(0)
+      spans V, and that needs no elimination: v(0) is v_sel followed by the
+      first r - k completion vectors (zero-padded), and the completion holds
+      exactly c - k vectors that extend the k independent v_sel to a basis.
+      So v(0) spans min(r, c) dimensions, and phi(0) is stable iff r >= c.
     """
     data = _path_data(x, experimental=experimental)
     field = x.field
     x_nilpotent = is_nilpotent_tuple(x)
     ts = [field.coerce(t) for t in grid]
-    # phi(0) is decided only when the grid reaches t = 0
-    zeros = (Matrix.zero(field, x.c, x.c),) * x.n
-    stable_at_zero = all(ts) or is_stable(
-        AdhmDatum(x.n, x.c, x.r, zeros, _path_vectors(x, data, field.zero()))
-    )
     samples = [
-        PathSample(t=t, stable=bool(t) or stable_at_zero, commuting=True,
+        PathSample(t=t, stable=bool(t) or x.r >= x.c, commuting=True,
                    nilpotent=not t or x_nilpotent)
         for t in ts
     ]

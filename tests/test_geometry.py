@@ -30,9 +30,9 @@ COMMUTATORS = EquationSystem(commutators=True)
 PUNCTUAL = EquationSystem(commutators=True, nilpotent=True)
 
 
-def rand_direction(rng, n, c):
+def rand_direction(rng, n, c, field=QQ):
     return [
-        Matrix(QQ, c, c, tuple(Fraction(rng.randint(-3, 3)) for _ in range(c * c)))
+        Matrix(field, c, c, tuple(field.coerce(rng.randint(-3, 3)) for _ in range(c * c)))
         for _ in range(n)
     ]
 
@@ -86,6 +86,36 @@ def test_jacobian_oracle_with_variety_relation():
     direction = rand_direction(rng, 2, 2)
     flat = [e for d in direction for e in d.entries] + [QQ.zero()] * 2
     assert j.apply(flat) == residual_directional(x, sys, direction)
+
+
+def _oracle_cases():
+    # strictly upper triangular 3x3: every product of three vanishes, products
+    # of two do not, so the cubic relation has nonzero derivative blocks
+    upper = datum(2, 3, 1, [[[0, 1, 2], [0, 0, -1], [0, 0, 0]],
+                            [[0, 3, 1], [0, 0, 2], [0, 0, 0]]], [(0, 0, 1)])
+    cubic = PolyVector(2, 1, {((2, 1), 1): Fraction(1), ((1, 2), 1): Fraction(-2)})
+    yield "cubic-relation", upper, EquationSystem(commutators=False, variety_relations=(cubic,))
+    # B_i maps e_2 into span(e_0, e_1) and kills both, so every product vanishes
+    square_zero = datum(2, 3, 1, [[[0, 0, 1], [0, 0, 2], [0, 0, 0]],
+                                  [[0, 0, -1], [0, 0, 3], [0, 0, 0]]], [(0, 0, 1)])
+    yield "explicit-power", square_zero, EquationSystem(
+        commutators=True, nilpotent=True, nilpotency_power=2)
+    prime = GF(32003)
+    x = random_datum(2, 3, 2, seed=703, nilpotent=True, field=prime)
+    f = PolyVector(2, 1, {((3, 0), 1): 3, ((1, 2), 1): -5})
+    yield "gf32003", x, EquationSystem(commutators=True, nilpotent=True, variety_relations=(f,))
+
+
+@pytest.mark.parametrize("x,sys", [pytest.param(x, sys, id=name) for name, x, sys in _oracle_cases()])
+def test_jacobian_oracle_on_more_systems(x, sys):
+    assert not any(residual(x, sys))
+    j = jacobian(x, sys)
+    assert not j.is_zero()
+    rng = random.Random(6)
+    for _ in range(3):
+        direction = rand_direction(rng, x.n, x.c, x.field)
+        flat = [e for d in direction for e in d.entries] + [x.field.zero()] * (x.r * x.c)
+        assert j.apply(flat) == residual_directional(x, sys, direction)
 
 
 def test_nilpotency_power_defaults_to_c():
@@ -153,6 +183,24 @@ def test_dimension_experiment_constant_family():
     result = dimension_experiment(2, 2, 1, trials=50, seed=1)
     assert result.tangent_min == result.tangent_max == 2 * 2 + 2 + 2
     assert result.moduli_histogram == {4: 50}
+
+
+def test_dimension_experiment_computes_each_trial_once(monkeypatch):
+    calls = []
+    original = geometry.tangent_dimension
+
+    def counting(x, sys):
+        calls.append(x)
+        return original(x, sys)
+
+    monkeypatch.setattr(geometry, "tangent_dimension", counting)
+    result = dimension_experiment(3, 2, 1, punctual=True, trials=20, seed=1)
+    assert len(calls) == 20
+    expected: dict = {}
+    for x in list(calls):
+        estimate = moduli_dimension_estimate(x, PUNCTUAL)
+        expected[estimate] = expected.get(estimate, 0) + 1
+    assert result.moduli_histogram == expected
 
 
 def test_punctual_sampler_guard():
