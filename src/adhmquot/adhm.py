@@ -83,7 +83,7 @@ def commutator_pairs(n: int) -> list[tuple[int, int]]:
 
 def is_adhm(x: AdhmDatum) -> bool:
     """True iff every commutator vanishes, i.e. the tuple lies in the commuting locus."""
-    return all(m.is_zero() for m in commutators(x))
+    return all(x.B[i] @ x.B[j] == x.B[j] @ x.B[i] for i, j in commutator_pairs(x.n))
 
 
 def _krylov_layers(x: AdhmDatum) -> tuple[SpanBuilder, list[int]]:

@@ -308,18 +308,10 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = self.field.zero()
-        out = []
-        ocols = other.cols
-        for i in range(self.rows):
-            arow = self.row_tuple(i)
-            for j in range(ocols):
-                acc = zero
-                for k, a in enumerate(arow):
-                    if a:
-                        acc = acc + a * other.entries[k * ocols + j]
-                out.append(acc)
-        return Matrix(self.field, self.rows, ocols, tuple(out))
+        a, da = _lift(self.field, self.entries)
+        b, db = _lift(self.field, other.entries)
+        out = _int_product(a, b, self.rows, self.cols, other.cols)
+        return Matrix(self.field, self.rows, other.cols, _scalars(self.field, out, da * db))
 
     def scale(self, s) -> "Matrix":
         s = self.field.coerce(s)
@@ -422,21 +414,57 @@ def _echelonize(rows: list[list], *, rank_only: bool = False) -> list[int]:
     if not rows or not rows[0]:
         return []
     first = rows[0][0]
-    if isinstance(first, GFElement):
-        p = first.p
-        work = [[x.value for x in row] for row in rows]
-        pivots, _ = _eliminate(work, p, rank_only)
-        if not rank_only:
-            rows[:] = [[GFElement(x, p) for x in row] for row in work]
-        return pivots
-    work = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
-    pivots, d = _eliminate(work, None, rank_only)
+    p = first.p if isinstance(first, GFElement) else None
+    field = QQ if p is None else GF(p)
+    work = [_lift(field, row)[0] for row in rows]
+    pivots, d = _eliminate(work, p, rank_only)
     if not rank_only:
-        rows[:] = [[Fraction(x, d) for x in row] for row in work]
+        rows[:] = [_scalars(field, row, d) for row in work]
     return pivots
+
+
+def _lift(field: Field, values: Sequence) -> tuple[list[int], int]:
+    """Scalars as Python ints over one common denominator: (ints, d).
+
+    Over GF(p) the ints are the residues and d = 1.  Over QQ they are the
+    numerators scaled by the lcm d of the denominators, so that
+    ``values[k] == ints[k] / d``.
+    """
+    if isinstance(field, PrimeField):
+        return [x.value for x in values], 1
+    nums = [x.numerator for x in values]
+    dens = [x.denominator for x in values]
+    d = math.lcm(*dens)
+    if d == 1:
+        return nums, 1
+    return [a * (d // b) for a, b in zip(nums, dens)], d
+
+
+def _scalars(field: Field, ints: Iterable[int], d: int) -> list:
+    """The field elements ints[k] / d (reduced mod p over GF(p)), sharing one zero."""
+    zero = field.zero()
+    if isinstance(field, PrimeField):
+        p = field.p
+        return [GFElement(s, p) if s % p else zero for s in ints]
+    if d == 1:
+        return [Fraction(s) if s else zero for s in ints]
+    return [Fraction(s, d) if s else zero for s in ints]
+
+
+def _int_product(a: list[int], b: list[int], rows: int, inner: int, cols: int) -> list[int]:
+    """Row-major product of flat integer matrices a (rows x inner) and b (inner x cols).
+
+    Each output row accumulates the rows of b picked out by the nonzeros of
+    the matching row of a.
+    """
+    out: list[int] = []
+    for i in range(rows):
+        acc = [0] * cols
+        for k, x in enumerate(a[i * inner : (i + 1) * inner]):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b[k * cols : (k + 1) * cols])]
+        out.extend(acc)
+    return out
 
 
 def _eliminate(work: list[list[int]], p: int | None, below_only: bool) -> tuple[list[int], int]:
@@ -669,24 +697,31 @@ def solve(a: Matrix, b: Sequence) -> tuple | None:
 def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     """Characteristic polynomial coefficients (constant first, monic last).
 
-    Faddeev-LeVerrier; rational matrices only, since the recursion divides
-    by integers.
+    Faddeev-LeVerrier on the integer matrix A = d*m, d the lcm of the
+    denominators of m; rational matrices only.  A's characteristic
+    polynomial z^n + a_1 z^(n-1) + ... + a_n is integral, so every division
+    by k in the recursion is exact, and det(z - m) = d^-n det(dz - A) makes
+    the coefficient of z^(n-k) equal to a_k / d^k.
     """
     if m.rows != m.cols:
         raise ShapeError("characteristic polynomial of a non-square matrix")
     if not isinstance(m.field, RationalField):
         raise FieldMismatchError("char_poly is supported over the rationals only")
     n = m.rows
+    a, d = _lift(QQ, m.entries)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    nmat = Matrix.identity(QQ, n)
+    diagonal = range(0, n * n, n + 1)
+    nmat = [0] * (n * n)
+    for i in diagonal:
+        nmat[i] = 1
     for k in range(1, n + 1):
-        prod = m @ nmat
-        trace = sum((prod.entry(i, i) for i in range(n)), Fraction(0))
-        a = -trace / k
-        coeffs[n - k] = a
-        if k < n:
-            nmat = prod + Matrix.identity(QQ, n).scale(a)
+        prod = _int_product(a, nmat, n, n, n)
+        ak = -sum(prod[i] for i in diagonal) // k
+        coeffs[n - k] = Fraction(ak, d**k)
+        for i in diagonal:
+            prod[i] += ak
+        nmat = prod
     return tuple(coeffs)
 
 
@@ -701,13 +736,17 @@ def rational_factorization(
     product of the (z - root)^multiplicity, so it keeps the leading
     coefficient.  The irreducible factors of the remainder are primitive
     integer polynomials in the same layout, with multiplicities, in sympy's
-    order.  All three are read off one factorization over QQ (sympy).
+    order.  All three are read off one factorization over QQ (sympy); a
+    linear input needs none.
     """
     work = [Fraction(c) for c in coeffs]
     while len(work) > 1 and not work[-1]:
         work.pop()
     if len(work) <= 1:
         return [], tuple(work), []
+    if len(work) == 2:  # a_1 z + a_0 = a_1 (z - root)
+        a0, a1 = work
+        return [(-a0 / a1, 1)], (a1,), []
     import sympy
 
     z = sympy.Symbol("z")

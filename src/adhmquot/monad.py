@@ -18,6 +18,8 @@ from .exactalg import (
     Matrix,
     ShapeError,
     Subspace,
+    _lift,
+    _scalars,
     kernel_basis,
     rank,
     rational_eigenvalues,
@@ -179,25 +181,28 @@ def compose(a: LinearFormMatrix, b: LinearFormMatrix) -> QuadraticFormMatrix:
 
 
 def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
-    """Scalar matrix obtained by evaluating every entry at a point of P^n."""
+    """Scalar matrix obtained by evaluating every entry at a point of P^n.
+
+    The sums run on Python ints: the point and the coefficients of its
+    nonzero coordinates are lifted over one common denominator each
+    (residues over GF(p)), and each entry becomes one scalar at the end.
+    """
     field = m.field
     pt = tuple(field.coerce(z) for z in point)
     if len(pt) != m.var_count:
         raise ShapeError("point arity does not match the variable count")
     if all(not z for z in pt):
         raise ValueError("the zero tuple is not a point of projective space")
-    one = field.one()
+    zs, dz = _lift(field, pt)
+    used = [(z, ak) for z, ak in zip(zs, m.coeffs) if z]
+    cs, dc = _lift(field, [c for _, ak in used for c in ak.values()])
     cols = m.cols
-    out = [field.zero()] * (m.rows * cols)
-    for z, ak in zip(pt, m.coeffs):
-        if not z:
-            continue
-        for (i, j), c in ak.items():
-            idx = i * cols + j
-            term = c if z == one else c * z
-            acc = out[idx]
-            out[idx] = acc + term if acc else term
-    return Matrix(field, m.rows, m.cols, tuple(out))
+    acc = [0] * (m.rows * cols)
+    lifted = iter(cs)  # the coefficients in the order they were listed
+    for z, ak in used:
+        for (i, j), c in zip(ak, lifted):
+            acc[i * cols + j] += c * z
+    return Matrix(field, m.rows, cols, _scalars(field, acc, dz * dc))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,20 @@ def test_rational_roots_degenerate_inputs():
     assert rational_roots((Fraction(-1, 2), Fraction(3, 4))) == (
         [(Fraction(2, 3), 1)], (Fraction(3, 4),)
     )
+
+
+@pytest.mark.parametrize("coeffs, root", [
+    ((Fraction(0), Fraction(5)), Fraction(0)),  # zero root
+    ((Fraction(0), Fraction(-2, 3)), Fraction(0)),  # zero root, negative leading coefficient
+    ((Fraction(-3), Fraction(2)), Fraction(3, 2)),  # non-integer root
+    ((Fraction(1, 2), Fraction(-7, 3)), Fraction(3, 14)),  # negative leading coefficient
+    ((Fraction(4), Fraction(-2), Fraction(0)), Fraction(2)),  # trailing zero dropped
+])
+def test_linear_factorization_needs_no_sympy(monkeypatch, coeffs, root):
+    monkeypatch.setitem(sys.modules, "sympy", None)  # any import of sympy now fails
+    lead = coeffs[1]
+    assert exactalg.rational_factorization(coeffs) == ([(root, 1)], (lead,), [])
+    assert rational_roots(coeffs) == _reference_rational_roots(coeffs)
 
 
 def test_rational_roots_large_constant_term():

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from adhmquot import exactalg
 from adhmquot.adhm import (
-    AdhmDatum, GenerationError, act, is_adhm, is_stable, krylov_closure, random_datum,
+    AdhmDatum, GenerationError, act, equivalence, is_adhm, is_stable, krylov_closure,
+    random_datum,
 )
 from adhmquot.exactalg import (
-    GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, kernel_basis, rank, rref, solve,
+    GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, char_poly, kernel_basis, rank, rref,
+    solve,
 )
+from adhmquot.monad import alpha0, alpha_minus1, alpha_minus2_p3, evaluate, sample_points
 from adhmquot.punctual import homotopy_path, is_nilpotent_tuple, verify_path
-from adhmquot.quotmod import hilbert_profile
+from adhmquot.quotmod import hilbert_profile, kernel_basis_up_to_degree, module_from_generators
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
 
@@ -375,3 +378,211 @@ def test_verify_path_flags_are_the_flags_of_each_point(case):
         assert (sample.stable, sample.commuting, sample.nilpotent) == (
             is_stable(pt), is_adhm(pt), is_nilpotent_tuple(pt)
         )
+
+
+# ------------------------------------------------ products, char_poly and evaluate on ints
+
+# the largest prime below the Miller-Rabin bound: residues past 2**81 whose
+# products leave every machine word
+BOUND_PRIME = 3317044064679887385961813
+PRODUCT_FIELDS = [QQ, GF(2), GF(3), GF(32003), GF(BOUND_PRIME)]
+
+
+def _draw_scalar(draw, field):
+    """Small rationals over denominators 1, 2, 3, 7; residues small or anywhere in [0, p)."""
+    if field == QQ:
+        return Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3, 7))))
+    return field.coerce(draw(st.one_of(st.integers(-3, 3), st.integers(0, field.p - 1))))
+
+
+def _draw_matrix(draw, field, rows: int, cols: int) -> Matrix:
+    return Matrix(field, rows, cols, tuple(_draw_scalar(draw, field) for _ in range(rows * cols)))
+
+
+def _reference_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The earlier product: one scalar multiply-add per nonzero of a, on the field objects."""
+    zero = a.field.zero()
+    out = []
+    for i in range(a.rows):
+        arow = a.row_tuple(i)
+        for j in range(b.cols):
+            acc = zero
+            for k, x in enumerate(arow):
+                if x:
+                    acc = acc + x * b.entries[k * b.cols + j]
+            out.append(acc)
+    return Matrix(a.field, a.rows, b.cols, tuple(out))
+
+
+def _reference_char_poly(m: Matrix) -> tuple:
+    """The earlier Faddeev-LeVerrier recursion on Fractions."""
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    nmat = Matrix.identity(QQ, n)
+    for k in range(1, n + 1):
+        prod = _reference_matmul(m, nmat)
+        a = -sum((prod.entry(i, i) for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = a
+        if k < n:
+            nmat = prod + Matrix.identity(QQ, n).scale(a)
+    return tuple(coeffs)
+
+
+def _reference_evaluate(m, point) -> Matrix:
+    """The earlier evaluation: every coefficient times its coordinate, on the field objects."""
+    field = m.field
+    pt = tuple(field.coerce(z) for z in point)
+    if all(not z for z in pt):
+        raise ValueError("the zero tuple is not a point of projective space")
+    one = field.one()
+    out = [field.zero()] * (m.rows * m.cols)
+    for z, ak in zip(pt, m.coeffs):
+        if not z:
+            continue
+        for (i, j), c in ak.items():
+            idx = i * m.cols + j
+            term = c if z == one else c * z
+            out[idx] = out[idx] + term if out[idx] else term
+    return Matrix(field, m.rows, m.cols, tuple(out))
+
+
+def _reference_is_adhm(x: AdhmDatum) -> bool:
+    return all(
+        (_reference_matmul(x.B[i], x.B[j]) - _reference_matmul(x.B[j], x.B[i])).is_zero()
+        for i in range(x.n) for j in range(i + 1, x.n)
+    )
+
+
+@st.composite
+def product_pairs(draw):
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    rows, inner, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return _draw_matrix(draw, field, rows, inner), _draw_matrix(draw, field, inner, cols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_pairs())
+def test_matmul_matches_reference(pair):
+    a, b = pair
+    got, expected = a @ b, _reference_matmul(a, b)
+    assert (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert _bits(got.entries) == _bits(expected.entries)
+
+
+def test_matmul_degenerate_shapes():
+    for field in PRODUCT_FIELDS:
+        for rows, inner, cols in ((0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0), (0, 2, 0)):
+            a = Matrix(field, rows, inner, (field.one(),) * (rows * inner))
+            b = Matrix(field, inner, cols, (field.one(),) * (inner * cols))
+            assert a @ b == Matrix.zero(field, rows, cols) == _reference_matmul(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.builds(
+    lambda entries: Matrix(QQ, n, n, tuple(entries)),
+    st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 7))),
+             min_size=n * n, max_size=n * n),
+)))
+def test_char_poly_matches_reference(m):
+    assert _bits(char_poly(m)) == _bits(_reference_char_poly(m))
+
+
+@st.composite
+def monad_maps(draw):
+    """A monad map of a raw (not necessarily commuting) tuple, and a point that often has zeros."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    bs = tuple(_draw_matrix(draw, field, c, c) for _ in range(n))
+    vs = tuple(tuple(_draw_scalar(draw, field) for _ in range(c)) for _ in range(r))
+    x = AdhmDatum(n, c, r, bs, vs)
+    builds = [alpha0, alpha_minus1] + ([alpha_minus2_p3] if n == 3 else [])
+    m = draw(st.sampled_from(builds))(x)
+    point = [field.zero() if draw(st.booleans()) else _draw_scalar(draw, field)
+             for _ in range(n)]
+    at_infinity = draw(st.booleans())
+    point.append(field.zero() if at_infinity else _draw_scalar(draw, field))
+    return m, tuple(point)
+
+
+@settings(max_examples=400, deadline=None)
+@given(monad_maps())
+def test_evaluate_matches_reference(case):
+    m, point = case
+    if all(not z for z in point):
+        with pytest.raises(ValueError):
+            evaluate(m, point)
+        return
+    got, expected = evaluate(m, point), _reference_evaluate(m, point)
+    assert (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert _bits(got.entries) == _bits(expected.entries)
+
+
+@st.composite
+def commuting_candidates(draw):
+    """Tuples over every product field: polynomials in one matrix, the same with B_0 perturbed, or raw."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("commuting", "perturbed", "raw")))
+    if kind == "raw":
+        bs = [_draw_matrix(draw, field, c, c) for _ in range(n)]
+    else:
+        seed = _draw_matrix(draw, field, c, c)
+        shift = Matrix.identity(field, c)
+        bs = [_reference_matmul(seed, seed.power(i)) + shift.scale(_draw_scalar(draw, field))
+              for i in range(n)]
+        if kind == "perturbed" and c >= 2:
+            b0 = bs[0].to_rows()
+            b0[0][c - 1] += field.one()
+            bs[0] = Matrix.from_rows(field, b0)
+    return kind, AdhmDatum(n, c, 1, tuple(bs), ((field.zero(),) * c,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(commuting_candidates())
+def test_is_adhm_matches_reference(case):
+    kind, x = case
+    assert is_adhm(x) == _reference_is_adhm(x)
+    if kind == "commuting":
+        assert is_adhm(x)
+
+
+# ------------------------------------------------ round trip and reduction mod p
+
+ROUND_TRIP_FIELDS = [QQ, GF(32003)]
+
+
+@st.composite
+def small_stable_data(draw, field=None):
+    if field is None:
+        field = draw(st.sampled_from(ROUND_TRIP_FIELDS))
+    n, c, r = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    try:
+        return random_datum(n, c, r, draw(st.integers(0, 10**6)), stable=True,
+                            nilpotent=draw(st.booleans()), field=field)
+    except GenerationError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_stable_data())
+def test_round_trip_lands_in_the_same_orbit(x):
+    y = module_from_generators(x.n, x.r, kernel_basis_up_to_degree(x, x.c))
+    assert y.field == x.field and y.c == x.c
+    g = equivalence(x, y)
+    assert g is not None and act(g, x) == y
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_stable_data(field=QQ), st.integers(0, 10**6))
+def test_rank_mod_p_never_exceeds_rank_over_qq(x, seed):
+    field = GF(32003)
+
+    def reduce(values):  # x has integer entries, so reduction is entrywise
+        return tuple(field.coerce(int(v)) for v in values)
+
+    xp = AdhmDatum(x.n, x.c, x.r, tuple(Matrix(field, x.c, x.c, reduce(b.entries)) for b in x.B),
+                   tuple(reduce(vec) for vec in x.v))
+    a0, a0p = alpha0(x), alpha0(xp)
+    for pt in sample_points(x, 12, seed):
+        assert rank(evaluate(a0p, reduce(pt))) <= rank(evaluate(a0, pt))
