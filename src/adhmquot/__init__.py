@@ -7,6 +7,7 @@ from .adhm import (
     commutators,
     equivalence,
     is_adhm,
+    is_nilpotent_tuple,
     is_stable,
     krylov_closure,
     random_datum,
@@ -32,7 +33,6 @@ from .monad import (
 from .punctual import (
     basepoint,
     homotopy_path,
-    is_nilpotent_tuple,
     support,
     verify_path,
 )

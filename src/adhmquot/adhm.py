@@ -86,6 +86,11 @@ def is_adhm(x: AdhmDatum) -> bool:
     return all(x.B[i] @ x.B[j] == x.B[j] @ x.B[i] for i, j in commutator_pairs(x.n))
 
 
+def is_nilpotent_tuple(x: AdhmDatum) -> bool:
+    """True iff B_i^c = 0 for every i."""
+    return all(b.power(x.c).is_zero() for b in x.B)
+
+
 def _krylov_layers(x: AdhmDatum) -> tuple[SpanBuilder, list[int]]:
     """Grow span{v_j} by B_i-images of the newest vectors until nothing is new.
 
@@ -226,7 +231,16 @@ def equivalence(x: AdhmDatum, y: AdhmDatum, *, search_seed: int = 2024) -> Matri
     return None
 
 
+def _powers(t: Matrix, count: int) -> list[Matrix]:
+    """[I, t, ..., t^(count-1)], and [I] when count < 1."""
+    powers = [Matrix.identity(t.field, t.rows)]
+    while len(powers) < count:
+        powers.append(powers[-1] @ t)
+    return powers
+
+
 def _matrix_polynomial(powers: Sequence[Matrix], coeffs: Sequence) -> Matrix:
+    """The sum of coeffs[k] * powers[k]; the zero matrix for no coefficients."""
     field = powers[0].field
     acc = Matrix.zero(field, powers[0].rows, powers[0].cols)
     for k, a in enumerate(coeffs):
@@ -234,10 +248,6 @@ def _matrix_polynomial(powers: Sequence[Matrix], coeffs: Sequence) -> Matrix:
         if a:
             acc = acc + powers[k].scale(a)
     return acc
-
-
-def _is_nilpotent(b: Matrix) -> bool:
-    return b.power(b.rows).is_zero()
 
 
 def _random_commuting_block(
@@ -267,10 +277,7 @@ def _random_commuting_block(
             else:
                 row.append(rng.randint(-bound, bound))
         rows.append([field.coerce(e) for e in row])
-    t = Matrix.from_rows(field, rows)
-    powers = [Matrix.identity(field, c)]
-    for _ in range(c - 1):
-        powers.append(powers[-1] @ t)
+    powers = _powers(Matrix.from_rows(field, rows), c)
     bs = []
     for _ in range(n):
         coeffs = [rng.randint(-bound, bound) for _ in range(c)]
@@ -333,7 +340,7 @@ def random_datum(
             candidate = AdhmDatum(n, c, r, bs, vs)
         if not is_adhm(candidate):
             continue
-        if nilpotent and not all(_is_nilpotent(b) for b in candidate.B):
+        if nilpotent and not is_nilpotent_tuple(candidate):
             continue
         if stable is True and not is_stable(candidate):
             continue

@@ -4,7 +4,9 @@ Every subcommand reads and writes the JSON formats owned by the library
 modules, prints exactly one JSON document on stdout and a short summary on
 stderr.  Exit codes: 0 verified success, 1 property violation, 2 usage or
 input errors, 3 internal error (an unexpected exception, reported on one
-line).  Randomized subcommands require an explicit seed.
+line), 141 (128 + SIGPIPE) when the reader of stdout closed it before the
+document was written (``| head``), with no traceback.  Randomized
+subcommands require an explicit seed.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any
 
@@ -22,6 +25,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 MANIFEST_SCHEMA = "manifest@1"
 
@@ -58,6 +62,7 @@ def _load_datum(path: str) -> adhm.AdhmDatum:
 def _emit(report: Any, summary: str) -> None:
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
     print(summary, file=sys.stderr)
 
 
@@ -483,7 +488,13 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(report, f"{args.summary}: {'ok' if ok else 'FAILED'}")
+    try:
+        _emit(report, f"{args.summary}: {'ok' if ok else 'FAILED'}")
+    except BrokenPipeError:
+        # the rest of the document stays buffered; on devnull the flush at
+        # interpreter exit succeeds instead of raising a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

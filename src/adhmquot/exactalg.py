@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class LinearAlgebraError(ValueError):
@@ -790,3 +790,44 @@ def rational_eigenvalues(
     """
     roots, _, irreducible = rational_factorization(char_poly(m))
     return roots, irreducible
+
+
+def joint_eigenspaces(
+    ops: Sequence[Matrix], space: Subspace, *, generalized: bool, irrational: list | None = None
+) -> Iterator[tuple[tuple, Subspace]]:
+    """Split an invariant subspace along the rational joint spectrum of ops.
+
+    The operators must commute and leave ``space`` invariant; they act on
+    column vectors.  The space is split along the rational eigenvalues of
+    ops[0], each part along those of ops[1], and so on, depth first with
+    eigenvalues ascending; the nonzero leaves are yielded as (eigenvalue
+    tuple, subspace).  A part is the kernel of (op - lambda)^mult, its
+    generalized eigenspace, when ``generalized`` is set, and of op - lambda
+    otherwise.  The irreducible non-linear factors met on the way are
+    appended to ``irrational`` as (axis, factors), in the order the split
+    meets them.  The walk is lazy, so a caller after one leaf stops early.
+    """
+
+    def walk(space: Subspace, eigs: tuple):
+        if space.dim == 0:
+            return
+        axis = len(eigs)
+        if axis == len(ops):
+            yield eigs, space
+            return
+        images = [space.coordinates(ops[axis].apply(space.basis.row_tuple(s)))
+                  for s in range(space.dim)]
+        if None in images:
+            raise LinearAlgebraError("subspace is not invariant under the operators")
+        op = Matrix.from_rows(space.field, images).transpose()
+        roots, factors = rational_eigenvalues(op)
+        if factors and irrational is not None:
+            irrational.append((axis, factors))
+        for lam, mult in sorted(roots):
+            shifted = op - Matrix.identity(space.field, op.rows).scale(lam)
+            part = kernel_basis(shifted.power(mult if generalized else 1))
+            # the rows of part.basis @ space.basis are again in RREF: at the
+            # pivot columns of space they read part.basis, zero to their left
+            yield from walk(Subspace(space.ambient_dim, part.basis @ space.basis), eigs + (lam,))
+
+    return walk(space, ())

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, commutator_pairs, is_stable
+from .adhm import AdhmDatum, _matrix_polynomial, _powers, commutator_pairs, is_stable
 from .exactalg import QQ, Field, Matrix, ShapeError, rank
 
 
@@ -263,19 +263,12 @@ def sample_generic_commuting(
                   for i in range(c) for j in range(c)),
         )
         t = g @ diag @ ginv
-        powers = [Matrix.identity(field, c)]
-        for _ in range(max(c - 1, 1)):
-            powers.append(powers[-1] @ t)
+        powers = _powers(t, c)
         scale = field.coerce(rng.choice([1, -1]) * rng.randint(1, 3))
         shift = field.coerce(rng.randint(-3, 3))
-        bs = [t.scale(scale) + Matrix.identity(field, c).scale(shift)]
+        bs = [t.scale(scale) + powers[0].scale(shift)]
         for _ in range(n - 1):
-            coeffs = [rng.randint(-3, 3) for _ in range(c)]
-            acc = Matrix.zero(field, c, c)
-            for k, a in enumerate(coeffs):
-                if a:
-                    acc = acc + powers[k].scale(field.coerce(a))
-            bs.append(acc)
+            bs.append(_matrix_polynomial(powers, [rng.randint(-3, 3) for _ in range(c)]))
         vs = tuple(
             tuple(field.coerce(rng.randint(-3, 3)) for _ in range(c)) for _ in range(r)
         )
@@ -306,21 +299,14 @@ def sample_punctual(
             tuple(field.one() if j == i + 1 else field.zero()
                   for i in range(c) for j in range(c)),
         )
-        nmat = g @ shift @ ginv
-        powers = [Matrix.identity(field, c)]
-        for _ in range(max(c - 1, 0)):
-            powers.append(powers[-1] @ nmat)
+        powers = _powers(g @ shift @ ginv, c)
         bs = []
         for _ in range(n):
-            acc = Matrix.zero(field, c, c)
+            coeffs = []
             if c >= 2:
-                x_coeff = rng.choice([1, -1]) * rng.randint(1, 3)
-                acc = acc + powers[1].scale(field.coerce(x_coeff))
-                for k in range(2, c):
-                    y = rng.randint(-2, 2)
-                    if y:
-                        acc = acc + powers[k].scale(field.coerce(y))
-            bs.append(acc)
+                coeffs = [0, rng.choice([1, -1]) * rng.randint(1, 3)]
+                coeffs += [rng.randint(-2, 2) for _ in range(2, c)]
+            bs.append(_matrix_polynomial(powers, coeffs))
         vs = tuple(
             tuple(field.coerce(rng.randint(-3, 3)) for _ in range(c)) for _ in range(r)
         )

@@ -20,9 +20,9 @@ from .exactalg import (
     Subspace,
     _lift,
     _scalars,
+    joint_eigenspaces,
     kernel_basis,
     rank,
-    rational_eigenvalues,
 )
 from .quotmod import NonCommutingError
 
@@ -220,59 +220,16 @@ def _common_left_eigenvector(x: AdhmDatum, closure: Subspace) -> tuple[tuple, tu
     """A covector w != 0 and rational eigentuple z with w B_i = z_i w, w v_j = 0.
 
     Witnesses must annihilate the Krylov closure of x, passed in as
-    ``closure``, so the search runs inside its annihilator, splitting one
-    operator at a time along rational eigenvalues.  Returns None when no
-    fully rational witness exists.
+    ``closure``, so the search runs inside its annihilator: the first leaf
+    of its joint eigenspace split under the row action w -> w B_i.  Returns
+    None when no fully rational witness exists.
     """
-    ann = kernel_basis(closure.basis)
-    if ann.dim == 0:
-        return None
-
-    def restricted(op_index: int, space: Subspace) -> Matrix:
-        images = []
-        for i in range(space.dim):
-            w = space.basis.row_tuple(i)
-            img = tuple(
-                sum((w[a] * x.B[op_index].entry(a, b) for a in range(x.c)),
-                    x.field.zero())
-                for b in range(x.c)
-            )
-            coords = space.coordinates(img)
-            if coords is None:
-                raise AssertionError("annihilator is not invariant; datum not commuting?")
-            images.append(coords)
-        if not images:
-            return Matrix.zero(x.field, 0, 0)
-        return Matrix.from_rows(x.field, images).transpose()
-
-    def search(space: Subspace, axis: int, eigs: tuple):
-        if space.dim == 0:
-            return None
-        if axis == x.n:
-            return space.basis.row_tuple(0), eigs
-        r = restricted(axis, space)
-        roots, _ = rational_eigenvalues(r)
-        for lam, _mult in sorted(roots):
-            shifted = r - Matrix.identity(x.field, r.rows).scale(lam)
-            eigen = kernel_basis(shifted)
-            if eigen.dim == 0:
-                continue
-            vectors = []
-            for i in range(eigen.dim):
-                coords = eigen.basis.row_tuple(i)
-                vec = [x.field.zero()] * x.c
-                for s, coeff in enumerate(coords):
-                    if coeff:
-                        row = space.basis.row_tuple(s)
-                        vec = [a + coeff * b for a, b in zip(vec, row)]
-                vectors.append(vec)
-            sub = Subspace.from_vectors(x.field, x.c, vectors)
-            found = search(sub, axis + 1, eigs + (lam,))
-            if found is not None:
-                return found
-        return None
-
-    return search(ann, 0, ())
+    leaves = joint_eigenspaces(
+        [b.transpose() for b in x.B], kernel_basis(closure.basis), generalized=False
+    )
+    for eigs, leaf in leaves:
+        return leaf.basis.row_tuple(0), eigs
+    return None
 
 
 def surjectivity_certificate(x: AdhmDatum) -> SurjectivityCertificate:

@@ -12,26 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, equivalence, is_adhm, is_stable
-from .exactalg import (
-    QQ,
-    Matrix,
-    ShapeError,
-    SpanBuilder,
-    Subspace,
-    kernel_basis,
-    rational_eigenvalues,
-)
+from .adhm import AdhmDatum, equivalence, is_adhm, is_nilpotent_tuple, is_stable
+from .exactalg import QQ, Matrix, ShapeError, SpanBuilder, Subspace, joint_eigenspaces
 from .quotmod import NonCommutingError, monomials_of_degree
 
 
 class PathConstructionError(ValueError):
     """The homotopy needs r = c (or the experimental flag) and a stable datum."""
-
-
-def is_nilpotent_tuple(x: AdhmDatum) -> bool:
-    """True iff B_i^c = 0 for every i."""
-    return all(b.power(x.c).is_zero() for b in x.B)
 
 
 @dataclass(frozen=True)
@@ -51,20 +38,6 @@ class SupportReport:
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.points)
-
-
-def _restricted_operator(x: AdhmDatum, space: Subspace, i: int) -> Matrix:
-    """Matrix of B_i on an invariant subspace, in the subspace basis."""
-    images = []
-    for s in range(space.dim):
-        img = x.B[i].apply(space.basis.row_tuple(s))
-        coords = space.coordinates(img)
-        if coords is None:
-            raise NonCommutingError("subspace is not invariant under the tuple")
-        images.append(coords)
-    if not images:
-        return Matrix.zero(x.field, 0, 0)
-    return Matrix.from_rows(x.field, images).transpose()
 
 
 def _poly_str(coeffs: Sequence[int]) -> str:
@@ -103,43 +76,26 @@ def _factor_reports(axis: int, irreducible: Sequence) -> list[FactorReport]:
 def support(x: AdhmDatum) -> SupportReport:
     """Joint spectrum of the commuting tuple with multiplicities.
 
-    Splits recursively: generalized eigenspaces of B_0, then of B_1 restricted
-    to each, and so on.  When some characteristic polynomial along the way has
-    an irrational part, the report is marked incomplete and carries that
-    part's irreducible factors; multiplicities then sum to less than c.
+    Splits along generalized eigenspaces of B_0, then of B_1 restricted to
+    each, and so on (:func:`joint_eigenspaces`); points come out sorted.
+    When some characteristic polynomial along the way has an irrational
+    part, the report is marked incomplete and carries that part's
+    irreducible factors; multiplicities then sum to less than c.
     """
     if not is_adhm(x):
         raise NonCommutingError("support requires a commuting datum")
-    points: list[tuple[tuple, int]] = []
-    factors: list[FactorReport] = []
-
-    def split(space: Subspace, axis: int, coords: tuple):
-        if space.dim == 0:
-            return
-        if axis == x.n:
-            points.append((coords, space.dim))
-            return
-        op = _restricted_operator(x, space, axis)
-        roots, irreducible = rational_eigenvalues(op)
-        factors.extend(_factor_reports(axis, irreducible))
-        for lam, mult in sorted(roots):
-            shifted = op - Matrix.identity(x.field, op.rows).scale(lam)
-            gen_eigen = kernel_basis(shifted.power(mult))
-            vectors = []
-            for i in range(gen_eigen.dim):
-                cvec = gen_eigen.basis.row_tuple(i)
-                vec = [x.field.zero()] * x.c
-                for s, coeff in enumerate(cvec):
-                    if coeff:
-                        row = space.basis.row_tuple(s)
-                        vec = [a + coeff * b for a, b in zip(vec, row)]
-                vectors.append(vec)
-            split(Subspace.from_vectors(x.field, x.c, vectors), axis + 1, coords + (lam,))
-
-    split(Subspace.full(x.field, x.c), 0, ())
-    points.sort(key=lambda pm: pm[0])
+    irrational: list = []
+    points = tuple(
+        (eigs, leaf.dim)
+        for eigs, leaf in joint_eigenspaces(
+            x.B, Subspace.full(x.field, x.c), generalized=True, irrational=irrational
+        )
+    )
+    factors = tuple(
+        report for axis, found in irrational for report in _factor_reports(axis, found)
+    )
     complete = sum(m for _, m in points) == x.c
-    return SupportReport(points=tuple(points), complete=complete, factorizations=tuple(factors))
+    return SupportReport(points=points, complete=complete, factorizations=factors)
 
 
 def basepoint(n: int, c: int) -> AdhmDatum:

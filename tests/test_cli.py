@@ -652,3 +652,19 @@ def test_many_calls_build_the_parser_once(monkeypatch, capsys):
         assert main(["gen", "--n", "1", "--c", "2", "--r", "1", "--seed", str(seed)]) == 0
     capsys.readouterr()
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("flags, command", [
+    (("--n", "3", "--c", "8", "--r", "3", "--stable"), ("monad", "build")),  # ~90 KB
+    (("--n", "2", "--c", "2", "--r", "1"), ("check",)),
+])
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path, capsys, flags, command):
+    path = gen_file(tmp_path, capsys, "X.json", *flags, "--seed", "1")
+    package_root = str(Path(adhmquot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    proc = subprocess.Popen([sys.executable, "-m", "adhmquot.cli", *command, str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the first write
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -3,23 +3,29 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adhmquot import exactalg
+from adhmquot import exactalg, monad
 from adhmquot.adhm import (
-    AdhmDatum, GenerationError, act, equivalence, is_adhm, is_stable, krylov_closure,
-    random_datum,
+    AdhmDatum, GenerationError, _matrix_polynomial, _powers, act, equivalence, is_adhm,
+    is_stable, krylov_closure, random_datum,
 )
 from adhmquot.exactalg import (
-    GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, char_poly, kernel_basis, rank, rref,
-    solve,
+    GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, Subspace, char_poly,
+    joint_eigenspaces, kernel_basis, rank, rational_eigenvalues, rref, solve,
 )
 from adhmquot.monad import alpha0, alpha_minus1, alpha_minus2_p3, evaluate, sample_points
-from adhmquot.punctual import homotopy_path, is_nilpotent_tuple, verify_path
-from adhmquot.quotmod import hilbert_profile, kernel_basis_up_to_degree, module_from_generators
+from adhmquot.punctual import (
+    FactorReport, SupportReport, _factor_reports, homotopy_path, is_nilpotent_tuple, support,
+    verify_path,
+)
+from adhmquot.quotmod import (
+    NonCommutingError, hilbert_profile, kernel_basis_up_to_degree, module_from_generators,
+)
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
 
@@ -586,3 +592,187 @@ def test_rank_mod_p_never_exceeds_rank_over_qq(x, seed):
     a0, a0p = alpha0(x), alpha0(xp)
     for pt in sample_points(x, 12, seed):
         assert rank(evaluate(a0p, reduce(pt))) <= rank(evaluate(a0, pt))
+
+
+# ------------------------------------------------ the joint-eigenspace splitter
+
+
+def _reference_restricted_operator(x: AdhmDatum, space: Subspace, i: int) -> Matrix:
+    """Matrix of B_i on an invariant subspace, in the subspace basis."""
+    images = []
+    for s in range(space.dim):
+        img = x.B[i].apply(space.basis.row_tuple(s))
+        coords = space.coordinates(img)
+        if coords is None:
+            raise NonCommutingError("subspace is not invariant under the tuple")
+        images.append(coords)
+    if not images:
+        return Matrix.zero(x.field, 0, 0)
+    return Matrix.from_rows(x.field, images).transpose()
+
+
+def _reference_support(x: AdhmDatum) -> SupportReport:
+    """The earlier recursion: generalized eigenspaces of B_0, then of B_1 on each, ..."""
+    points: list[tuple[tuple, int]] = []
+    factors: list[FactorReport] = []
+
+    def split(space: Subspace, axis: int, coords: tuple):
+        if space.dim == 0:
+            return
+        if axis == x.n:
+            points.append((coords, space.dim))
+            return
+        op = _reference_restricted_operator(x, space, axis)
+        roots, irreducible = rational_eigenvalues(op)
+        factors.extend(_factor_reports(axis, irreducible))
+        for lam, mult in sorted(roots):
+            shifted = op - Matrix.identity(x.field, op.rows).scale(lam)
+            gen_eigen = kernel_basis(shifted.power(mult))
+            vectors = []
+            for i in range(gen_eigen.dim):
+                cvec = gen_eigen.basis.row_tuple(i)
+                vec = [x.field.zero()] * x.c
+                for s, coeff in enumerate(cvec):
+                    if coeff:
+                        row = space.basis.row_tuple(s)
+                        vec = [a + coeff * b for a, b in zip(vec, row)]
+                vectors.append(vec)
+            split(Subspace.from_vectors(x.field, x.c, vectors), axis + 1, coords + (lam,))
+
+    split(Subspace.full(x.field, x.c), 0, ())
+    points.sort(key=lambda pm: pm[0])
+    complete = sum(m for _, m in points) == x.c
+    return SupportReport(points=tuple(points), complete=complete, factorizations=tuple(factors))
+
+
+def _reference_common_left_eigenvector(x: AdhmDatum, closure: Subspace):
+    """The earlier search: split the annihilator of the closure one operator
+    at a time under w -> w B_i, along rational eigenvalues."""
+    ann = kernel_basis(closure.basis)
+    if ann.dim == 0:
+        return None
+
+    def restricted(op_index: int, space: Subspace) -> Matrix:
+        images = []
+        for i in range(space.dim):
+            w = space.basis.row_tuple(i)
+            img = tuple(
+                sum((w[a] * x.B[op_index].entry(a, b) for a in range(x.c)),
+                    x.field.zero())
+                for b in range(x.c)
+            )
+            coords = space.coordinates(img)
+            if coords is None:
+                raise AssertionError("annihilator is not invariant; datum not commuting?")
+            images.append(coords)
+        if not images:
+            return Matrix.zero(x.field, 0, 0)
+        return Matrix.from_rows(x.field, images).transpose()
+
+    def search(space: Subspace, axis: int, eigs: tuple):
+        if space.dim == 0:
+            return None
+        if axis == x.n:
+            return space.basis.row_tuple(0), eigs
+        r = restricted(axis, space)
+        roots, _ = rational_eigenvalues(r)
+        for lam, _mult in sorted(roots):
+            shifted = r - Matrix.identity(x.field, r.rows).scale(lam)
+            eigen = kernel_basis(shifted)
+            if eigen.dim == 0:
+                continue
+            vectors = []
+            for i in range(eigen.dim):
+                coords = eigen.basis.row_tuple(i)
+                vec = [x.field.zero()] * x.c
+                for s, coeff in enumerate(coords):
+                    if coeff:
+                        row = space.basis.row_tuple(s)
+                        vec = [a + coeff * b for a, b in zip(vec, row)]
+                vectors.append(vec)
+            sub = Subspace.from_vectors(x.field, x.c, vectors)
+            found = search(sub, axis + 1, eigs + (lam,))
+            if found is not None:
+                return found
+        return None
+
+    return search(ann, 0, ())
+
+
+def _qq_datum(bs, vs) -> AdhmDatum:
+    matrices = tuple(Matrix.from_rows(QQ, b) for b in bs)
+    return AdhmDatum(len(bs), matrices[0].rows, len(vs), matrices, tuple(vs))
+
+
+_SQRT2 = [[0, 2], [1, 0]]  # characteristic polynomial z**2 - 2
+_JORDAN = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]  # J_2(1) + (2)
+
+
+@st.composite
+def commuting_qq_data(draw):
+    """random_datum draws (stable, unstable or either), and polynomials in one
+    small integer matrix, whose spectrum is often irrational or repeated and
+    whose small vectors often leave the datum unstable."""
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        stable = draw(st.sampled_from((True, False, None)))
+        try:
+            return random_datum(n, c, r, draw(st.integers(0, 10**6)), stable=stable,
+                                nilpotent=draw(st.booleans()))
+        except GenerationError:
+            assume(False)
+
+    def small(k):
+        return tuple(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)))
+
+    powers = _powers(Matrix(QQ, c, c, small(c * c)), c)
+    bs = tuple(_matrix_polynomial(powers, small(c)) for _ in range(n))
+    return AdhmDatum(n, c, r, bs, tuple(small(c) for _ in range(r)))
+
+
+_SPLITTER_EXAMPLES = (
+    _qq_datum([_SQRT2], [(1, 0)]),  # stable, irrational support
+    _qq_datum([_SQRT2], [(0, 0)]),  # unstable, no rational witness
+    _qq_datum([_JORDAN, [[1, 2, 0], [0, 1, 0], [0, 0, 4]]], [(1, 0, 0)]),  # rational witness
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(commuting_qq_data())
+@example(_SPLITTER_EXAMPLES[0])
+@example(_SPLITTER_EXAMPLES[1])
+@example(_SPLITTER_EXAMPLES[2])
+def test_support_and_certificate_match_the_separate_recursions(x):
+    assume(is_adhm(x))
+    assert support(x) == _reference_support(x)
+    with mock.patch.object(monad, "_common_left_eigenvector",
+                           _reference_common_left_eigenvector):
+        reference = monad.surjectivity_certificate(x)
+    assert monad.surjectivity_certificate(x) == reference
+
+
+def test_splitter_examples_cover_each_verdict():
+    reports = [(support(x).complete, monad.surjectivity_certificate(x).witness_available)
+               for x in _SPLITTER_EXAMPLES]
+    assert reports == [(False, None), (False, False), (True, True)]
+
+
+def test_joint_eigenspaces_on_a_jordan_block():
+    """J_2(-1) + (0) + a block with characteristic polynomial z**2 - 2."""
+    rows = [[-1, 1, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 2], [0, 0, 0, 1, 0]]
+    op = Matrix.from_rows(QQ, rows)
+    leaves = {}
+    for generalized in (True, False):
+        irrational: list = []
+        found = list(joint_eigenspaces([op], Subspace.full(QQ, 5), generalized=generalized,
+                                       irrational=irrational))
+        leaves[generalized] = [(eigs, leaf.dim) for eigs, leaf in found]
+        assert irrational == [(0, [((-2, 0, 1), 1)])]
+        for (lam,), leaf in found:
+            assert leaf.basis == rref(leaf.basis)[0]
+            power = 2 if generalized and lam == -1 else 1
+            shifted = (op - Matrix.identity(QQ, 5).scale(lam)).power(power)
+            for i in range(leaf.dim):
+                assert shifted.apply(leaf.basis.row_tuple(i)) == (QQ.zero(),) * 5
+    assert leaves[True] == [((-1,), 2), ((0,), 1)]
+    assert leaves[False] == [((-1,), 1), ((0,), 1)]
