@@ -25,7 +25,7 @@ from .exactalg import (
 )
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """random_datum could not satisfy the requested flags within its retry budget."""
 
 
@@ -91,34 +91,47 @@ def is_nilpotent_tuple(x: AdhmDatum) -> bool:
     return all(b.power(x.c).is_zero() for b in x.B)
 
 
-def _krylov_layers(x: AdhmDatum) -> tuple[SpanBuilder, list[int]]:
-    """Grow span{v_j} by B_i-images of the newest vectors until nothing is new.
+def _krylov_layers(x: AdhmDatum) -> tuple[SpanBuilder, list[list[tuple]]]:
+    """Greedy scan of the Krylov words B^alpha v_j in (|alpha|, alpha, j) order.
 
-    Returns the span and its dimension after each layer that grew it, the
-    first entry being dim span{v_j}.  The loop also stops once the span is
-    all of V: it is then invariant, so the next layer would add nothing.
+    Returns the span and, per degree, the kept ``(alpha, j, vector)`` (j
+    0-based); a word is kept when it grows the span.  Layer 0 is always
+    there, later layers are non-empty, and the scan stops at the first empty
+    layer or once the span is V.  Only B_i-images of kept words are formed,
+    yet the choice is that of a scan of every word: if w was not kept, w is
+    in the span of kept words scanned before it, which B_i maps to words
+    scanned before B_i w (adding e_i keeps degree and lex comparisons).
+
+    For a non-commuting tuple, alpha only orders the images: all n images of
+    every kept word are tried, sorted by (alpha, j, i, k) with k the word's
+    place in its layer, none dropped for sharing a label.  So the span is
+    still B-invariant, the Krylov closure.
     """
     span = SpanBuilder(x.field, x.c)
-    frontier = [vec for vec in x.v if span.add(vec)]
-    dims = [span.dim]
-    while frontier and span.dim < x.c:
-        new_frontier = []
-        for b in x.B:
-            for w in frontier:
-                img = b.apply(w)
-                if span.add(img):
-                    new_frontier.append(img)
-        if new_frontier:
-            dims.append(span.dim)
-        frontier = new_frontier
-    return span, dims
+    layer = [((0,) * x.n, j, vec) for j, vec in enumerate(x.v) if span.add(vec)]
+    layers = [layer]
+    while layer and span.dim < x.c:
+        words, layer = layer, []
+        for alpha, j, i, k in sorted(
+            (alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], j, i, k)
+            for k, (alpha, j, _) in enumerate(words)
+            for i in range(x.n)
+        ):
+            vec = x.B[i].apply(words[k][2])
+            if span.add(vec):
+                layer.append((alpha, j, vec))
+                if span.dim == x.c:
+                    break
+        if layer:
+            layers.append(layer)
+    return span, layers
 
 
 def krylov_closure(x: AdhmDatum) -> Subspace:
     """Smallest subspace containing all v_j and invariant under every B_i.
 
-    Computed by iterating S <- S + sum_i B_i(S) from span{v_j}; the chain is
-    strictly increasing until it stabilizes, so at most c rounds happen.
+    The span of the kept Krylov words (:func:`_krylov_layers`); each layer
+    grows it, so at most c layers follow span{v_j}.
     """
     span, _ = _krylov_layers(x)
     return span.to_subspace()

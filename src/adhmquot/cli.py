@@ -19,7 +19,7 @@ import sys
 from typing import Any
 
 from . import adhm, geometry, monad, punctual, quiver, quotmod, serialize
-from .exactalg import QQ, LinearAlgebraError
+from .exactalg import QQ
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -28,19 +28,6 @@ EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
 
 MANIFEST_SCHEMA = "manifest@1"
-
-_INPUT_ERRORS = (
-    serialize.FormatError,
-    LinearAlgebraError,
-    quotmod.NonCommutingError,
-    quotmod.QuotientError,
-    quiver.WallConstraintError,
-    quiver.UnsupportedRangeError,
-    geometry.SamplerError,
-    geometry.ResidualError,
-    punctual.PathConstructionError,
-    adhm.GenerationError,
-)
 
 
 def _load_json(path: str) -> Any:
@@ -478,10 +465,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         report, ok = globals()[args.handler](args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # every input error the library raises is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a defect, not a verdict: keep it off exit 1

@@ -524,6 +524,28 @@ def rank(m: Matrix) -> int:
     return len(_echelonize(m.to_rows(), rank_only=True))
 
 
+def _reduce(
+    field: Field, ambient_dim: int, rows: Sequence[Sequence], pivots: Sequence[int], vec: Sequence
+) -> tuple[list, list]:
+    """Reduce vec against rows in order; returns (residue, coordinates).
+
+    Row k has a 1 at pivots[k] and a 0 at the pivots of the rows before it
+    (an RREF basis, or the forward-reduced rows of a :class:`SpanBuilder`),
+    so vec minus the residue is the coordinate combination of the rows, and
+    the residue is zero exactly when vec lies in their span.
+    """
+    v = [field.coerce(x) for x in vec]
+    if len(v) != ambient_dim:
+        raise ShapeError("vector length does not match ambient dimension")
+    coords = []
+    for row, piv in zip(rows, pivots):
+        coeff = v[piv]
+        coords.append(coeff)
+        if coeff:
+            v = [a - coeff * b for a, b in zip(v, row)]
+    return v, coords
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of the coordinate space, held as an RREF basis (row per vector)."""
@@ -563,32 +585,15 @@ class Subspace:
         )
         return cls(ambient_dim, basis)
 
-    def _reduce(self, vec: Sequence) -> tuple[list, list]:
-        """Reduce vec against the basis; returns (residue, coordinates)."""
-        field = self.field
-        v = [field.coerce(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector length does not match ambient dimension")
-        coords = []
-        for i in range(self.basis.rows):
-            row = self.basis.row_tuple(i)
-            pivot_col = next(j for j, x in enumerate(row) if x)
-            coeff = v[pivot_col]
-            coords.append(coeff)
-            if coeff:
-                v = [a - coeff * b for a, b in zip(v, row)]
-        return v, coords
-
     def contains(self, vec: Sequence) -> bool:
-        residue, _ = self._reduce(vec)
-        return all(not x for x in residue)
+        return self.coordinates(vec) is not None
 
     def coordinates(self, vec: Sequence) -> tuple | None:
         """Coordinates of vec in the basis, or None when vec is outside."""
-        residue, coords = self._reduce(vec)
-        if any(x for x in residue):
-            return None
-        return tuple(coords)
+        rows = [self.basis.row_tuple(i) for i in range(self.dim)]
+        pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+        residue, coords = _reduce(self.field, self.ambient_dim, rows, pivots, vec)
+        return None if any(residue) else tuple(coords)
 
     def join(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -615,18 +620,8 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduced(self, vec: Sequence) -> list:
-        v = [self.field.coerce(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector length does not match ambient dimension")
-        for row, piv in zip(self._rows, self._pivots):
-            c = v[piv]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
     def add(self, vec: Sequence) -> bool:
-        v = self._reduced(vec)
+        v, _ = _reduce(self.field, self.ambient_dim, self._rows, self._pivots, vec)
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
@@ -636,7 +631,8 @@ class SpanBuilder:
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return all(not x for x in self._reduced(vec))
+        v, _ = _reduce(self.field, self.ambient_dim, self._rows, self._pivots, vec)
+        return not any(v)
 
     def to_subspace(self) -> Subspace:
         return Subspace.from_vectors(self.field, self.ambient_dim, self._rows)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .adhm import AdhmDatum, _matrix_polynomial, _powers, commutator_pairs, is_stable
 from .exactalg import QQ, Field, Matrix, ShapeError, rank
@@ -147,71 +146,6 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
                         for b, q, v in terms:
                             out[q][col + b] += v
     return Matrix(field, len(rows), coordinate_count(x), tuple(v for row in rows for v in row))
-
-
-class _Dual:
-    """Matrix pair A + eps A' with eps^2 = 0; the oracle's arithmetic."""
-
-    __slots__ = ("value", "deriv")
-
-    def __init__(self, value: Matrix, deriv: Matrix):
-        self.value = value
-        self.deriv = deriv
-
-    def __matmul__(self, other: "_Dual") -> "_Dual":
-        return _Dual(
-            self.value @ other.value,
-            self.value @ other.deriv + self.deriv @ other.value,
-        )
-
-    def __sub__(self, other: "_Dual") -> "_Dual":
-        return _Dual(self.value - other.value, self.deriv - other.deriv)
-
-    def __add__(self, other: "_Dual") -> "_Dual":
-        return _Dual(self.value + other.value, self.deriv + other.deriv)
-
-    def scale(self, s) -> "_Dual":
-        return _Dual(self.value.scale(s), self.deriv.scale(s))
-
-    def power(self, e: int) -> "_Dual":
-        field = self.value.field
-        n = self.value.rows
-        out = _Dual(Matrix.identity(field, n), Matrix.zero(field, n, n))
-        for _ in range(e):
-            out = out @ self
-        return out
-
-
-def residual_directional(
-    x: AdhmDatum, sys: EquationSystem, direction: Sequence[Matrix]
-) -> tuple:
-    """First-order change of the residual along a direction in the B-coordinates.
-
-    Computed with formal dual numbers (eps^2 = 0), independently of the
-    word derivation in :func:`jacobian`; exact, no step size involved.
-    """
-    if len(direction) != x.n:
-        raise ShapeError("direction needs one matrix per B_i")
-    duals = [_Dual(b, d) for b, d in zip(x.B, direction)]
-    out: list = []
-    if sys.commutators:
-        for i, j in commutator_pairs(x.n):
-            out.extend((duals[i] @ duals[j] - duals[j] @ duals[i]).deriv.entries)
-    if sys.nilpotent:
-        e = sys.power(x.c)
-        for d in duals:
-            out.extend(d.power(e).deriv.entries)
-    for f in sys.variety_relations:
-        field = x.field
-        acc = _Dual(Matrix.zero(field, x.c, x.c), Matrix.zero(field, x.c, x.c))
-        for (alpha, _j), coeff in f.terms.items():
-            word = _Dual(Matrix.identity(field, x.c), Matrix.zero(field, x.c, x.c))
-            for i in range(x.n):
-                for _ in range(alpha[i]):
-                    word = word @ duals[i]
-            acc = acc + word.scale(field.coerce(coeff))
-        out.extend(acc.deriv.entries)
-    return tuple(out)
 
 
 def tangent_dimension(x: AdhmDatum, sys: EquationSystem) -> int:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, equivalence, is_adhm, is_nilpotent_tuple, is_stable
-from .exactalg import QQ, Matrix, ShapeError, SpanBuilder, Subspace, joint_eigenspaces
-from .quotmod import NonCommutingError, monomials_of_degree
+from .adhm import AdhmDatum, _krylov_layers, equivalence, is_adhm, is_nilpotent_tuple, is_stable
+from .exactalg import QQ, Matrix, ShapeError, Subspace, joint_eigenspaces
+from .quotmod import NonCommutingError
 
 
 class PathConstructionError(ValueError):
@@ -122,37 +122,15 @@ def _path_data(x: AdhmDatum, *, experimental: bool) -> PathData:
         raise NonCommutingError("the path scales a commuting tuple")
     if not is_stable(x):
         raise PathConstructionError("basis completion needs a stable datum")
-    span = SpanBuilder(x.field, x.c)
-    selected = []
-    remaining = []
-    for j, vec in enumerate(x.v):
-        if span.add(vec):
-            selected.append(j)
-        else:
-            remaining.append(j)
-    k = len(selected)
-    # complete with Krylov words B^alpha v_j, scanned in (|alpha|, alpha, j) order
-    completion = []
-    degree = 1
-    while span.dim < x.c and degree <= x.c:
-        for alpha in sorted(monomials_of_degree(x.n, degree)):
-            for j in range(x.r):
-                w = x.v[j]
-                for i in range(x.n - 1, -1, -1):
-                    for _ in range(alpha[i]):
-                        w = x.B[i].apply(w)
-                if span.add(w):
-                    completion.append(w)
-                    if span.dim == x.c:
-                        break
-            if span.dim == x.c:
-                break
-        degree += 1
-    if span.dim < x.c:
-        raise PathConstructionError("completion failed; datum is not stable")
+    # the greedily independent v_j, completed to a basis by the later Krylov
+    # words, both in the walk's (|alpha|, alpha, j) order
+    _, layers = _krylov_layers(x)
+    selected = [j for _, j, _ in layers[0]]
+    remaining = [j for j in range(x.r) if j not in selected]
+    completion = [vec for layer in layers[1:] for _, _, vec in layer]
     needed = len(remaining)
     zero_vec = (x.field.zero(),) * x.c
-    padded = list(completion[:needed]) + [zero_vec] * max(0, needed - len(completion))
+    padded = completion[:needed] + [zero_vec] * max(0, needed - len(completion))
     return PathData(
         selected=tuple(selected),
         remaining=tuple(remaining),

@@ -9,6 +9,7 @@ with z_0 heaviest; term magnitude breaks ties by slot, slot 1 largest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .adhm import AdhmDatum, _krylov_layers, is_adhm, is_stable
@@ -204,8 +205,8 @@ def hilbert_profile(x: AdhmDatum) -> tuple[int, ...]:
     the Krylov closure and equals c exactly when x is stable.
     """
     _require_adhm(x)
-    _, dims = _krylov_layers(x)
-    return tuple(dims)
+    _, layers = _krylov_layers(x)
+    return tuple(accumulate(len(layer) for layer in layers))
 
 
 def _gens_field(gens: Sequence[PolyVector]) -> Field:

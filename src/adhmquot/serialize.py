@@ -8,6 +8,7 @@ once per file in the "field" header.  On input every scalar must match
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Any, Sequence
 
@@ -25,6 +26,21 @@ class FormatError(ValueError):
     """Input JSON does not match the documented schema."""
 
 
+def _typed(value: Any, kind: type, name: str, *, minimum: int | None = None):
+    """value itself when it is a JSON integer (kind int) or array (kind list).
+
+    Anything else, including a boolean or a float such as 1.5 that int()
+    would truncate, and an integer below ``minimum``, is a FormatError
+    naming the field.
+    """
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is int else "a list"
+        raise FormatError(f"{name} must be {what}, got {json.dumps(value, default=repr)[:40]}")
+    if minimum is not None and value < minimum:
+        raise FormatError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def field_to_obj(field: Field) -> Any:
     if isinstance(field, PrimeField):
         return {"prime": field.p}
@@ -36,7 +52,7 @@ def field_from_obj(obj: Any) -> Field:
         return QQ
     if isinstance(obj, dict) and set(obj) == {"prime"}:
         try:
-            return GF(int(obj["prime"]))
+            return GF(_typed(obj["prime"], int, "field prime"))
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
     raise FormatError(f"unrecognized field header {obj!r}")
@@ -99,13 +115,10 @@ def datum_from_obj(obj: Any) -> AdhmDatum:
         if key not in obj:
             raise FormatError(f"datum document is missing {key!r}")
     field = field_from_obj(obj.get("field"))
-    try:
-        n, c, r = int(obj["n"]), int(obj["c"]), int(obj["r"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError("n, c, r must be integers") from exc
-    if not isinstance(obj["B"], list) or len(obj["B"]) != n:
+    n, c, r = (_typed(obj[key], int, key) for key in ("n", "c", "r"))
+    if len(_typed(obj["B"], list, "B")) != n:
         raise FormatError(f"expected {n} matrices in B")
-    if not isinstance(obj["v"], list) or len(obj["v"]) != r:
+    if len(_typed(obj["v"], list, "v")) != r:
         raise FormatError(f"expected {r} vectors in v")
     bs = tuple(matrix_from_obj(field, m, c, c) for m in obj["B"])
     vs = []
@@ -143,17 +156,18 @@ def polyvectors_from_obj(obj: Any) -> tuple[int, int, list[PolyVector], Field]:
         if key not in obj:
             raise FormatError(f"generator document is missing {key!r}")
     field = field_from_obj(obj.get("field"))
-    n, r = int(obj["n"]), int(obj["r"])
+    n = _typed(obj["n"], int, "n", minimum=1)
+    r = _typed(obj["r"], int, "r")
     gens = []
-    for rec_list in obj["generators"]:
+    for rec_list in _typed(obj["generators"], list, "generators"):
         terms = {}
-        if not isinstance(rec_list, list):
-            raise FormatError("each generator is a list of term records")
-        for rec in rec_list:
+        for rec in _typed(rec_list, list, "each generator"):
             if not isinstance(rec, dict) or not {"alpha", "j", "coeff"} <= set(rec):
                 raise FormatError("term records need alpha, j and coeff")
-            alpha = tuple(int(a) for a in rec["alpha"])
-            j = int(rec["j"])
+            alpha = tuple(
+                _typed(a, int, "alpha entries") for a in _typed(rec["alpha"], list, "alpha")
+            )
+            j = _typed(rec["j"], int, "j")
             coeff = parse_scalar(field, rec["coeff"])
             if (alpha, j) in terms:
                 raise FormatError(f"duplicate term {(alpha, j)}")
@@ -189,9 +203,9 @@ def form_matrix_from_obj(obj: Any) -> LinearFormMatrix:
         if key not in obj:
             raise FormatError(f"form matrix document is missing {key!r}")
     field = field_from_obj(obj.get("field"))
-    rows, cols, nvars = int(obj["rows"]), int(obj["cols"]), int(obj["vars"])
-    raw = obj["entries"]
-    if not isinstance(raw, list) or len(raw) != rows:
+    rows, cols, nvars = (_typed(obj[key], int, key, minimum=0) for key in ("rows", "cols", "vars"))
+    raw = _typed(obj["entries"], list, "entries")
+    if len(raw) != rows:
         raise FormatError("entries do not match the declared row count")
     coeffs: tuple[dict, ...] = tuple({} for _ in range(nvars))
     for i, row in enumerate(raw):

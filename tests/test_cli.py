@@ -421,6 +421,59 @@ def test_loose_scalars_are_rejected_before_parsing(tmp_path, capsys, monkeypatch
         assert err.splitlines() == [f"error: bad scalar {shown!r}: expected p or p/q"]
 
 
+def _generators_doc(**changes) -> dict:
+    """z_0 and z_1 in one slot, a colength-1 quotient, with top-level changes."""
+    doc = {"schema": "poly-vectors@1", "n": 2, "r": 1, "generators": [
+        [{"alpha": [1, 0], "j": 1, "coeff": "1"}],
+        [{"alpha": [0, 1], "j": 1, "coeff": "1"}],
+    ]}
+    doc.update(changes)
+    return doc
+
+
+def _with_first_term(**changes) -> dict:
+    doc = _generators_doc()
+    doc["generators"][0][0].update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_generators_doc(n=None), "n must be an integer, got null"),
+    (_generators_doc(n=True), "n must be an integer, got true"),
+    (_generators_doc(generators=5), "generators must be a list, got 5"),
+    (_with_first_term(alpha=5), "alpha must be a list, got 5"),
+    (_with_first_term(j=None), "j must be an integer, got null"),
+    (_with_first_term(alpha=[1.5, 0]), "alpha entries must be an integer, got 1.5"),
+    (_generators_doc(n=0, generators=[[{"alpha": [], "j": 1, "coeff": "1"}]]),
+     "n must be at least 1, got 0"),
+    (_generators_doc(field={"prime": None}), "field prime must be an integer, got null"),
+], ids=["n-null", "n-bool", "generators-int", "alpha-int", "j-null", "alpha-float", "n-zero",
+        "prime-null"])
+def test_malformed_generator_documents_exit_2(tmp_path, capsys, doc, message):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(doc))
+    code, report, err = run(capsys, "quot", "build", str(path))
+    assert code == 2 and report is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("field", {"prime": None}, "field prime must be an integer, got null"),
+    ("field", {"prime": [3]}, "field prime must be an integer, got [3]"),
+    ("c", 2.5, "c must be an integer, got 2.5"),
+    ("n", "2", 'n must be an integer, got "2"'),
+], ids=["prime-null", "prime-list", "c-float", "n-string"])
+def test_malformed_datum_documents_exit_2(tmp_path, capsys, key, value, message):
+    src = gen_file(tmp_path, capsys, "s.json",
+                   "--n", "2", "--c", "2", "--r", "1", "--stable", "--seed", "1")
+    doc = json.loads(src.read_text())
+    doc[key] = value
+    src.write_text(json.dumps(doc))
+    code, report, err = run(capsys, "check", str(src))
+    assert code == 2 and report is None
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom\nsecond line")

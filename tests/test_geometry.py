@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from adhmquot import adhm, geometry
-from adhmquot.adhm import act, random_datum, stabilizer_lie_dimension
-from adhmquot.exactalg import GF, QQ, Matrix
+from adhmquot.adhm import AdhmDatum, act, commutator_pairs, random_datum, stabilizer_lie_dimension
+from adhmquot.exactalg import GF, QQ, Matrix, ShapeError
 from adhmquot.geometry import (
     EquationSystem,
     ResidualError,
@@ -17,7 +18,6 @@ from adhmquot.geometry import (
     jacobian,
     moduli_dimension_estimate,
     residual,
-    residual_directional,
     sample_generic_commuting,
     sample_punctual,
     tangent_dimension,
@@ -52,13 +52,79 @@ def test_jacobian_n1_has_no_rows():
 
 
 def test_jacobian_requires_zero_residual(noncommuting_pair):
-    from adhmquot.adhm import AdhmDatum
-
     b0, b1 = noncommuting_pair
     x = AdhmDatum(2, 2, 1, (b0, b1), ((1, 0),))
     assert any(residual(x, COMMUTATORS))
     with pytest.raises(ResidualError):
         jacobian(x, COMMUTATORS)
+
+
+# ---------------------------------------- the dual-number oracle, independent of jacobian
+
+
+class _Dual:
+    """Matrix pair A + eps A' with eps^2 = 0; the oracle's arithmetic."""
+
+    __slots__ = ("value", "deriv")
+
+    def __init__(self, value: Matrix, deriv: Matrix):
+        self.value = value
+        self.deriv = deriv
+
+    def __matmul__(self, other: "_Dual") -> "_Dual":
+        return _Dual(
+            self.value @ other.value,
+            self.value @ other.deriv + self.deriv @ other.value,
+        )
+
+    def __sub__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.value - other.value, self.deriv - other.deriv)
+
+    def __add__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.value + other.value, self.deriv + other.deriv)
+
+    def scale(self, s) -> "_Dual":
+        return _Dual(self.value.scale(s), self.deriv.scale(s))
+
+    def power(self, e: int) -> "_Dual":
+        field = self.value.field
+        n = self.value.rows
+        out = _Dual(Matrix.identity(field, n), Matrix.zero(field, n, n))
+        for _ in range(e):
+            out = out @ self
+        return out
+
+
+def residual_directional(
+    x: AdhmDatum, sys: EquationSystem, direction: Sequence[Matrix]
+) -> tuple:
+    """First-order change of the residual along a direction in the B-coordinates.
+
+    Computed with formal dual numbers (eps^2 = 0), independently of the
+    word derivation in :func:`jacobian`; exact, no step size involved.
+    """
+    if len(direction) != x.n:
+        raise ShapeError("direction needs one matrix per B_i")
+    duals = [_Dual(b, d) for b, d in zip(x.B, direction)]
+    out: list = []
+    if sys.commutators:
+        for i, j in commutator_pairs(x.n):
+            out.extend((duals[i] @ duals[j] - duals[j] @ duals[i]).deriv.entries)
+    if sys.nilpotent:
+        e = sys.power(x.c)
+        for d in duals:
+            out.extend(d.power(e).deriv.entries)
+    for f in sys.variety_relations:
+        field = x.field
+        acc = _Dual(Matrix.zero(field, x.c, x.c), Matrix.zero(field, x.c, x.c))
+        for (alpha, _j), coeff in f.terms.items():
+            word = _Dual(Matrix.identity(field, x.c), Matrix.zero(field, x.c, x.c))
+            for i in range(x.n):
+                for _ in range(alpha[i]):
+                    word = word @ duals[i]
+            acc = acc + word.scale(field.coerce(coeff))
+        out.extend(acc.deriv.entries)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("seed", range(6))

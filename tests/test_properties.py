@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from adhmquot import exactalg, monad
 from adhmquot.adhm import (
-    AdhmDatum, GenerationError, _matrix_polynomial, _powers, act, equivalence, is_adhm,
-    is_stable, krylov_closure, random_datum,
+    AdhmDatum, GenerationError, _krylov_layers, _matrix_polynomial, _powers, act, equivalence,
+    is_adhm, is_stable, krylov_closure, random_datum,
 )
 from adhmquot.exactalg import (
     GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, Subspace, char_poly,
@@ -20,11 +21,12 @@ from adhmquot.exactalg import (
 )
 from adhmquot.monad import alpha0, alpha_minus1, alpha_minus2_p3, evaluate, sample_points
 from adhmquot.punctual import (
-    FactorReport, SupportReport, _factor_reports, homotopy_path, is_nilpotent_tuple, support,
-    verify_path,
+    FactorReport, PathData, SupportReport, _factor_reports, _path_data, homotopy_path,
+    is_nilpotent_tuple, support, verify_path,
 )
 from adhmquot.quotmod import (
     NonCommutingError, hilbert_profile, kernel_basis_up_to_degree, module_from_generators,
+    monomials_of_degree,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
@@ -321,6 +323,126 @@ def test_krylov_verdicts_match_full_layer_loop(x):
     assert got == closure and _bits(got.basis.entries) == _bits(closure.basis.entries)
     if is_adhm(x):
         assert hilbert_profile(x) == dims
+
+
+# ------------------------------------------------ the one Krylov walk
+
+
+def _reference_frontier_layers(x: AdhmDatum):
+    """The earlier frontier walk: B_i-images of the newest vectors, i-major."""
+    span = SpanBuilder(x.field, x.c)
+    frontier = [vec for vec in x.v if span.add(vec)]
+    dims = [span.dim]
+    while frontier and span.dim < x.c:
+        new_frontier = []
+        for b in x.B:
+            for w in frontier:
+                img = b.apply(w)
+                if span.add(img):
+                    new_frontier.append(img)
+        if new_frontier:
+            dims.append(span.dim)
+        frontier = new_frontier
+    return span.to_subspace(), tuple(dims)
+
+
+def _reference_path_data(x: AdhmDatum) -> PathData:
+    """The earlier completion: every word B^alpha v_j rebuilt and scanned in
+    (|alpha|, alpha, j) order, for a commuting stable x."""
+    span = SpanBuilder(x.field, x.c)
+    selected = []
+    remaining = []
+    for j, vec in enumerate(x.v):
+        if span.add(vec):
+            selected.append(j)
+        else:
+            remaining.append(j)
+    completion = []
+    degree = 1
+    while span.dim < x.c and degree <= x.c:
+        for alpha in sorted(monomials_of_degree(x.n, degree)):
+            for j in range(x.r):
+                w = x.v[j]
+                for i in range(x.n - 1, -1, -1):
+                    for _ in range(alpha[i]):
+                        w = x.B[i].apply(w)
+                if span.add(w):
+                    completion.append(w)
+                    if span.dim == x.c:
+                        break
+            if span.dim == x.c:
+                break
+        degree += 1
+    assert span.dim == x.c
+    needed = len(remaining)
+    zero_vec = (x.field.zero(),) * x.c
+    padded = list(completion[:needed]) + [zero_vec] * max(0, needed - len(completion))
+    return PathData(
+        selected=tuple(selected),
+        remaining=tuple(remaining),
+        completion=tuple(padded),
+        permutation=tuple(selected) + tuple(remaining),
+    )
+
+
+@st.composite
+def arbitrary_tuples(draw):
+    """Sparse small-entry tuples over QQ or GF(2), almost never commuting, so
+    many images share an exponent label yet differ."""
+    field = draw(st.sampled_from((QQ, GF(2))))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 5)), draw(st.integers(1, 3))
+
+    def entries(k):
+        values = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=k, max_size=k))
+        return tuple(field.coerce(e) for e in values)
+
+    bs = tuple(Matrix(field, c, c, entries(c * c)) for _ in range(n))
+    return AdhmDatum(n, c, r, bs, tuple(entries(c) for _ in range(r)))
+
+
+def _walk_dims(x: AdhmDatum) -> tuple:
+    return tuple(accumulate(len(layer) for layer in _krylov_layers(x)[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(arbitrary_tuples(), adhm_data()))
+def test_krylov_walk_matches_the_frontier_walk(x):
+    closure, dims = _reference_frontier_layers(x)
+    got = krylov_closure(x)
+    assert got == closure and _bits(got.basis.entries) == _bits(closure.basis.entries)
+    assert is_stable(x) == (closure.dim == x.c)
+    assert _walk_dims(x) == dims
+
+
+def test_krylov_walk_tries_every_image_of_a_non_commuting_tuple():
+    # B_0 B_1 v = 0 but B_1 B_0 v = e_3: both words carry the label
+    # alpha = (1, 1), the first one sorts first, and only the second grows
+    # the span; skipping it would leave the closure at dim 3
+    b0 = Matrix.from_rows(QQ, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    b1 = Matrix.from_rows(QQ, [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]])
+    x = AdhmDatum(2, 4, 1, (b0, b1), ((1, 0, 0, 0),))
+    assert not is_adhm(x) and is_stable(x)
+    assert _reference_frontier_layers(x) == (krylov_closure(x), (1, 3, 4))
+    assert [[(alpha, j) for alpha, j, _ in layer] for layer in _krylov_layers(x)[1]] == [
+        [((0, 0), 0)], [((0, 1), 0), ((1, 0), 0)], [((1, 1), 0)]
+    ]
+
+
+@st.composite
+def commuting_stable_data(draw):
+    field = draw(st.sampled_from((QQ, GF(2), GF(3))))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    try:
+        return random_datum(n, c, r, draw(st.integers(0, 10**6)), stable=True,
+                            nilpotent=draw(st.booleans()), field=field)
+    except GenerationError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(commuting_stable_data())
+def test_path_selection_and_completion_match_the_full_word_scan(x):
+    assert _path_data(x, experimental=True) == _reference_path_data(x)
 
 
 @st.composite

@@ -118,3 +118,17 @@ def test_form_matrix_from_obj_drops_explicit_zeros():
     assert parsed == alpha0(x)
     assert all(value for a in parsed.coeffs for value in a.values())
     assert form_matrix_to_obj(parsed) == form_matrix_to_obj(alpha0(x))
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"rows": None}, "rows must be an integer, got null"),
+    ({"cols": "3"}, 'cols must be an integer, got "3"'),
+    ({"vars": 1.5}, "vars must be an integer, got 1.5"),
+    ({"rows": 0, "cols": 0, "vars": -1, "entries": []}, "vars must be at least 0, got -1"),
+], ids=["rows-null", "cols-string", "vars-float", "vars-negative"])
+def test_form_matrix_integer_fields_are_checked(changes, message):
+    x = datum(2, 1, 1, [[[0]], [[0]]], [(1,)])
+    obj = {**form_matrix_to_obj(alpha0(x)), **changes}
+    with pytest.raises(FormatError) as info:
+        form_matrix_from_obj(obj)
+    assert str(info.value) == message
