@@ -245,6 +245,17 @@ class Matrix:
         )
 
     @classmethod
+    def _of(cls, field: Field, rows: int, cols: int, entries: Iterable) -> "Matrix":
+        """A matrix whose entries are already elements of ``field``, taken as they are.
+
+        For results computed from field elements: the public constructor
+        would coerce every entry again.
+        """
+        m = object.__new__(cls)
+        m.__dict__.update(field=field, rows=rows, cols=cols, entries=tuple(entries))
+        return m
+
+    @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
@@ -311,16 +322,16 @@ class Matrix:
         a, da = _lift(self.field, self.entries)
         b, db = _lift(self.field, other.entries)
         out = _int_product(a, b, self.rows, self.cols, other.cols)
-        return Matrix(self.field, self.rows, other.cols, _scalars(self.field, out, da * db))
+        return Matrix._of(self.field, self.rows, other.cols, _scalars(self.field, out, da * db))
 
     def scale(self, s) -> "Matrix":
         s = self.field.coerce(s)
         return Matrix(self.field, self.rows, self.cols, tuple(s * a for a in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
+        return Matrix._of(
             self.field, self.cols, self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
+            (self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
 
     def apply(self, vec: Sequence) -> tuple:

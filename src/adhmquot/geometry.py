@@ -145,7 +145,7 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
                         col = (k * c + a) * c
                         for b, q, v in terms:
                             out[q][col + b] += v
-    return Matrix(field, len(rows), coordinate_count(x), tuple(v for row in rows for v in row))
+    return Matrix._of(field, len(rows), coordinate_count(x), (v for row in rows for v in row))
 
 
 def tangent_dimension(x: AdhmDatum, sys: EquationSystem) -> int:

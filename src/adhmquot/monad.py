@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .adhm import AdhmDatum, is_adhm, krylov_closure
@@ -60,6 +61,18 @@ class LinearFormMatrix:
     @property
     def var_count(self) -> int:
         return len(self.coeffs)
+
+    @cached_property
+    def _lifted(self) -> tuple[tuple[list, ...], int]:
+        """The coefficients as Python ints, lifted once: (per variable [(i, j, int)], d).
+
+        All variables share one common denominator d (residues and d = 1
+        over GF(p)), so A_k[i, j] == int / d.  The view is cached outside
+        the dataclass fields: it takes no part in == or repr.
+        """
+        ints, d = _lift(self.field, [c for ak in self.coeffs for c in ak.values()])
+        it = iter(ints)  # consumed in the order the coefficients were listed
+        return tuple([(i, j, v) for (i, j), v in zip(ak, it)] for ak in self.coeffs), d
 
     def entry(self, i: int, j: int) -> LinearForm:
         zero = self.field.zero()
@@ -157,24 +170,26 @@ def compose(a: LinearFormMatrix, b: LinearFormMatrix) -> QuadraticFormMatrix:
         raise ShapeError("inner dimensions do not match")
     if a.var_count != b.var_count or a.field != b.field:
         raise ShapeError("factors disagree on variables or field")
-    # each B_l as {row: [(col, value), ...]}, so A_k B_l walks nonzeros only
+    (a_lifted, da), (b_lifted, db) = a._lifted, b._lifted
+    # each B_l as {row: [(col, int), ...]}, so A_k B_l walks nonzeros only
     b_rows = []
-    for bl in b.coeffs:
+    for bl in b_lifted:
         index: dict = {}
-        for (m, j), value in bl.items():
+        for m, j, value in bl:
             index.setdefault(m, []).append((j, value))
         b_rows.append(index)
     sums: dict = {}
-    for k, ak in enumerate(a.coeffs):
+    for k, ak in enumerate(a_lifted):
         for l, index in enumerate(b_rows):
             acc = sums.setdefault((min(k, l), max(k, l)), {})
-            for (i, m), av in ak.items():
+            for i, m, av in ak:
                 for j, bv in index.get(m, ()):
-                    prev = acc.get((i, j))
-                    acc[(i, j)] = av * bv if prev is None else prev + av * bv
+                    acc[(i, j)] = acc.get((i, j), 0) + av * bv
     out = {}
     for key, acc in sums.items():
-        nonzero = {ij: value for ij, value in acc.items() if value}
+        # sums that vanish (mod p over GF(p)) come back as the falsy zero
+        values = _scalars(a.field, acc.values(), da * db)
+        nonzero = {ij: value for ij, value in zip(acc, values) if value}
         if nonzero:
             out[key] = nonzero
     return QuadraticFormMatrix(a.field, a.rows, b.cols, out)
@@ -183,9 +198,10 @@ def compose(a: LinearFormMatrix, b: LinearFormMatrix) -> QuadraticFormMatrix:
 def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
     """Scalar matrix obtained by evaluating every entry at a point of P^n.
 
-    The sums run on Python ints: the point and the coefficients of its
-    nonzero coordinates are lifted over one common denominator each
-    (residues over GF(p)), and each entry becomes one scalar at the end.
+    The sums run on Python ints: the point is lifted over one common
+    denominator (residues over GF(p)) and multiplied into the form
+    matrix's cached lifted coefficients, and each entry becomes one scalar
+    at the end.
     """
     field = m.field
     pt = tuple(field.coerce(z) for z in point)
@@ -194,15 +210,14 @@ def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
     if all(not z for z in pt):
         raise ValueError("the zero tuple is not a point of projective space")
     zs, dz = _lift(field, pt)
-    used = [(z, ak) for z, ak in zip(zs, m.coeffs) if z]
-    cs, dc = _lift(field, [c for _, ak in used for c in ak.values()])
+    lifted, dc = m._lifted
     cols = m.cols
     acc = [0] * (m.rows * cols)
-    lifted = iter(cs)  # the coefficients in the order they were listed
-    for z, ak in used:
-        for (i, j), c in zip(ak, lifted):
-            acc[i * cols + j] += c * z
-    return Matrix(field, m.rows, cols, _scalars(field, acc, dz * dc))
+    for z, ak in zip(zs, lifted):
+        if z:
+            for i, j, c in ak:
+                acc[i * cols + j] += c * z
+    return Matrix._of(field, m.rows, cols, _scalars(field, acc, dz * dc))
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,19 @@ def test_mixed_moduli_error():
         GF(3).coerce(GFElement(1, 5))
 
 
+def test_public_constructor_coerces_and_rejects_foreign_scalars():
+    m = Matrix(QQ, 1, 3, (1, "-2/4", Fraction(3)))
+    assert m.entries == (Fraction(1), Fraction(-1, 2), Fraction(3))
+    assert all(type(x) is Fraction for x in m.entries)
+    g = Matrix(GF(5), 1, 3, (7, "3", "1/2"))
+    assert [x.value for x in g.entries] == [2, 3, 3]
+    assert all(type(x) is GFElement for x in g.entries)
+    with pytest.raises(FieldMismatchError):
+        Matrix(QQ, 1, 1, (GFElement(1, 3),))
+    with pytest.raises(FieldMismatchError):
+        Matrix(GF(3), 1, 1, (GFElement(1, 5),))
+
+
 def test_rational_gf_do_not_mix():
     with pytest.raises(TypeError):
         Fraction(1) + GFElement(1, 3)

@@ -19,7 +19,10 @@ from adhmquot.exactalg import (
     GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, Subspace, char_poly,
     joint_eigenspaces, kernel_basis, rank, rational_eigenvalues, rref, solve,
 )
-from adhmquot.monad import alpha0, alpha_minus1, alpha_minus2_p3, evaluate, sample_points
+from adhmquot.geometry import EquationSystem, jacobian
+from adhmquot.monad import (
+    LinearFormMatrix, alpha0, alpha_minus1, alpha_minus2_p3, compose, evaluate, sample_points,
+)
 from adhmquot.punctual import (
     FactorReport, PathData, SupportReport, _factor_reports, _path_data, homotopy_path,
     is_nilpotent_tuple, support, verify_path,
@@ -575,6 +578,30 @@ def _reference_evaluate(m, point) -> Matrix:
     return Matrix(field, m.rows, m.cols, tuple(out))
 
 
+def _reference_compose(a: LinearFormMatrix, b: LinearFormMatrix) -> dict:
+    """The earlier composition's coefficients: one scalar multiply-add per pair of nonzeros."""
+    b_rows = []
+    for bl in b.coeffs:
+        index: dict = {}
+        for (m, j), value in bl.items():
+            index.setdefault(m, []).append((j, value))
+        b_rows.append(index)
+    sums: dict = {}
+    for k, ak in enumerate(a.coeffs):
+        for l, index in enumerate(b_rows):
+            acc = sums.setdefault((min(k, l), max(k, l)), {})
+            for (i, m), av in ak.items():
+                for j, bv in index.get(m, ()):
+                    prev = acc.get((i, j))
+                    acc[(i, j)] = av * bv if prev is None else prev + av * bv
+    out = {}
+    for key, acc in sums.items():
+        nonzero = {ij: value for ij, value in acc.items() if value}
+        if nonzero:
+            out[key] = nonzero
+    return out
+
+
 def _reference_is_adhm(x: AdhmDatum) -> bool:
     return all(
         (_reference_matmul(x.B[i], x.B[j]) - _reference_matmul(x.B[j], x.B[i])).is_zero()
@@ -616,16 +643,35 @@ def test_char_poly_matches_reference(m):
     assert _bits(char_poly(m)) == _bits(_reference_char_poly(m))
 
 
+def _draw_form_matrix(draw, field, rows: int, cols: int, nvars: int) -> LinearFormMatrix:
+    """Sparse coefficient matrices, about half of each one's entries zero."""
+    coeffs = []
+    for _ in range(nvars):
+        ak = {}
+        for i in range(rows):
+            for j in range(cols):
+                value = _draw_scalar(draw, field) if draw(st.booleans()) else None
+                if value:
+                    ak[(i, j)] = value
+        coeffs.append(ak)
+    return LinearFormMatrix(field, rows, cols, tuple(coeffs))
+
+
 @st.composite
 def monad_maps(draw):
-    """A monad map of a raw (not necessarily commuting) tuple, and a point that often has zeros."""
+    """A monad map of a raw (not necessarily commuting) tuple or a random form matrix,
+    and a point that often has zeros."""
     field = draw(st.sampled_from(PRODUCT_FIELDS))
-    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
-    bs = tuple(_draw_matrix(draw, field, c, c) for _ in range(n))
-    vs = tuple(tuple(_draw_scalar(draw, field) for _ in range(c)) for _ in range(r))
-    x = AdhmDatum(n, c, r, bs, vs)
-    builds = [alpha0, alpha_minus1] + ([alpha_minus2_p3] if n == 3 else [])
-    m = draw(st.sampled_from(builds))(x)
+    if draw(st.booleans()):
+        n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+        bs = tuple(_draw_matrix(draw, field, c, c) for _ in range(n))
+        vs = tuple(tuple(_draw_scalar(draw, field) for _ in range(c)) for _ in range(r))
+        x = AdhmDatum(n, c, r, bs, vs)
+        builds = [alpha0, alpha_minus1] + ([alpha_minus2_p3] if n == 3 else [])
+        m = draw(st.sampled_from(builds))(x)
+    else:
+        rows, cols, n = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+        m = _draw_form_matrix(draw, field, rows, cols, n + 1)
     point = [field.zero() if draw(st.booleans()) else _draw_scalar(draw, field)
              for _ in range(n)]
     at_infinity = draw(st.booleans())
@@ -644,6 +690,60 @@ def test_evaluate_matches_reference(case):
     got, expected = evaluate(m, point), _reference_evaluate(m, point)
     assert (got.rows, got.cols) == (expected.rows, expected.cols)
     assert _bits(got.entries) == _bits(expected.entries)
+
+
+@st.composite
+def form_pairs(draw):
+    """Composable random form matrices; over GF(2) and GF(3) many sums cancel mod p."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    nvars = draw(st.integers(1, 4))
+    rows, inner, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (_draw_form_matrix(draw, field, rows, inner, nvars),
+            _draw_form_matrix(draw, field, inner, cols, nvars))
+
+
+def _exact_coeffs(coeffs: dict) -> dict:
+    return {key: {ij: _bits((v,)) for ij, v in c.items()} for key, c in coeffs.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(form_pairs())
+def test_compose_matches_reference(pair):
+    a, b = pair
+    got = compose(a, b)
+    assert (got.field, got.rows, got.cols) == (a.field, a.rows, b.cols)
+    assert _exact_coeffs(got.coeffs) == _exact_coeffs(_reference_compose(a, b))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_compose_drops_sums_that_vanish_mod_p(p):
+    # the z0^2 block is (row of p ones) @ (column of p ones) = p = 0; only the z0 z1 block is left
+    field = GF(p)
+    one = field.one()
+    a = LinearFormMatrix(field, 2, p, ({(i, m): one for i in range(2) for m in range(p)}, {}))
+    b = LinearFormMatrix(field, p, 1, ({(m, 0): one for m in range(p)}, {(0, 0): one}))
+    got = compose(a, b)
+    assert got.coeffs == _reference_compose(a, b) == {(0, 1): {(0, 0): one, (1, 0): one}}
+
+
+def _assert_trusted(m: Matrix) -> None:
+    """m is what the public constructor makes of its own entries, each the field's scalar type."""
+    assert Matrix(m.field, m.rows, m.cols, m.entries) == m
+    if m.field == QQ:
+        assert all(type(x) is Fraction for x in m.entries)
+    else:
+        assert all(type(x) is GFElement and x.p == m.field.p for x in m.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs(), monad_maps())
+def test_internal_results_match_the_public_constructor(pair, case):
+    a, b = pair
+    for m in (a @ b, a.transpose(), b.transpose()):
+        _assert_trusted(m)
+    m, point = case
+    if any(point):
+        _assert_trusted(evaluate(m, point))
 
 
 @st.composite
@@ -690,6 +790,13 @@ def small_stable_data(draw, field=None):
                             nilpotent=draw(st.booleans()), field=field)
     except GenerationError:
         assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_stable_data(), st.booleans())
+def test_jacobian_matches_the_public_constructor(x, nilpotent):
+    sys = EquationSystem(nilpotent=nilpotent and is_nilpotent_tuple(x))
+    _assert_trusted(jacobian(x, sys))
 
 
 @settings(max_examples=150, deadline=None)

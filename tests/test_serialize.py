@@ -4,7 +4,7 @@ import pytest
 
 from adhmquot.adhm import random_datum
 from adhmquot.exactalg import GF, QQ
-from adhmquot.monad import alpha0, alpha_minus1
+from adhmquot.monad import alpha0, alpha_minus1, evaluate
 from adhmquot.quotmod import kernel_basis_up_to_degree
 from adhmquot.serialize import (
     FormatError,
@@ -101,6 +101,23 @@ def test_form_matrix_round_trip(seed):
     x = random_datum(3, 2, 1, seed=seed)
     for m in (alpha0(x), alpha_minus1(x)):
         assert form_matrix_from_obj(form_matrix_to_obj(m)) == m
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_form_matrix_lifted_view_survives_the_round_trip(field):
+    x = random_datum(3, 2, 2, seed=4, field=field)
+    point = tuple(field.coerce(z) for z in (2, 0, -3, 1))
+    for build in (alpha0, alpha_minus1):
+        m = build(x)
+        before = repr(m)
+        at_point = evaluate(m, point)  # fills the cached lifted view
+        assert "_lifted" in vars(m) and repr(m) == before
+        fresh = build(x)
+        assert "_lifted" not in vars(fresh) and fresh == m
+        parsed = form_matrix_from_obj(form_matrix_to_obj(m))
+        assert parsed == m
+        assert evaluate(parsed, point) == at_point
+        assert evaluate(m, point) == at_point
 
 
 def test_form_matrix_from_obj_drops_explicit_zeros():
