@@ -166,13 +166,14 @@ def _intertwiner_system(x: AdhmDatum, y: AdhmDatum) -> Matrix:
         b = x.B[i]
         bp = y.B[i]
         for p in range(c):
+            minus_bp = [-a for a in bp.row_tuple(p)]
             for q in range(c):
+                # (xi b - bp xi)[p][q]: xi[p][w] b[w][q] - bp[p][u] xi[u][q];
+                # the two sums share only the cell w = q, u = p
                 row = [zero] * (c * c)
-                # (xi b - bp xi)[p][q]: xi[p][w] b[w][q] - bp[p][u] xi[u][q]
-                for w in range(c):
-                    row[p * c + w] = row[p * c + w] + b.entry(w, q)
-                for u in range(c):
-                    row[u * c + q] = row[u * c + q] - bp.entry(p, u)
+                row[p * c : (p + 1) * c] = b.col_tuple(q)
+                row[q::c] = minus_bp
+                row[p * c + q] = b.entry(q, q) - bp.entry(p, p)
                 rows.append(row)
     for vec in x.v:
         for p in range(c):

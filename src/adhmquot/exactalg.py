@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 
@@ -245,15 +247,26 @@ class Matrix:
         )
 
     @classmethod
-    def _of(cls, field: Field, rows: int, cols: int, entries: Iterable) -> "Matrix":
+    def _of(cls, field: Field, rows: int, cols: int, entries: Iterable, lifted=None) -> "Matrix":
         """A matrix whose entries are already elements of ``field``, taken as they are.
 
         For results computed from field elements: the public constructor
-        would coerce every entry again.
+        would coerce every entry again.  ``lifted`` seeds the cached int view
+        (residues in [0, p) over GF(p)).
         """
         m = object.__new__(cls)
         m.__dict__.update(field=field, rows=rows, cols=cols, entries=tuple(entries))
+        if lifted is not None:
+            m.__dict__["_lifted"] = lifted
         return m
+
+    @cached_property
+    def _lifted(self) -> tuple[list[int], int]:
+        """The entries lifted once, (ints, d) as :func:`_lift` gives them.
+
+        Cached outside the dataclass fields: no part of ==, hash or repr.
+        """
+        return _lift(self.field, self.entries)
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
@@ -319,8 +332,7 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        a, da = _lift(self.field, self.entries)
-        b, db = _lift(self.field, other.entries)
+        (a, da), (b, db) = self._lifted, other._lifted
         out = _int_product(a, b, self.rows, self.cols, other.cols)
         return Matrix._of(self.field, self.rows, other.cols, _scalars(self.field, out, da * db))
 
@@ -338,17 +350,11 @@ class Matrix:
         """Matrix-vector product (vectors are plain scalar tuples)."""
         if len(vec) != self.cols:
             raise ShapeError("vector length does not match column count")
-        vec = tuple(self.field.coerce(x) for x in vec)
-        zero = self.field.zero()
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            row = self.row_tuple(i)
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        field, cols = self.field, self.cols
+        x, dx = _lift(field, [field.coerce(v) for v in vec])
+        a, da = self._lifted
+        out = [sum(map(mul, a[i * cols : (i + 1) * cols], x)) for i in range(self.rows)]
+        return tuple(_scalars(field, out, da * dx))
 
     def power(self, e: int) -> "Matrix":
         if self.rows != self.cols:
@@ -392,28 +398,13 @@ class Matrix:
                 out.extend(b.row_tuple(i))
         return Matrix(field, rows, sum(b.cols for b in blocks), tuple(out))
 
-    @staticmethod
-    def vstack(blocks: Sequence["Matrix"]) -> "Matrix":
-        if not blocks:
-            raise ShapeError("vstack of nothing")
-        cols = blocks[0].cols
-        field = blocks[0].field
-        out = []
-        for b in blocks:
-            if b.cols != cols:
-                raise ShapeError("vstack blocks disagree on column count")
-            out.extend(b.entries)
-        return Matrix(field, sum(b.rows for b in blocks), cols, tuple(out))
 
-
-def _echelonize(rows: list[list], *, rank_only: bool = False) -> list[int]:
+def _echelonize(rows: list[list]) -> list[int]:
     """In-place reduced row echelon form.
 
     Returns the pivot column indices in order; after the call the first
     ``len(pivots)`` rows carry the nonzero part (pivot entries normalized
     to 1, pivot columns cleared elsewhere) and the remaining rows are zero.
-    With ``rank_only`` the rows are left untouched and only the pivot
-    columns are found, by clearing below each pivot and never above it.
 
     The elimination runs on Python ints.  Over GF(p) it is ordinary
     Gauss-Jordan on the residues.  Over QQ each row is scaled by the lcm of
@@ -428,9 +419,8 @@ def _echelonize(rows: list[list], *, rank_only: bool = False) -> list[int]:
     p = first.p if isinstance(first, GFElement) else None
     field = QQ if p is None else GF(p)
     work = [_lift(field, row)[0] for row in rows]
-    pivots, d = _eliminate(work, p, rank_only)
-    if not rank_only:
-        rows[:] = [_scalars(field, row, d) for row in work]
+    pivots, d = _eliminate(work, p, False)
+    rows[:] = [_scalars(field, row, d) for row in work]
     return pivots
 
 
@@ -531,30 +521,26 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
-    """Rank of m over its field; rank + nullity = cols."""
-    return len(_echelonize(m.to_rows(), rank_only=True))
+    """Rank of m over its field; rank + nullity = cols.
 
-
-def _reduce(
-    field: Field, ambient_dim: int, rows: Sequence[Sequence], pivots: Sequence[int], vec: Sequence
-) -> tuple[list, list]:
-    """Reduce vec against rows in order; returns (residue, coordinates).
-
-    Row k has a 1 at pivots[k] and a 0 at the pivots of the rows before it
-    (an RREF basis, or the forward-reduced rows of a :class:`SpanBuilder`),
-    so vec minus the residue is the coordinate combination of the rows, and
-    the residue is zero exactly when vec lies in their span.
+    Eliminates below each pivot on the rows of m's cached int view; over QQ
+    each row is first made primitive, as the Bareiss integers grow with it.
     """
-    v = [field.coerce(x) for x in vec]
-    if len(v) != ambient_dim:
+    if not m.rows:
+        return 0
+    ints, cols = m._lifted[0], m.cols
+    work = [ints[i * cols : (i + 1) * cols] for i in range(m.rows)]
+    p = m.field.p if isinstance(m.field, PrimeField) else None
+    if p is None:
+        work = [[a // g for a in row] if (g := math.gcd(*row)) > 1 else row for row in work]
+    return len(_eliminate(work, p, True)[0])
+
+
+def _vector_ints(field: Field, ambient_dim: int, vec: Sequence) -> list[int]:
+    """vec coerced into field and lifted to ints; the common denominator is dropped."""
+    if len(vec) != ambient_dim:
         raise ShapeError("vector length does not match ambient dimension")
-    coords = []
-    for row, piv in zip(rows, pivots):
-        coeff = v[piv]
-        coords.append(coeff)
-        if coeff:
-            v = [a - coeff * b for a, b in zip(v, row)]
-    return v, coords
+    return _lift(field, [field.coerce(x) for x in vec])[0]
 
 
 @dataclass(frozen=True)
@@ -600,11 +586,26 @@ class Subspace:
         return self.coordinates(vec) is not None
 
     def coordinates(self, vec: Sequence) -> tuple | None:
-        """Coordinates of vec in the basis, or None when vec is outside."""
-        rows = [self.basis.row_tuple(i) for i in range(self.dim)]
-        pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
-        residue, coords = _reduce(self.field, self.ambient_dim, rows, pivots, vec)
-        return None if any(residue) else tuple(coords)
+        """Coordinates of vec in the basis, or None when vec is outside.
+
+        The basis is in RREF, so the coordinates are vec read at the pivot
+        columns; vec lies in the span iff it equals their combination of the
+        rows, checked in one pass over the ints of the basis's cached view.
+        """
+        field, n = self.field, self.ambient_dim
+        x = _vector_ints(field, n, vec)
+        b, db = self.basis._lifted
+        residue = [db * a for a in x]  # (d_vec * d_basis) * (vec - combination)
+        pivots = []
+        for k in range(self.dim):
+            row = b[k * n : (k + 1) * n]
+            piv = next(j for j, a in enumerate(row) if a)
+            pivots.append(piv)
+            if f := x[piv]:
+                residue = [s - f * a for s, a in zip(residue, row)]
+        if isinstance(field, PrimeField):
+            residue = [s % field.p for s in residue]
+        return None if any(residue) else tuple(field.coerce(vec[piv]) for piv in pivots)
 
     def join(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -617,33 +618,52 @@ class Subspace:
 class SpanBuilder:
     """Incrementally grown row span; ``add`` reports whether the span grew.
 
-    Rows are kept forward-reduced in insertion order, so membership tests
-    reduce against them in that order.
+    Rows are kept as ints (residues with pivot 1 over GF(p), primitive over
+    QQ), forward-reduced in insertion order, so membership tests reduce
+    against them in that order; over QQ the update is fraction-free.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows: list[list] = []
+        self._p = field.p if isinstance(field, PrimeField) else None
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
+    def _residue(self, vec: Sequence) -> list[int]:
+        """vec reduced against the rows: zero exactly when vec is in the span."""
+        v = _vector_ints(self.field, self.ambient_dim, vec)
+        p = self._p
+        for row, piv in zip(self._rows, self._pivots):
+            if f := v[piv]:
+                if p is None:
+                    pv = row[piv]
+                    v = [pv * a - f * b for a, b in zip(v, row)]
+                else:
+                    v = [(a - f * b) % p for a, b in zip(v, row)]
+        return v
+
     def add(self, vec: Sequence) -> bool:
-        v, _ = _reduce(self.field, self.ambient_dim, self._rows, self._pivots, vec)
+        v = self._residue(vec)
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        pv = v[piv]
-        self._rows.append([x / pv for x in v])
+        if self._p is None:
+            g = math.gcd(*v)
+            v = [a // g for a in v]
+        elif v[piv] != 1:
+            inv = pow(v[piv], -1, self._p)
+            v = [a * inv % self._p for a in v]
+        self._rows.append(v)
         self._pivots.append(piv)
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        v, _ = _reduce(self.field, self.ambient_dim, self._rows, self._pivots, vec)
-        return not any(v)
+        return not any(self._residue(vec))
 
     def to_subspace(self) -> Subspace:
         return Subspace.from_vectors(self.field, self.ambient_dim, self._rows)
@@ -715,7 +735,7 @@ def char_poly(m: Matrix) -> tuple[Fraction, ...]:
     if not isinstance(m.field, RationalField):
         raise FieldMismatchError("char_poly is supported over the rationals only")
     n = m.rows
-    a, d = _lift(QQ, m.entries)
+    a, d = m._lifted
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     diagonal = range(0, n * n, n + 1)

@@ -17,6 +17,7 @@ from .adhm import AdhmDatum, is_adhm, krylov_closure
 from .exactalg import (
     Field,
     Matrix,
+    PrimeField,
     ShapeError,
     Subspace,
     _lift,
@@ -201,7 +202,8 @@ def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
     The sums run on Python ints: the point is lifted over one common
     denominator (residues over GF(p)) and multiplied into the form
     matrix's cached lifted coefficients, and each entry becomes one scalar
-    at the end.
+    at the end.  The sums seed the result's cached int view, so a rank
+    of the result reads them without lifting again.
     """
     field = m.field
     pt = tuple(field.coerce(z) for z in point)
@@ -217,7 +219,9 @@ def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
         if z:
             for i, j, c in ak:
                 acc[i * cols + j] += c * z
-    return Matrix._of(field, m.rows, cols, _scalars(field, acc, dz * dc))
+    if isinstance(field, PrimeField):  # a seeded view holds residues
+        acc = [s % field.p for s in acc]
+    return Matrix._of(field, m.rows, cols, _scalars(field, acc, dz * dc), (acc, dz * dc))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, _krylov_layers, equivalence, is_adhm, is_nilpotent_tuple, is_stable
+from .adhm import AdhmDatum, _krylov_layers, equivalence, is_adhm, is_nilpotent_tuple
 from .exactalg import QQ, Matrix, ShapeError, Subspace, joint_eigenspaces
 from .quotmod import NonCommutingError
 
@@ -120,11 +120,11 @@ def _path_data(x: AdhmDatum, *, experimental: bool) -> PathData:
         raise PathConstructionError("the contraction path needs r = c")
     if not is_adhm(x):
         raise NonCommutingError("the path scales a commuting tuple")
-    if not is_stable(x):
+    # one Krylov walk decides stability and gives the greedily independent
+    # v_j, completed to a basis by the later words, in (|alpha|, alpha, j) order
+    span, layers = _krylov_layers(x)
+    if span.dim != x.c:
         raise PathConstructionError("basis completion needs a stable datum")
-    # the greedily independent v_j, completed to a basis by the later Krylov
-    # words, both in the walk's (|alpha|, alpha, j) order
-    _, layers = _krylov_layers(x)
     selected = [j for _, j, _ in layers[0]]
     remaining = [j for j in range(x.r) if j not in selected]
     completion = [vec for layer in layers[1:] for _, _, vec in layer]

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .adhm import AdhmDatum, _krylov_layers, is_adhm, is_stable
-from .exactalg import QQ, Field, GFElement, Matrix, ShapeError, kernel_basis
+from .exactalg import (
+    QQ, Field, GFElement, Matrix, PrimeField, ShapeError, _echelonize, _lift, _scalars,
+    kernel_basis,
+)
 
 Term = tuple[tuple[int, ...], int]  # (exponent tuple, slot index, 1-based)
 
@@ -128,18 +132,31 @@ def _basis_display_key(term: Term) -> tuple:
     return (sum(alpha), tuple(-a for a in alpha), j)
 
 
-def _monomial_vector_table(x: AdhmDatum, degree: int) -> dict[Term, tuple]:
-    """Values B^alpha v_j for |alpha| <= degree, filled degree by degree."""
-    table: dict[Term, tuple] = {}
-    for j in range(1, x.r + 1):
-        table[((0,) * x.n, j)] = x.v[j - 1]
+def _monomial_vector_table(x: AdhmDatum, degree: int) -> tuple[dict[Term, list[int]], int]:
+    """Values B^alpha v_j for |alpha| <= degree, filled degree by degree on ints.
+
+    Returns (table, d) with B^alpha v_j = table[(alpha, j)] / d.  The B_i
+    share one lifted denominator e and the v_j another; degree k carries
+    e^k and is scaled by e^(degree - k) at the end.  Over GF(p) all are residues.
+    """
+    field, n, c, degree = x.field, x.n, x.c, max(degree, 0)
+    p = field.p if isinstance(field, PrimeField) else None
+    bs, e = _lift(field, [a for b in x.B for a in b.entries])
+    rows = [bs[k * c : (k + 1) * c] for k in range(n * c)]  # B_i is rows[i*c : (i+1)*c]
+    vs, dv = _lift(field, [a for vec in x.v for a in vec])
+    table = {((0,) * n, j): vs[(j - 1) * c : j * c] for j in range(1, x.r + 1)}
     for d in range(1, degree + 1):
-        for alpha in monomials_of_degree(x.n, d):
+        for alpha in monomials_of_degree(n, d):
             i = next(k for k, a in enumerate(alpha) if a > 0)
             parent = tuple(a - 1 if k == i else a for k, a in enumerate(alpha))
             for j in range(1, x.r + 1):
-                table[(alpha, j)] = x.B[i].apply(table[(parent, j)])
-    return table
+                u = table[(parent, j)]
+                out = [sum(map(mul, row, u)) for row in rows[i * c : (i + 1) * c]]
+                table[(alpha, j)] = out if p is None else [a % p for a in out]
+    if e > 1:
+        scales = [e ** (degree - k) for k in range(degree + 1)]
+        table = {t: [a * scales[sum(t[0])] for a in u] for t, u in table.items()}
+    return table, dv * e**degree
 
 
 def _require_adhm(x: AdhmDatum) -> None:
@@ -147,14 +164,18 @@ def _require_adhm(x: AdhmDatum) -> None:
         raise NonCommutingError("the matrices do not commute")
 
 
-def _evaluate(x: AdhmDatum, table: dict[Term, tuple], p: PolyVector) -> tuple:
-    """sum_j p_j(B) v_j read off a monomial vector table of x covering p's terms."""
+def _evaluate(x: AdhmDatum, table: tuple[dict[Term, list[int]], int], p: PolyVector) -> tuple:
+    """sum_j p_j(B) v_j read off a monomial vector table of x covering p's terms.
+
+    The lifted coefficients weight the table's int rows; one scalar per coordinate.
+    """
     field = x.field
-    acc = [field.zero()] * x.c
-    for term, coeff in p.terms.items():
-        coeff = field.coerce(coeff)
-        acc = [a + coeff * b for a, b in zip(acc, table[term])]
-    return tuple(acc)
+    rows, d = table
+    coeffs, dc = _lift(field, [field.coerce(a) for a in p.terms.values()])
+    acc = [0] * x.c
+    for term, k in zip(p.terms, coeffs):
+        acc = [a + k * b for a, b in zip(acc, rows[term])]
+    return tuple(_scalars(field, acc, d * dc))
 
 
 def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
@@ -182,13 +203,9 @@ def kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
         (alpha, j) for alpha in monomials_upto(x.n, d) for j in range(1, x.r + 1)
     ]
     columns.sort(key=term_magnitude, reverse=True)
-    table = _monomial_vector_table(x, d)
-    field = x.field
-    rows = [[table[t][row] for t in columns] for row in range(x.c)]
-    eval_matrix = (
-        Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, len(columns))
-    )
-    kernel = kernel_basis(eval_matrix)
+    table, den = _monomial_vector_table(x, d)
+    ints = [table[t][row] for row in range(x.c) for t in columns]
+    kernel = kernel_basis(Matrix._of(x.field, x.c, len(columns), _scalars(x.field, ints, den)))
     out = []
     for i in range(kernel.dim):
         coeffs = kernel.basis.row_tuple(i)
@@ -245,8 +262,6 @@ def module_from_generators(
     field = _gens_field(gens)
     if degree_cap is None:
         degree_cap = max(2, max((g.degree() for g in gens), default=0)) + 2
-
-    from .exactalg import _echelonize
 
     qdims: list[int] = []
     for d in range(degree_cap + 1):

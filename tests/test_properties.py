@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adhmquot import exactalg, monad
+from adhmquot import exactalg, monad, quotmod
 from adhmquot.adhm import (
     AdhmDatum, GenerationError, _krylov_layers, _matrix_polynomial, _powers, act, equivalence,
     is_adhm, is_stable, krylov_closure, random_datum,
@@ -28,8 +28,8 @@ from adhmquot.punctual import (
     is_nilpotent_tuple, support, verify_path,
 )
 from adhmquot.quotmod import (
-    NonCommutingError, hilbert_profile, kernel_basis_up_to_degree, module_from_generators,
-    monomials_of_degree,
+    NonCommutingError, PolyVector, hilbert_profile, kernel_basis_up_to_degree,
+    module_from_generators, monomials_of_degree, phi_apply,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
@@ -242,10 +242,18 @@ def test_elimination_degenerate_shapes():
 
 
 def test_rank_leaves_rows_untouched():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(1, 3)]]
-    before = [list(row) for row in rows]
-    assert exactalg._echelonize(rows, rank_only=True) == [0, 1]
-    assert rows == before
+    # rank eliminates the cached view's rows: it must neither change the
+    # entries nor the view that later products and ranks read
+    for field, rows in [
+        (QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(1, 3)]]),
+        (GF(7), [[0, 3, 1], [2, 5, 6], [4, 3, 5]]),
+    ]:
+        m = Matrix.from_rows(field, rows)
+        before = m.entries
+        ints, d = m._lifted
+        view = list(ints)
+        assert rank(m) == 2
+        assert m.entries == before and m._lifted == (view, d)
 
 
 def _reference_power(m: Matrix, e: int) -> Matrix:
@@ -299,16 +307,75 @@ def adhm_data(draw, min_c: int = 0):
     return x
 
 
+def _reference_apply(m: Matrix, vec) -> tuple:
+    """The earlier matrix-vector product: one multiply-add per nonzero pair, on the field objects."""
+    vec = tuple(m.field.coerce(x) for x in vec)
+    out = []
+    for i in range(m.rows):
+        acc = m.field.zero()
+        for a, x in zip(m.row_tuple(i), vec):
+            if a and x:
+                acc = acc + a * x
+        out.append(acc)
+    return tuple(out)
+
+
+def _reference_reduce(field, rows, pivots, vec) -> tuple[list, list]:
+    """The earlier reduction of vec against rows with a 1 at their pivots: (residue, coordinates)."""
+    v = [field.coerce(x) for x in vec]
+    coords = []
+    for row, piv in zip(rows, pivots):
+        coeff = v[piv]
+        coords.append(coeff)
+        if coeff:
+            v = [a - coeff * b for a, b in zip(v, row)]
+    return v, coords
+
+
+class _ReferenceSpanBuilder:
+    """The earlier span builder: forward-reduced rows of field objects, pivots scaled to 1."""
+
+    def __init__(self, field, ambient_dim: int):
+        self.field = field
+        self.ambient_dim = ambient_dim
+        self._rows: list[list] = []
+        self._pivots: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def add(self, vec) -> bool:
+        if len(vec) != self.ambient_dim:
+            raise ShapeError("vector length does not match ambient dimension")
+        v, _ = _reference_reduce(self.field, self._rows, self._pivots, vec)
+        piv = next((j for j, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        pv = v[piv]
+        self._rows.append([x / pv for x in v])
+        self._pivots.append(piv)
+        return True
+
+    def contains(self, vec) -> bool:
+        if len(vec) != self.ambient_dim:
+            raise ShapeError("vector length does not match ambient dimension")
+        return not any(_reference_reduce(self.field, self._rows, self._pivots, vec)[0])
+
+    def to_subspace(self) -> Subspace:
+        return Subspace.from_vectors(self.field, self.ambient_dim, self._rows)
+
+
 def _reference_krylov(x: AdhmDatum):
     """The earlier layer loop, with no stop once the span is all of V."""
-    span = SpanBuilder(x.field, x.c)
+    span = _ReferenceSpanBuilder(x.field, x.c)
     frontier = [vec for vec in x.v if span.add(vec)]
     dims = [span.dim]
     while frontier:
         new_frontier = []
         for b in x.B:
             for w in frontier:
-                img = b.apply(w)
+                img = _reference_apply(b, w)
                 if span.add(img):
                     new_frontier.append(img)
         if new_frontier:
@@ -333,14 +400,14 @@ def test_krylov_verdicts_match_full_layer_loop(x):
 
 def _reference_frontier_layers(x: AdhmDatum):
     """The earlier frontier walk: B_i-images of the newest vectors, i-major."""
-    span = SpanBuilder(x.field, x.c)
+    span = _ReferenceSpanBuilder(x.field, x.c)
     frontier = [vec for vec in x.v if span.add(vec)]
     dims = [span.dim]
     while frontier and span.dim < x.c:
         new_frontier = []
         for b in x.B:
             for w in frontier:
-                img = b.apply(w)
+                img = _reference_apply(b, w)
                 if span.add(img):
                     new_frontier.append(img)
         if new_frontier:
@@ -352,7 +419,7 @@ def _reference_frontier_layers(x: AdhmDatum):
 def _reference_path_data(x: AdhmDatum) -> PathData:
     """The earlier completion: every word B^alpha v_j rebuilt and scanned in
     (|alpha|, alpha, j) order, for a commuting stable x."""
-    span = SpanBuilder(x.field, x.c)
+    span = _ReferenceSpanBuilder(x.field, x.c)
     selected = []
     remaining = []
     for j, vec in enumerate(x.v):
@@ -368,7 +435,7 @@ def _reference_path_data(x: AdhmDatum) -> PathData:
                 w = x.v[j]
                 for i in range(x.n - 1, -1, -1):
                     for _ in range(alpha[i]):
-                        w = x.B[i].apply(w)
+                        w = _reference_apply(x.B[i], w)
                 if span.add(w):
                     completion.append(w)
                     if span.dim == x.c:
@@ -773,6 +840,166 @@ def test_is_adhm_matches_reference(case):
     assert is_adhm(x) == _reference_is_adhm(x)
     if kind == "commuting":
         assert is_adhm(x)
+
+
+# ------------------------------------------------ the cached int view of a Matrix
+
+
+def _reference_monomial_table(x: AdhmDatum, degree: int) -> dict:
+    """The earlier table of B^alpha v_j, filled degree by degree with products on the field objects."""
+    table = {((0,) * x.n, j): x.v[j - 1] for j in range(1, x.r + 1)}
+    for d in range(1, degree + 1):
+        for alpha in monomials_of_degree(x.n, d):
+            i = next(k for k, a in enumerate(alpha) if a > 0)
+            parent = tuple(a - 1 if k == i else a for k, a in enumerate(alpha))
+            for j in range(1, x.r + 1):
+                table[(alpha, j)] = _reference_apply(x.B[i], table[(parent, j)])
+    return table
+
+
+def _reference_phi(x: AdhmDatum, p: PolyVector) -> tuple:
+    """The earlier evaluation of sum_j p_j(B) v_j: a scalar multiply-add per term and coordinate."""
+    table = _reference_monomial_table(x, p.degree())
+    acc = [x.field.zero()] * x.c
+    for term, coeff in p.terms.items():
+        coeff = x.field.coerce(coeff)
+        acc = [a + coeff * b for a, b in zip(acc, table[term])]
+    return tuple(acc)
+
+
+def _draw_vectors(draw, field, dim: int) -> list[tuple]:
+    """Vectors with mixed denominators or residues, often combinations of earlier ones."""
+    vectors: list[tuple] = []
+    for _ in range(draw(st.integers(0, 6))):
+        if len(vectors) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            s = _draw_scalar(draw, field)
+            vectors.append(tuple(s * u + w for u, w in zip(a, b)))
+        else:
+            vectors.append(tuple(_draw_scalar(draw, field) for _ in range(dim)))
+    return vectors
+
+
+@st.composite
+def vector_families(draw):
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    dim = draw(st.integers(0, 5))
+    return field, dim, _draw_vectors(draw, field, dim), _draw_vectors(draw, field, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_families())
+def test_span_builder_matches_reference(family):
+    field, dim, added, probes = family
+    got, ref = SpanBuilder(field, dim), _ReferenceSpanBuilder(field, dim)
+    assert [got.add(v) for v in added] == [ref.add(v) for v in added]
+    assert got.dim == ref.dim
+    assert [got.contains(v) for v in added + probes] == [ref.contains(v) for v in added + probes]
+    space, expected = got.to_subspace(), ref.to_subspace()
+    assert space == expected and _bits(space.basis.entries) == _bits(expected.basis.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_families())
+def test_coordinates_match_reference(family):
+    field, dim, spanning, probes = family
+    space = Subspace.from_vectors(field, dim, spanning)
+    rows = [space.basis.row_tuple(i) for i in range(space.dim)]
+    pivots = [next(j for j, a in enumerate(row) if a) for row in rows]
+    for vec in spanning + probes:
+        residue, coords = _reference_reduce(field, rows, pivots, vec)
+        expected = None if any(residue) else tuple(coords)
+        got = space.coordinates(vec)
+        assert got == expected and (got is None or _bits(got) == _bits(expected))
+        assert space.contains(vec) == (expected is not None)
+
+
+@st.composite
+def matrix_vector_pairs(draw):
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return _draw_matrix(draw, field, rows, cols), tuple(_draw_scalar(draw, field) for _ in range(cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_vector_pairs())
+def test_apply_matches_reference(pair):
+    m, vec = pair
+    assert _bits(m.apply(vec)) == _bits(_reference_apply(m, vec))
+
+
+@st.composite
+def rank_deficient(draw):
+    """Mixed-denominator or residue matrices whose later rows are often combinations of earlier ones."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    cols = draw(st.integers(0, 6))
+    rows = _draw_vectors(draw, field, cols)
+    return Matrix(field, len(rows), cols, tuple(a for row in rows for a in row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient())
+def test_rank_matches_reference(m):
+    assert rank(m) == len(_reference_echelonize(m.to_rows()))
+
+
+@st.composite
+def phi_cases(draw):
+    """A commuting tuple (polynomials in one mixed-denominator or residue matrix) and a polynomial vector."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 2))
+    powers = _powers(_draw_matrix(draw, field, c, c), c)
+    bs = tuple(_matrix_polynomial(powers, [_draw_scalar(draw, field) for _ in range(c)])
+               for _ in range(n))
+    vs = tuple(tuple(_draw_scalar(draw, field) for _ in range(c)) for _ in range(r))
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        alpha = tuple(draw(st.integers(0, 2)) for _ in range(n))
+        terms[(alpha, draw(st.integers(1, r)))] = _draw_scalar(draw, field)
+    return AdhmDatum(n, c, r, bs, vs), PolyVector(n, r, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi_cases())
+def test_phi_matches_reference(case):
+    x, p = case
+    expected = _reference_phi(x, p)
+    assert _bits(phi_apply(x, p)) == _bits(expected)
+    # the certificate's path: one table for several generators
+    table = quotmod._monomial_vector_table(x, p.degree() + 1)
+    assert _bits(quotmod._evaluate(x, table, p)) == _bits(expected)
+    shifted = p.times_monomial((1,) + (0,) * (x.n - 1))
+    assert _bits(quotmod._evaluate(x, table, shifted)) == _bits(_reference_phi(x, shifted))
+
+
+def test_cached_view_takes_no_part_in_eq_hash_or_repr():
+    for field, entries in [(QQ, (Fraction(1, 2), 3, Fraction(-2, 7), 0)), (GF(5), (1, 7, 0, 4))]:
+        m, fresh = Matrix(field, 2, 2, entries), Matrix(field, 2, 2, entries)
+        before = repr(m)
+        assert rank(m) == 2
+        assert "_lifted" in vars(m) and "_lifted" not in vars(fresh)
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == before == repr(fresh)
+        assert m @ fresh == fresh @ fresh
+        # a seeded view reads the same values, over QQ also on another denominator
+        ints, d = m._lifted
+        k = 3 if field == QQ else 1
+        seeded = Matrix._of(field, 2, 2, m.entries, ([k * a for a in ints], k * d))
+        assert seeded == m and hash(seeded) == hash(m) and repr(seeded) == before
+        assert rank(seeded) == rank(m) and seeded.apply((1, 2)) == m.apply((1, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rank_of_an_evaluation_reads_reduced_residues(p):
+    # every entry of the evaluation is the sum of p ones, so it vanishes mod p:
+    # a seeded view holding the unreduced sums would count a pivot
+    field = GF(p)
+    one = field.one()
+    m = LinearFormMatrix(field, 2, 2, tuple({(i, j): one for i in range(2) for j in range(2)}
+                                            for _ in range(p)))
+    a = evaluate(m, (one,) * p)
+    assert a.is_zero() and rank(a) == 0 == rank(Matrix(field, 2, 2, a.entries))
+    b = evaluate(m, (one,) * (p - 1) + (field.coerce(2),))
+    assert rank(b) == 1 == rank(Matrix(field, 2, 2, b.entries))
 
 
 # ------------------------------------------------ round trip and reduction mod p

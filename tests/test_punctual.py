@@ -12,7 +12,7 @@ from adhmquot.adhm import (
     is_stable,
     random_datum,
 )
-from adhmquot import punctual
+from adhmquot import adhm, punctual
 from adhmquot.exactalg import GF, QQ, Matrix, char_poly, rational_factorization, rational_roots
 from adhmquot.punctual import (
     FactorReport,
@@ -387,14 +387,7 @@ def test_verify_path_decides_stability_once_per_distinct_t(monkeypatch):
     step = field.one() / field.coerce(64)
     grid = [field.coerce(i) * step for i in range(65)]
     assert len(set(grid)) == 3
-    calls = []
-    original = punctual.is_stable
-
-    def counting(d):
-        calls.append(d)
-        return original(d)
-
-    monkeypatch.setattr(punctual, "is_stable", counting)
+    calls = _count_calls(monkeypatch, "is_stable")
     verify_path(x, [])
     setup_calls = len(calls)
     calls.clear()
@@ -406,15 +399,17 @@ def test_verify_path_decides_stability_once_per_distinct_t(monkeypatch):
     assert report.permutation == permutation
 
 
-def _count_is_stable(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The arguments of every call of adhm's ``name``, through adhm or punctual."""
     calls = []
-    original = punctual.is_stable
+    original = getattr(adhm, name)
 
     def counting(d):
         calls.append(d)
         return original(d)
 
-    monkeypatch.setattr(punctual, "is_stable", counting)
+    monkeypatch.setattr(adhm, name, counting)
+    monkeypatch.setattr(punctual, name, counting, raising=False)
     return calls
 
 
@@ -423,21 +418,24 @@ def test_verify_path_decides_stability_only_at_zero(monkeypatch, field, k):
     x = random_datum(2, 3, 3, seed=1, stable=True, nilpotent=True, field=field)
     step = field.one() / field.coerce(k)
     grid = [field.coerce(i) * step for i in range(k + 1)]
-    calls = _count_is_stable(monkeypatch)
+    stable_calls = _count_calls(monkeypatch, "is_stable")
+    walks = _count_calls(monkeypatch, "_krylov_layers")
     report = verify_path(x, grid)
-    # one call on x in the path set-up; phi(0) is stable because r >= c
-    assert calls == [x]
+    # one Krylov walk on x in the path set-up decides its stability;
+    # phi(0) is stable because r >= c
+    assert stable_calls == [] and walks == [x]
     assert len(report.samples) == k + 1 and report.all_flags()
-    calls.clear()
+    walks.clear()
     nonzero = [t for t in grid if t]
     report = verify_path(x, nonzero)
-    assert calls == [x]
+    assert stable_calls == [] and walks == [x]
     assert len(report.samples) == len(nonzero) and report.all_flags()
 
 
 def test_experimental_path_decides_stability_only_at_zero(monkeypatch):
     x = random_datum(2, 3, 2, seed=41, stable=True, nilpotent=True)
-    calls = _count_is_stable(monkeypatch)
+    stable_calls = _count_calls(monkeypatch, "is_stable")
+    walks = _count_calls(monkeypatch, "_krylov_layers")
     report = verify_path(x, [Fraction(i, 8) for i in range(9)], experimental=True)
-    assert calls == [x]
+    assert stable_calls == [] and walks == [x]
     assert [s.stable for s in report.samples] == [False] + [True] * 8
