@@ -166,14 +166,18 @@ def moduli_dimension_estimate(x: AdhmDatum, sys: EquationSystem) -> int:
     return tangent_dimension(x, sys) - x.c * x.c
 
 
-def _random_invertible(rng: random.Random, field: Field, c: int, bound: int = 3) -> Matrix:
+def _random_invertible(
+    rng: random.Random, field: Field, c: int, bound: int = 3
+) -> tuple[Matrix, Matrix]:
+    """A random invertible c x c matrix g with small entries, and its inverse."""
     while True:
         g = Matrix(
             field, c, c,
             tuple(field.coerce(rng.randint(-bound, bound)) for _ in range(c * c)),
         )
-        if g.inverse() is not None:
-            return g
+        ginv = g.inverse()
+        if ginv is not None:
+            return g, ginv
 
 
 def sample_generic_commuting(
@@ -189,8 +193,7 @@ def sample_generic_commuting(
     field = QQ
     for _ in range(max_retries):
         eigs = rng.sample(range(-2 * c - 2, 2 * c + 3), c)
-        g = _random_invertible(rng, field, c)
-        ginv = g.inverse()
+        g, ginv = _random_invertible(rng, field, c)
         diag = Matrix(
             field, c, c,
             tuple(field.coerce(eigs[i]) if i == j else field.zero()
@@ -226,8 +229,7 @@ def sample_punctual(
         raise SamplerError("punctual sampler is constructive for c <= 3 only")
     field = QQ
     for _ in range(max_retries):
-        g = _random_invertible(rng, field, c)
-        ginv = g.inverse()
+        g, ginv = _random_invertible(rng, field, c)
         shift = Matrix(
             field, c, c,
             tuple(field.one() if j == i + 1 else field.zero()

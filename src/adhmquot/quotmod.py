@@ -15,8 +15,7 @@ from typing import Sequence
 
 from .adhm import AdhmDatum, _krylov_layers, is_adhm, is_stable
 from .exactalg import (
-    QQ, Field, GFElement, Matrix, PrimeField, ShapeError, _echelonize, _lift, _scalars,
-    kernel_basis,
+    QQ, Field, GFElement, Matrix, PrimeField, ShapeError, _lift, _scalars, kernel_basis, rref,
 )
 
 Term = tuple[tuple[int, ...], int]  # (exponent tuple, slot index, 1-based)
@@ -281,14 +280,16 @@ def module_from_generators(
                 for t, coeff in shifted.terms.items():
                     row[col_index[t]] = coeff
                 rows.append(row)
-        pivots = _echelonize(rows)
+        reduced, pivots = rref(
+            Matrix._of(field, len(rows), len(columns), [x for row in rows for x in row])
+        )
         qdims.append(len(columns) - len(pivots))
         if len(qdims) >= 2 and qdims[-1] == qdims[-2]:
             pivot_set = set(pivots)
             standard = [t for k, t in enumerate(columns) if k not in pivot_set]
             if any(sum(t[0]) >= d for t in standard):
                 continue  # a top-degree monomial survived; not stabilized yet
-            datum = _freeze_quotient(n, r, field, columns, col_index, rows, pivots, standard)
+            datum = _freeze_quotient(n, r, field, columns, col_index, reduced, pivots, standard)
             if _certified(datum, gens):
                 return datum
             # a generator above this degree cuts the quotient further; the
@@ -312,7 +313,7 @@ def _certified(datum: AdhmDatum, gens: Sequence[PolyVector]) -> bool:
     return not any(any(_evaluate(datum, table, g)) for g in gens)
 
 
-def _freeze_quotient(n, r, field, columns, col_index, rows, pivots, standard) -> AdhmDatum:
+def _freeze_quotient(n, r, field, columns, col_index, reduced, pivots, standard) -> AdhmDatum:
     pivot_row = {p: k for k, p in enumerate(pivots)}
     basis = sorted(standard, key=_basis_display_key)
     basis_index = {t: k for k, t in enumerate(basis)}
@@ -322,7 +323,7 @@ def _freeze_quotient(n, r, field, columns, col_index, rows, pivots, standard) ->
         out = [field.zero()] * c
         k = col_index[term]
         if k in pivot_row:
-            row = rows[pivot_row[k]]
+            row = reduced.row_tuple(pivot_row[k])
             for t, idx in basis_index.items():
                 coeff = row[col_index[t]]
                 if coeff:

@@ -20,7 +20,7 @@ from adhmquot.adhm import (
 )
 from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, SingularMatrixError
 
-from conftest import datum, mat
+from helpers import datum, mat
 
 
 def test_commutators_n1_empty():

@@ -26,7 +26,7 @@ from adhmquot.exactalg import (
     solve,
 )
 
-from conftest import mat, poly_mul
+from helpers import mat, poly_mul
 
 
 def rand_matrix(rng, rows, cols, bound=4):

@@ -24,7 +24,7 @@ from adhmquot.geometry import (
 )
 from adhmquot.quotmod import PolyVector
 
-from conftest import datum
+from helpers import datum
 
 COMMUTATORS = EquationSystem(commutators=True)
 PUNCTUAL = EquationSystem(commutators=True, nilpotent=True)

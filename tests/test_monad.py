@@ -27,7 +27,7 @@ from adhmquot.monad import (
 from adhmquot.punctual import support
 from adhmquot.quotmod import NonCommutingError
 
-from conftest import datum, mat
+from helpers import datum, mat
 
 
 def form(*coeffs):
@@ -173,8 +173,8 @@ def test_evaluate_at_unit_infinity_point():
     x = random_datum(2, 2, 2, seed=6)
     a0 = alpha0(x)
     at_en = evaluate(a0, (0, 0, 1))
-    expected = Matrix.hstack(list(x.B) + [
-        Matrix(QQ, x.c, 1, tuple(x.v[j])) for j in range(x.r)
+    expected = Matrix.from_rows(QQ, [
+        [a for b in x.B for a in b.row_tuple(i)] + [v[i] for v in x.v] for i in range(x.c)
     ])
     assert at_en == expected
     at_inf = evaluate(a0, (1, -2, 0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adhmquot import exactalg, monad, quotmod
+from adhmquot import monad, quotmod
 from adhmquot.adhm import (
     AdhmDatum, GenerationError, _krylov_layers, _matrix_polynomial, _powers, act, equivalence,
     is_adhm, is_stable, krylov_closure, random_datum,
@@ -182,11 +182,11 @@ def eliminable(draw, square: bool = False):
 
 @settings(max_examples=400, deadline=None)
 @given(eliminable())
-def test_echelonize_matches_reference(m):
-    rows = m.to_rows()
-    expected = m.to_rows()
-    assert exactalg._echelonize(rows) == _reference_echelonize(expected)
-    assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+def test_from_vectors_matches_reference(m):
+    space = Subspace.from_vectors(m.field, m.cols, [m.row_tuple(i) for i in range(m.rows)])
+    ref_reduced = _reference_rref(m)[0]
+    assert (space.basis.rows, space.basis.cols) == (ref_reduced.rows, ref_reduced.cols)
+    assert _bits(space.basis.entries) == _bits(ref_reduced.entries)
 
 
 @settings(max_examples=400, deadline=None)
@@ -242,8 +242,11 @@ def test_elimination_degenerate_shapes():
 
 
 def test_rank_leaves_rows_untouched():
-    # rank eliminates the cached view's rows: it must neither change the
-    # entries nor the view that later products and ranks read
+    # every elimination works on rows sliced off a cached view: it must
+    # neither change the entries nor the view that later products and ranks read
+    eliminations = (
+        rank, rref, kernel_basis, lambda m: solve(m, m.col_tuple(0)), Matrix.inverse,
+    )
     for field, rows in [
         (QQ, [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(1, 3)]]),
         (GF(7), [[0, 3, 1], [2, 5, 6], [4, 3, 5]]),
@@ -253,7 +256,9 @@ def test_rank_leaves_rows_untouched():
         ints, d = m._lifted
         view = list(ints)
         assert rank(m) == 2
-        assert m.entries == before and m._lifted == (view, d)
+        for eliminate in eliminations:
+            eliminate(m)
+            assert m.entries == before and m._lifted == (view, d)
 
 
 def _reference_power(m: Matrix, e: int) -> Matrix:

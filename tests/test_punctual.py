@@ -29,7 +29,7 @@ from adhmquot.punctual import (
 )
 from adhmquot.quotmod import NonCommutingError
 
-from conftest import datum, mat, poly_mul
+from helpers import datum, mat, poly_mul
 
 
 def test_nilpotency_examples(jordan2):

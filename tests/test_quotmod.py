@@ -21,7 +21,7 @@ from adhmquot.quotmod import (
     phi_apply,
 )
 
-from conftest import datum
+from helpers import datum
 
 
 def unit(n, r, j):

@@ -18,7 +18,7 @@ from adhmquot.serialize import (
     polyvectors_to_obj,
 )
 
-from conftest import datum
+from helpers import datum
 
 
 def test_field_headers():
