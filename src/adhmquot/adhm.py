@@ -8,6 +8,7 @@ tuples on purpose: membership in the commuting locus is a check
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,6 +21,7 @@ from .exactalg import (
     SingularMatrixError,
     SpanBuilder,
     Subspace,
+    _lift,
     kernel_basis,
     solve,
 )
@@ -254,14 +256,20 @@ def _powers(t: Matrix, count: int) -> list[Matrix]:
 
 
 def _matrix_polynomial(powers: Sequence[Matrix], coeffs: Sequence) -> Matrix:
-    """The sum of coeffs[k] * powers[k]; the zero matrix for no coefficients."""
+    """The sum of coeffs[k] * powers[k]; the zero matrix for no coefficients.
+
+    Summed as ints on the cached int views of the coefficients and of the
+    powers, over one common denominator, and turned into scalars once.
+    """
     field = powers[0].field
-    acc = Matrix.zero(field, powers[0].rows, powers[0].cols)
-    for k, a in enumerate(coeffs):
-        a = field.coerce(a)
-        if a:
-            acc = acc + powers[k].scale(a)
-    return acc
+    nums, dc = _lift(field, [field.coerce(a) for a in coeffs])
+    terms = [(a, powers[k]._lifted) for k, a in enumerate(nums) if a]
+    d = math.lcm(*(dp for _, (_, dp) in terms))
+    acc = [0] * (powers[0].rows * powers[0].cols)
+    for a, (ints, dp) in terms:
+        a *= d // dp
+        acc = [s + a * v for s, v in zip(acc, ints)]
+    return Matrix._of_ints(field, powers[0].rows, powers[0].cols, acc, d * dc)
 
 
 def _random_commuting_block(

@@ -260,6 +260,14 @@ class Matrix:
             m.__dict__["_lifted"] = lifted
         return m
 
+    @classmethod
+    def _of_ints(cls, field: Field, rows: int, cols: int, ints: list[int], d: int) -> "Matrix":
+        """The matrix of the row-major entries ints[k] / d, built once from
+        int sums, whose cached int view they seed (reduced mod p over GF(p))."""
+        if isinstance(field, PrimeField):
+            ints = [s % field.p for s in ints]
+        return cls._of(field, rows, cols, _scalars(field, ints, d), (ints, d))
+
     @cached_property
     def _lifted(self) -> tuple[list[int], int]:
         """The entries lifted once, (ints, d) as :func:`_lift` gives them.
@@ -437,66 +445,110 @@ def _int_rows(m: Matrix) -> list[list[int]]:
 
 
 def _eliminate(field: Field, work: list[list[int]], below_only: bool = False) -> tuple[list[int], int]:
-    """Gauss-Jordan in place on integer rows, the one elimination core.
+    """Gaussian elimination in place on integer rows, the one elimination core.
 
     Returns the pivot columns and the last pivot d.  Over GF(p) the rows are
-    residues, each pivot row is normalized to 1 and d = 1.  Over QQ each row
-    is first divided by its gcd, as the integers grow with it, and the update
-    is fraction-free (Bareiss, Math. Comp. 22, 1968): every division by the
-    previous pivot is exact, so when every row is cleared (not
-    ``below_only``) the pivot entries all end equal to d and the reduced
-    row echelon form is ``work`` divided by d, its nonzero rows first.
+    residues and each pivot row is normalized to 1.  Over QQ each row is
+    first divided by its gcd, as the integers grow with it.
+
+    Without ``below_only`` every row is cleared (Gauss-Jordan) and over QQ
+    the update is fraction-free (Bareiss, Math. Comp. 22, 1968): every
+    division by the previous pivot is exact, so the pivot entries all end
+    equal to d and the reduced row echelon form is ``work`` divided by d,
+    its nonzero rows first; over GF(p), d = 1.
+
+    With ``below_only`` (what :func:`rank` needs) only the rows below the
+    pivot are cleared, and only those with a nonzero in the pivot column.
+    They are zero left of it, so a row changes only at the pivot column and
+    at the pivot row's nonzeros after it.  When fewer than half of the pivot
+    row's entries are nonzero, the update walks that support in place;
+    otherwise it is one pass over the row, which costs about as much per
+    entry and has no per-pivot set-up.  Over QQ such a row is kept primitive
+    instead: row <- (pv/g) row - (f/g) pivot row for g = gcd(pv, f), then
+    divided by its gcd.  The returned d is then 1.
     """
     if not work or not work[0]:
         return [], 1
     nrows, ncols = len(work), len(work[0])
     p = field.p if isinstance(field, PrimeField) else None
+    gcd = math.gcd
     if p is None:
-        work[:] = [[a // g for a in row] if (g := math.gcd(*row)) > 1 else row for row in work]
+        work[:] = [[a // g for a in row] if (g := gcd(*row)) > 1 else row for row in work]
     pivots: list[int] = []
     d = 1
     for col in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, nrows) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
+        if not work[r][col]:
+            piv = next((i for i in range(r + 1, nrows) if work[i][col]), None)
+            if piv is None:
+                continue
+            work[r], work[piv] = work[piv], work[r]
         if p is not None and work[r][col] != 1:
             inv = pow(work[r][col], -1, p)
             work[r] = [a * inv % p for a in work[r]]
         prow = work[r]
         pv = prow[col]
-        for i in range(r + 1 if below_only else 0, nrows):
-            if i == r:
-                continue
-            row = work[i]
-            f = row[col]
-            if f:
-                if p is None:
-                    work[i] = [(pv * a - f * b) // d for a, b in zip(row, prow)]
-                else:
-                    work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
-            elif pv != d:
-                work[i] = [pv * a // d for a in row]
-        d = pv
         pivots.append(col)
+        if below_only:
+            support = None
+            if 2 * (ncols - prow.count(0)) < ncols:
+                support = [(j, b) for j in range(col + 1, ncols) if (b := prow[j])]
+            for i in range(r + 1, nrows):
+                row = work[i]
+                f = row[col]
+                if not f:
+                    continue
+                if p is not None:
+                    if support is None:
+                        work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+                    else:
+                        row[col] = 0
+                        for j, b in support:
+                            row[j] = (row[j] - f * b) % p
+                    continue
+                g = gcd(pv, f)
+                s, f = pv // g, f // g
+                if support is None:
+                    work[i] = row = [s * a - f * b for a, b in zip(row, prow)]
+                else:
+                    if s != 1:
+                        row[col + 1:] = [s * a for a in row[col + 1:]]
+                    row[col] = 0
+                    for j, b in support:
+                        row[j] -= f * b
+                if (g := gcd(*row)) > 1:
+                    work[i] = [a // g for a in row]
+        else:
+            for i in range(nrows):
+                if i == r:
+                    continue
+                row = work[i]
+                f = row[col]
+                if f:
+                    if p is None:
+                        work[i] = [(pv * a - f * b) // d for a, b in zip(row, prow)]
+                    else:
+                        work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+                elif pv != d:
+                    work[i] = [pv * a // d for a in row]
+            d = pv
         if len(pivots) == nrows:
             break
     return pivots, d
 
 
-def _rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """The body of :func:`rref`, which ``Subspace.from_vectors`` calls directly
-    so that the benchmark's span around ``rref`` counts only outside calls."""
-    work = _int_rows(m)
-    pivots, d = _eliminate(m.field, work)
+def _rref(field: Field, cols: int, work: list[list[int]]) -> tuple[Matrix, tuple[int, ...]]:
+    """The body of :func:`rref` on integer rows of width ``cols``, which
+    ``Subspace.from_vectors`` calls directly so that the benchmark's span
+    around ``rref`` counts only outside calls."""
+    pivots, d = _eliminate(field, work)
     flat = [a for row in work[: len(pivots)] for a in row]
-    return Matrix._of(m.field, len(pivots), m.cols, _scalars(m.field, flat, d)), tuple(pivots)
+    return Matrix._of(field, len(pivots), cols, _scalars(field, flat, d)), tuple(pivots)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    return _rref(m)
+    return _rref(m.field, m.cols, _int_rows(m))
 
 
 def rank(m: Matrix) -> int:
@@ -508,9 +560,15 @@ def rank(m: Matrix) -> int:
 
 
 def _vector_ints(field: Field, ambient_dim: int, vec: Sequence) -> list[int]:
-    """vec coerced into field and lifted to ints; the common denominator is dropped."""
+    """vec coerced into field and lifted to ints; the common denominator is dropped.
+
+    A vector of ints (such as a :class:`SpanBuilder` row) is its own lift,
+    reduced mod p over GF(p), so it skips the coercion into scalars.
+    """
     if len(vec) != ambient_dim:
         raise ShapeError("vector length does not match ambient dimension")
+    if all(type(x) is int for x in vec):
+        return [x % field.p for x in vec] if isinstance(field, PrimeField) else list(vec)
     return _lift(field, [field.coerce(x) for x in vec])[0]
 
 
@@ -543,12 +601,10 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [[field.coerce(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ShapeError("vector length does not match ambient dimension")
-        m = Matrix._of(field, len(rows), ambient_dim, [x for row in rows for x in row])
-        return cls(ambient_dim, _rref(m)[0])
+        """The span of the vectors; each is lifted to ints on its own, as the
+        reduced row echelon form does not depend on the rows' scale."""
+        rows = [_vector_ints(field, ambient_dim, v) for v in vectors]
+        return cls(ambient_dim, _rref(field, ambient_dim, rows)[0])
 
     def contains(self, vec: Sequence) -> bool:
         return self.coordinates(vec) is not None
@@ -634,6 +690,7 @@ class SpanBuilder:
         return not any(self._residue(vec))
 
     def to_subspace(self) -> Subspace:
+        """The span; ``from_vectors`` eliminates copies of the int rows as they are."""
         return Subspace.from_vectors(self.field, self.ambient_dim, self._rows)
 
 

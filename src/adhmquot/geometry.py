@@ -10,11 +10,12 @@ choice, which is why it is pinned here.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .adhm import AdhmDatum, _matrix_polynomial, _powers, commutator_pairs, is_stable
-from .exactalg import QQ, Field, Matrix, ShapeError, rank
+from .exactalg import QQ, Field, Matrix, PrimeField, ShapeError, _lift, _scalars, rank
 
 
 class ResidualError(ValueError):
@@ -84,23 +85,34 @@ def _word_products(x: AdhmDatum):
     return product
 
 
-def _block_value(x: AdhmDatum, block: list, product) -> list:
-    """Row-major entries of one equation block's value."""
-    one = x.field.one()
-    acc = None
+def _block_ints(x: AdhmDatum, block: list, product) -> tuple[list[int], int]:
+    """One equation block's value as row-major ints over one denominator, (ints, d).
+
+    Reads the cached int views of the coefficients and word products; over
+    GF(p) the ints are residues and d = 1.
+    """
+    field = x.field
+    terms = []
     for coeff, word in block:
-        entries = product(word).entries
-        if coeff != one:
-            entries = [coeff * v for v in entries]
-        acc = entries if acc is None else [a + v for a, v in zip(acc, entries)]
-    return [x.field.zero()] * (x.c * x.c) if acc is None else acc
+        (num,), dc = _lift(field, [coeff])
+        ints, dw = product(word)._lifted
+        terms.append((num, dc * dw, ints))
+    d = math.lcm(*(den for _, den, _ in terms))
+    acc = [0] * (x.c * x.c)
+    for num, den, ints in terms:
+        k = num * (d // den)
+        acc = [s + k * v for s, v in zip(acc, ints)]
+    if isinstance(field, PrimeField):
+        acc = [s % field.p for s in acc]
+    return acc, d
 
 
 def residual(x: AdhmDatum, sys: EquationSystem) -> tuple:
     """All equation values stacked: commutator entries (pairs in lexicographic
     order), then B_i^e entries per i, then each variety relation's entries."""
     product = _word_products(x)
-    return tuple(v for block in _equations(x, sys) for v in _block_value(x, block, product))
+    return tuple(v for block in _equations(x, sys)
+                 for v in _scalars(x.field, *_block_ints(x, block, product)))
 
 
 def coordinate_count(x: AdhmDatum) -> int:
@@ -117,35 +129,39 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
     Every block is differentiated word by word and letter by letter: for the
     letter B_k at position p of a word with L and R the products before and
     after it, the unit E_ab in B_k changes the word by L E_ab R, whose entry
-    (s, q) is L[s][a] R[b][q].
+    (s, q) is L[s][a] R[b][q].  The terms are summed as ints, read off the
+    cached int views of the coefficients and of L and R, over one common
+    denominator d, and the matrix is built from them once.
     """
     blocks = _equations(x, sys)
     product = _word_products(x)
-    if any(any(_block_value(x, block, product)) for block in blocks):
+    if any(any(_block_ints(x, block, product)[0]) for block in blocks):
         raise ResidualError("datum does not satisfy the equation system exactly")
-    field = x.field
-    c = x.c
-    zero, one = field.zero(), field.one()
-    rows = [[zero] * coordinate_count(x) for _ in range(len(blocks) * c * c)]
+    field, c = x.field, x.c
+    ncols = coordinate_count(x)
+    # L[s][a] R[b][q] lands in row (eq c + s) c + q and column (k c + a) c + b;
+    # base is the flat index of s = q = a = b = 0
+    terms = []
     for eq, block in enumerate(blocks):
         for coeff, word in block:
+            (num,), dc = _lift(field, [coeff])
             for p, k in enumerate(word):
-                left = product(word[:p]).entries
-                right = [(i // c, i % c, rv)
-                         for i, rv in enumerate(product(word[p + 1:]).entries) if rv]
-                for s in range(c):
-                    out = rows[(eq * c + s) * c:(eq * c + s + 1) * c]
-                    for a in range(c):
-                        lv = left[s * c + a]
-                        if not lv:
-                            continue
-                        if coeff != one:
-                            lv = lv * coeff
-                        terms = right if lv == one else [(b, q, lv * rv) for b, q, rv in right]
-                        col = (k * c + a) * c
-                        for b, q, v in terms:
-                            out[q][col + b] += v
-    return Matrix._of(field, len(rows), coordinate_count(x), (v for row in rows for v in row))
+                left, dl = product(word[:p])._lifted
+                right, dr = product(word[p + 1:])._lifted
+                terms.append((eq * c * c * ncols + k * c * c, num, dc * dl * dr, left, right))
+    d = math.lcm(*(t[2] for t in terms))
+    acc = [0] * (len(blocks) * c * c * ncols)
+    for base, num, den, left, right in terms:
+        scale = num * (d // den)
+        right = [(q * ncols + b, rv) for b in range(c) for q in range(c) if (rv := right[b * c + q])]
+        for s in range(c):
+            for a in range(c):
+                if lv := left[s * c + a]:
+                    lv *= scale
+                    at = base + s * c * ncols + a * c
+                    for off, rv in right:
+                        acc[at + off] += lv * rv
+    return Matrix._of_ints(field, len(blocks) * c * c, ncols, acc, d)
 
 
 def tangent_dimension(x: AdhmDatum, sys: EquationSystem) -> int:
@@ -259,10 +275,6 @@ class DimensionExperiment:
     tangent_max: int | None
     histogram: dict
     moduli_histogram: dict
-
-    @property
-    def moduli_min(self) -> int | None:
-        return min(self.moduli_histogram) if self.moduli_histogram else None
 
 
 def dimension_experiment(

@@ -17,7 +17,6 @@ from .adhm import AdhmDatum, is_adhm, krylov_closure
 from .exactalg import (
     Field,
     Matrix,
-    PrimeField,
     ShapeError,
     Subspace,
     _lift,
@@ -219,9 +218,7 @@ def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
         if z:
             for i, j, c in ak:
                 acc[i * cols + j] += c * z
-    if isinstance(field, PrimeField):  # a seeded view holds residues
-        acc = [s % field.p for s in acc]
-    return Matrix._of(field, m.rows, cols, _scalars(field, acc, dz * dc), (acc, dz * dc))
+    return Matrix._of_ints(field, m.rows, cols, acc, dz * dc)
 
 
 @dataclass(frozen=True)

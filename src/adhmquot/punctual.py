@@ -199,9 +199,6 @@ class PathReport:
     permutation: tuple[int, ...]
     input_nilpotent: bool
 
-    def all_stable_commuting(self) -> bool:
-        return all(s.stable and s.commuting for s in self.samples)
-
     def all_flags(self) -> bool:
         return all(s.all_flags for s in self.samples)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
@@ -19,7 +20,10 @@ from adhmquot.exactalg import (
     GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, Subspace, char_poly,
     joint_eigenspaces, kernel_basis, rank, rational_eigenvalues, rref, solve,
 )
-from adhmquot.geometry import EquationSystem, jacobian
+from adhmquot.geometry import (
+    EquationSystem, ResidualError, _equations, _word_products, coordinate_count, jacobian,
+    moduli_dimension_estimate, residual,
+)
 from adhmquot.monad import (
     LinearFormMatrix, alpha0, alpha_minus1, alpha_minus2_p3, compose, evaluate, sample_points,
 )
@@ -949,6 +953,36 @@ def test_rank_matches_reference(m):
 
 
 @st.composite
+def sparse_matrices(draw):
+    """Up to 60 x 40 with at most 15 % nonzeros, some rows sparse combinations of
+    earlier ones: the pivot rows are sparse, so rank updates walk their support."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    rows, cols = draw(st.integers(1, 60)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from((0.02, 0.05, 0.1, 0.15)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+
+    def scalar():
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 7)))
+        return field.coerce(rng.randint(1, 32002))
+
+    grid = [[scalar() if rng.random() < density else field.zero() for _ in range(cols)]
+            for _ in range(rows)]
+    for i in range(2, rows):
+        if rng.random() < 0.2:  # a rank drop that keeps the row sparse
+            a, b = rng.sample(range(i), 2)
+            s = scalar()
+            grid[i] = [s * u + w for u, w in zip(grid[a], grid[b])]
+    return Matrix(field, rows, cols, tuple(x for row in grid for x in row))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_rank_of_sparse_matrices_matches_reference(m):
+    assert rank(m) == len(_reference_echelonize(m.to_rows()))
+
+
+@st.composite
 def phi_cases(draw):
     """A commuting tuple (polynomials in one mixed-denominator or residue matrix) and a polynomial vector."""
     field = draw(st.sampled_from(PRODUCT_FIELDS))
@@ -962,6 +996,29 @@ def phi_cases(draw):
         alpha = tuple(draw(st.integers(0, 2)) for _ in range(n))
         terms[(alpha, draw(st.integers(1, r)))] = _draw_scalar(draw, field)
     return AdhmDatum(n, c, r, bs, vs), PolyVector(n, r, terms)
+
+
+@st.composite
+def matrix_polynomials(draw):
+    """Powers of a mixed-denominator or residue matrix, and up to one coefficient per power."""
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+    c = draw(st.integers(0, 4))
+    powers = _powers(_draw_matrix(draw, field, c, c), max(c, 1))
+    count = len(powers) if draw(st.booleans()) else draw(st.integers(0, len(powers)))
+    return powers, [_draw_scalar(draw, field) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_polynomials())
+def test_matrix_polynomial_matches_scaled_sums(case):
+    powers, coeffs = case
+    expected = Matrix.zero(powers[0].field, powers[0].rows, powers[0].cols)
+    for k, a in enumerate(coeffs):
+        if a:
+            expected = expected + powers[k].scale(a)
+    got = _matrix_polynomial(powers, coeffs)
+    assert _bits(got.entries) == _bits(expected.entries)
+    _assert_trusted(got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1029,6 +1086,141 @@ def small_stable_data(draw, field=None):
 def test_jacobian_matches_the_public_constructor(x, nilpotent):
     sys = EquationSystem(nilpotent=nilpotent and is_nilpotent_tuple(x))
     _assert_trusted(jacobian(x, sys))
+
+
+def _reference_block_value(x: AdhmDatum, block: list, product) -> list:
+    """The earlier block value: word products' entries summed as field scalars."""
+    one = x.field.one()
+    acc = None
+    for coeff, word in block:
+        entries = product(word).entries
+        if coeff != one:
+            entries = [coeff * v for v in entries]
+        acc = entries if acc is None else [a + v for a, v in zip(acc, entries)]
+    return [x.field.zero()] * (x.c * x.c) if acc is None else acc
+
+
+def _reference_jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
+    """The earlier Jacobian: every term L E_ab R added scalar by scalar."""
+    blocks = _equations(x, sys)
+    product = _word_products(x)
+    if any(any(_reference_block_value(x, block, product)) for block in blocks):
+        raise ResidualError("datum does not satisfy the equation system exactly")
+    field = x.field
+    c = x.c
+    zero, one = field.zero(), field.one()
+    rows = [[zero] * coordinate_count(x) for _ in range(len(blocks) * c * c)]
+    for eq, block in enumerate(blocks):
+        for coeff, word in block:
+            for p, k in enumerate(word):
+                left = product(word[:p]).entries
+                right = [(i // c, i % c, rv)
+                         for i, rv in enumerate(product(word[p + 1:]).entries) if rv]
+                for s in range(c):
+                    out = rows[(eq * c + s) * c:(eq * c + s + 1) * c]
+                    for a in range(c):
+                        lv = left[s * c + a]
+                        if not lv:
+                            continue
+                        if coeff != one:
+                            lv = lv * coeff
+                        terms = right if lv == one else [(b, q, lv * rv) for b, q, rv in right]
+                        col = (k * c + a) * c
+                        for b, q, v in terms:
+                            out[q][col + b] += v
+    return Matrix._of(field, len(rows), coordinate_count(x), (v for row in rows for v in row))
+
+
+@st.composite
+def jacobian_cases(draw):
+    """Commuting data over QQ and three primes, often conjugated, with equation
+    systems that often hold: nilpotency on nilpotent data, relations of degree
+    >= c on nilpotent data, and over QQ a rational multiple of B_k's
+    Cayley-Hamilton relation."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 2))
+    nilpotent = draw(st.booleans())
+    try:
+        x = random_datum(n, c, r, draw(st.integers(0, 10**6)), nilpotent=nilpotent, field=field)
+    except GenerationError:
+        assume(False)
+    if field != GF(2) and draw(st.booleans()):
+        # conjugation keeps every relation; over QQ it gives the word
+        # products different denominators
+        x = act(draw(invertible(field, c)), x)
+
+    def coeff():
+        if field == QQ:
+            return Fraction(draw(st.integers(-5, 5)), draw(st.sampled_from((1, 2, 3, 7))))
+        return draw(st.integers(-5, 5))
+
+    relations = []
+    if nilpotent and draw(st.booleans()):
+        # every product of c commuting strictly upper triangular matrices vanishes
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            alpha = [draw(st.integers(0, 2)) for _ in range(n)]
+            alpha[0] += max(c - sum(alpha), 0)
+            terms[(tuple(alpha), 1)] = coeff()
+        relations.append(PolyVector(n, 1, terms))
+    if field == QQ and draw(st.booleans()):
+        k, scale = draw(st.integers(0, n - 1)), coeff()
+        relations.append(PolyVector(n, 1, {
+            (tuple(e if i == k else 0 for i in range(n)), 1): scale * a
+            for e, a in enumerate(char_poly(x.B[k]))
+        }))
+    sys = EquationSystem(
+        commutators=draw(st.booleans()),
+        nilpotent=draw(st.booleans()),
+        nilpotency_power=draw(st.one_of(st.none(), st.integers(1, 5))),
+        variety_relations=tuple(relations),
+    )
+    return x, sys
+
+
+@settings(max_examples=300, deadline=None)
+@given(jacobian_cases())
+def test_jacobian_and_residual_match_reference(case):
+    x, sys = case
+    product = _word_products(x)
+    expected_residual = [v for block in _equations(x, sys)
+                         for v in _reference_block_value(x, block, product)]
+    assert _bits(residual(x, sys)) == _bits(expected_residual)
+    if any(expected_residual):
+        with pytest.raises(ResidualError):
+            jacobian(x, sys)
+        return
+    got, expected = jacobian(x, sys), _reference_jacobian(x, sys)
+    assert (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert _bits(got.entries) == _bits(expected.entries)
+    assert rank(got) == rank(Matrix(x.field, got.rows, got.cols, got.entries))
+
+
+def _square_zero(n: int, c: int, r: int, a: int, field, seed: int) -> AdhmDatum:
+    """B_i = lambda_i I + N_i with N_i mapping the first a coordinates into the
+    last c - a (so every N_i N_j = 0), and r random vectors."""
+    rng = random.Random(seed)
+    bs = []
+    for _ in range(n):
+        lam = rng.randint(-3, 3)
+        bs.append(Matrix(field, c, c, tuple(
+            field.coerce(lam if i == j else rng.randint(-3, 3) if i >= a > j else 0)
+            for i in range(c) for j in range(c)
+        )))
+    vs = tuple(tuple(field.coerce(rng.randint(-3, 3)) for _ in range(c)) for _ in range(r))
+    return AdhmDatum(n, c, r, tuple(bs), vs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("n,c,r,a,moduli", [
+    (4, 4, 2, 2, 16),  # Gerstenhaber's square-zero example
+    (5, 5, 2, 2, 26),
+    (6, 6, 3, 3, 51),
+])
+def test_square_zero_tangent_dimensions(field, n, c, r, a, moduli):
+    x = _square_zero(n, c, r, a, field, seed=2)
+    assert is_adhm(x) and is_stable(x)
+    assert moduli_dimension_estimate(x, EquationSystem()) == moduli
 
 
 @settings(max_examples=150, deadline=None)
