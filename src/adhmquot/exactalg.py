@@ -459,13 +459,14 @@ def _eliminate(field: Field, work: list[list[int]], below_only: bool = False) ->
 
     With ``below_only`` (what :func:`rank` needs) only the rows below the
     pivot are cleared, and only those with a nonzero in the pivot column.
-    They are zero left of it, so a row changes only at the pivot column and
-    at the pivot row's nonzeros after it.  When fewer than half of the pivot
-    row's entries are nonzero, the update walks that support in place;
-    otherwise it is one pass over the row, which costs about as much per
-    entry and has no per-pivot set-up.  Over QQ such a row is kept primitive
-    instead: row <- (pv/g) row - (f/g) pivot row for g = gcd(pv, f), then
-    divided by its gcd.  The returned d is then 1.
+    They are zero left of it, so only their tail from the pivot column on
+    is updated, in place.  Over GF(p) the pivot is 1, so a row changes only
+    at the pivot column and at the pivot row's nonzeros after it, and the
+    update walks that support.  Over QQ the row is kept primitive instead
+    of using Bareiss: tail <- (pv/g) tail - (f/g) pivot tail for
+    g = gcd(pv, f), then divided by its gcd; the factor pv/g rescales the
+    whole tail unless pv divides f, so it is one pass.  The returned d is
+    then 1.
     """
     if not work or not work[0]:
         return [], 1
@@ -490,34 +491,25 @@ def _eliminate(field: Field, work: list[list[int]], below_only: bool = False) ->
         pv = prow[col]
         pivots.append(col)
         if below_only:
-            support = None
-            if 2 * (ncols - prow.count(0)) < ncols:
+            if p is not None:
                 support = [(j, b) for j in range(col + 1, ncols) if (b := prow[j])]
+            else:
+                ptail = prow[col:]
             for i in range(r + 1, nrows):
                 row = work[i]
                 f = row[col]
                 if not f:
                     continue
                 if p is not None:
-                    if support is None:
-                        work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
-                    else:
-                        row[col] = 0
-                        for j, b in support:
-                            row[j] = (row[j] - f * b) % p
+                    row[col] = 0
+                    for j, b in support:
+                        row[j] = (row[j] - f * b) % p
                     continue
                 g = gcd(pv, f)
                 s, f = pv // g, f // g
-                if support is None:
-                    work[i] = row = [s * a - f * b for a, b in zip(row, prow)]
-                else:
-                    if s != 1:
-                        row[col + 1:] = [s * a for a in row[col + 1:]]
-                    row[col] = 0
-                    for j, b in support:
-                        row[j] -= f * b
-                if (g := gcd(*row)) > 1:
-                    work[i] = [a // g for a in row]
+                row[col:] = tail = [s * a - f * b for a, b in zip(row[col:], ptail)]
+                if (g := gcd(*tail)) > 1:
+                    row[col:] = [a // g for a in tail]
         else:
             for i in range(nrows):
                 if i == r:
@@ -560,15 +552,9 @@ def rank(m: Matrix) -> int:
 
 
 def _vector_ints(field: Field, ambient_dim: int, vec: Sequence) -> list[int]:
-    """vec coerced into field and lifted to ints; the common denominator is dropped.
-
-    A vector of ints (such as a :class:`SpanBuilder` row) is its own lift,
-    reduced mod p over GF(p), so it skips the coercion into scalars.
-    """
+    """vec coerced into field and lifted to ints; the common denominator is dropped."""
     if len(vec) != ambient_dim:
         raise ShapeError("vector length does not match ambient dimension")
-    if all(type(x) is int for x in vec):
-        return [x % field.p for x in vec] if isinstance(field, PrimeField) else list(vec)
     return _lift(field, [field.coerce(x) for x in vec])[0]
 
 
@@ -690,7 +676,6 @@ class SpanBuilder:
         return not any(self._residue(vec))
 
     def to_subspace(self) -> Subspace:
-        """The span; ``from_vectors`` eliminates copies of the int rows as they are."""
         return Subspace.from_vectors(self.field, self.ambient_dim, self._rows)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .adhm import AdhmDatum, _matrix_polynomial, _powers, commutator_pairs, is_stable
 from .exactalg import QQ, Field, Matrix, PrimeField, ShapeError, _lift, _scalars, rank
@@ -131,7 +132,8 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
     after it, the unit E_ab in B_k changes the word by L E_ab R, whose entry
     (s, q) is L[s][a] R[b][q].  The terms are summed as ints, read off the
     cached int views of the coefficients and of L and R, over one common
-    denominator d, and the matrix is built from them once.
+    denominator d, and the matrix is built from them once, converting only
+    its nonzero sums.
     """
     blocks = _equations(x, sys)
     product = _word_products(x)
@@ -161,7 +163,17 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
                     at = base + s * c * ncols + a * c
                     for off, rv in right:
                         acc[at + off] += lv * rv
-    return Matrix._of_ints(field, len(blocks) * c * c, ncols, acc, d)
+    # the matrix is sparse: reduce and convert only the nonzero sums
+    nonzero = list(compress(range(len(acc)), acc))
+    sums = [acc[k] for k in nonzero]
+    if isinstance(field, PrimeField):
+        sums = [s % field.p for s in sums]
+        for k, s in zip(nonzero, sums):
+            acc[k] = s
+    entries = [field.zero()] * len(acc)
+    for k, value in zip(nonzero, _scalars(field, sums, d)):
+        entries[k] = value
+    return Matrix._of(field, len(blocks) * c * c, ncols, entries, (acc, d))
 
 
 def tangent_dimension(x: AdhmDatum, sys: EquationSystem) -> int:
