@@ -233,15 +233,13 @@ def equivalence(x: AdhmDatum, y: AdhmDatum, *, search_seed: int = 2024) -> Matri
     homogeneous = kernel_basis(coeff)
     hbasis = [as_matrix(homogeneous.basis.row_tuple(i)) for i in range(homogeneous.dim)]
     for h in hbasis:
-        for s in (field.one(), -field.one()):
-            cand = g0 + h.scale(s)
+        for s in (1, -1):
+            cand = _linear_combination([g0, h], [1, s])
             if cand.inverse() is not None:
                 return cand
     rng = random.Random(search_seed)
     for _ in range(64):
-        cand = g0
-        for h in hbasis:
-            cand = cand + h.scale(field.coerce(rng.randint(-3, 3)))
+        cand = _linear_combination([g0, *hbasis], [1, *(rng.randint(-3, 3) for _ in hbasis)])
         if cand.inverse() is not None:
             return cand
     return None
@@ -255,21 +253,23 @@ def _powers(t: Matrix, count: int) -> list[Matrix]:
     return powers
 
 
-def _matrix_polynomial(powers: Sequence[Matrix], coeffs: Sequence) -> Matrix:
-    """The sum of coeffs[k] * powers[k]; the zero matrix for no coefficients.
+def _linear_combination(matrices: Sequence[Matrix], coeffs: Sequence) -> Matrix:
+    """The sum of coeffs[k] * matrices[k], for up to one coefficient per
+    matrix; the zero matrix of their shape for no coefficients.
 
     Summed as ints on the cached int views of the coefficients and of the
-    powers, over one common denominator, and turned into scalars once.
+    matrices, over one common denominator, into a matrix whose scalars are
+    made on first read.
     """
-    field = powers[0].field
+    field, rows, cols = matrices[0].field, matrices[0].rows, matrices[0].cols
     nums, dc = _lift(field, [field.coerce(a) for a in coeffs])
-    terms = [(a, powers[k]._lifted) for k, a in enumerate(nums) if a]
-    d = math.lcm(*(dp for _, (_, dp) in terms))
-    acc = [0] * (powers[0].rows * powers[0].cols)
-    for a, (ints, dp) in terms:
-        a *= d // dp
+    terms = [(a, matrices[k]._lifted) for k, a in enumerate(nums) if a]
+    d = math.lcm(*(dm for _, (_, dm) in terms))
+    acc = [0] * (rows * cols)
+    for a, (ints, dm) in terms:
+        a *= d // dm
         acc = [s + a * v for s, v in zip(acc, ints)]
-    return Matrix._of_ints(field, powers[0].rows, powers[0].cols, acc, d * dc)
+    return Matrix._of_ints(field, rows, cols, acc, d * dc)
 
 
 def _random_commuting_block(
@@ -305,7 +305,7 @@ def _random_commuting_block(
         coeffs = [rng.randint(-bound, bound) for _ in range(c)]
         if nilpotent:
             coeffs[0] = 0
-        bs.append(_matrix_polynomial(powers, coeffs))
+        bs.append(_linear_combination(powers, coeffs))
     return tuple(bs)
 
 

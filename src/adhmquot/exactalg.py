@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -226,7 +227,12 @@ Scalar = Union[Fraction, GFElement]
 class Matrix:
     """Dense matrix with row-major entries over a single exact field.
 
-    Degenerate shapes (0 x k and k x 0) are legal and have rank 0.
+    Degenerate shapes (0 x k and k x 0) are legal and have rank 0.  A
+    matrix built from int sums (:meth:`_of_ints`: evaluated monad maps,
+    Jacobians, matrix polynomials) holds only its int view and makes its
+    scalar ``entries`` on their first read.  ==, hash and repr read them,
+    and a pickled or copied matrix keeps its int view, so such a matrix is
+    indistinguishable from one the constructor builds on the same scalars.
     """
 
     field: Field
@@ -262,11 +268,39 @@ class Matrix:
 
     @classmethod
     def _of_ints(cls, field: Field, rows: int, cols: int, ints: list[int], d: int) -> "Matrix":
-        """The matrix of the row-major entries ints[k] / d, built once from
-        int sums, whose cached int view they seed (reduced mod p over GF(p))."""
+        """The matrix of the row-major entries ints[k] / d, built from int sums.
+
+        The ints become the cached int view as they are, reduced mod p in
+        place over GF(p) (only the nonzero sums are touched); the scalar
+        entries are made on their first read, so a caller that only reads
+        the int view, such as :func:`rank`, never builds them.
+        """
         if isinstance(field, PrimeField):
-            ints = [s % field.p for s in ints]
-        return cls._of(field, rows, cols, _scalars(field, ints, d), (ints, d))
+            p = field.p
+            for k in compress(range(len(ints)), ints):
+                ints[k] %= p
+        m = object.__new__(cls)
+        m.__dict__.update(field=field, rows=rows, cols=cols, _lifted=(ints, d))
+        return m
+
+    def __getattr__(self, name: str):
+        """Make ``entries`` of a matrix from :meth:`_of_ints` on first read.
+
+        Runs only for names missing from the instance ``__dict__``; every
+        other name, and ``entries`` without an int view, is an AttributeError.
+        """
+        lifted = self.__dict__.get("_lifted")
+        if name != "entries" or lifted is None:
+            raise AttributeError(name)
+        ints, d = lifted
+        field = self.field
+        if isinstance(field, PrimeField):  # residues, reduced by _of_ints
+            zero, p = field.zero(), field.p
+            entries = tuple(GFElement(s, p) if s else zero for s in ints)
+        else:
+            entries = tuple(_scalars(field, ints, d))
+        self.__dict__["entries"] = entries
+        return entries
 
     @cached_property
     def _lifted(self) -> tuple[list[int], int]:
@@ -771,7 +805,9 @@ def rational_factorization(
     product of the (z - root)^multiplicity, so it keeps the leading
     coefficient.  The irreducible factors of the remainder are primitive
     integer polynomials in the same layout, with multiplicities, in sympy's
-    order.  All three are read off one factorization over QQ (sympy); a
+    order.  All three are read off one factorization over ZZ (sympy's
+    ``dup_factor_list`` on the integer coefficients, the routine behind
+    ``Poly.factor_list``), and the remainder is multiplied out on ints; a
     linear input needs none.
     """
     work = [Fraction(c) for c in coeffs]
@@ -782,29 +818,41 @@ def rational_factorization(
     if len(work) == 2:  # a_1 z + a_0 = a_1 (z - root)
         a0, a1 = work
         return [(-a0 / a1, 1)], (a1,), []
-    import sympy
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_factor_list
 
-    z = sympy.Symbol("z")
     scale = math.lcm(*(c.denominator for c in work))
     ints = [c.numerator * (scale // c.denominator) for c in reversed(work)]
-    content, factors = sympy.Poly.from_list(ints, z, domain=sympy.ZZ).factor_list()
-    # work = (content / scale) * prod(factor^mult); a linear factor a z + b
-    # is a (z - root), so the remainder collects the a's and the rest
+    content, factors = dup_factor_list(ints, ZZ)
+    # work = (content / scale) * prod(factor^mult), factors leading term
+    # first; a linear factor a z + b is a (z - root), so the remainder
+    # collects the a's and the other factors
     lead = Fraction(int(content), scale)
-    rest = sympy.Poly(1, z, domain=sympy.ZZ)
+    rest = [1]
     roots: list[tuple[Fraction, int]] = []
     irreducible: list[tuple[tuple[int, ...], int]] = []
     for factor, mult in factors:
-        if factor.degree() == 1:
-            a, b = (int(c) for c in factor.all_coeffs())
+        if len(factor) == 2:
+            a, b = (int(c) for c in factor)
             roots.append((Fraction(-b, a), mult))
             lead *= a**mult
         else:
-            rest *= factor**mult
-            irreducible.append((tuple(int(c) for c in reversed(factor.all_coeffs())), mult))
+            low_first = tuple(int(c) for c in reversed(factor))
+            irreducible.append((low_first, mult))
+            for _ in range(mult):
+                rest = _poly_product(rest, low_first)
     roots.sort(key=lambda rm: (rm[0] != 0, rm[0]))
-    remainder = tuple(lead * int(c) for c in reversed(rest.all_coeffs()))
-    return roots, remainder, irreducible
+    return roots, tuple(lead * c for c in rest), irreducible
+
+
+def _poly_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials, same layout."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...]]:

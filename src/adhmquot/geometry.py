@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress
 
-from .adhm import AdhmDatum, _matrix_polynomial, _powers, commutator_pairs, is_stable
+from .adhm import AdhmDatum, _linear_combination, _powers, commutator_pairs, is_stable
 from .exactalg import QQ, Field, Matrix, PrimeField, ShapeError, _lift, _scalars, rank
 
 
@@ -132,8 +131,8 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
     after it, the unit E_ab in B_k changes the word by L E_ab R, whose entry
     (s, q) is L[s][a] R[b][q].  The terms are summed as ints, read off the
     cached int views of the coefficients and of L and R, over one common
-    denominator d, and the matrix is built from them once, converting only
-    its nonzero sums.
+    denominator d, and the matrix is built from them once; its scalars are
+    made only if read, which :func:`rank` does not.
     """
     blocks = _equations(x, sys)
     product = _word_products(x)
@@ -163,17 +162,7 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
                     at = base + s * c * ncols + a * c
                     for off, rv in right:
                         acc[at + off] += lv * rv
-    # the matrix is sparse: reduce and convert only the nonzero sums
-    nonzero = list(compress(range(len(acc)), acc))
-    sums = [acc[k] for k in nonzero]
-    if isinstance(field, PrimeField):
-        sums = [s % field.p for s in sums]
-        for k, s in zip(nonzero, sums):
-            acc[k] = s
-    entries = [field.zero()] * len(acc)
-    for k, value in zip(nonzero, _scalars(field, sums, d)):
-        entries[k] = value
-    return Matrix._of(field, len(blocks) * c * c, ncols, entries, (acc, d))
+    return Matrix._of_ints(field, len(blocks) * c * c, ncols, acc, d)
 
 
 def tangent_dimension(x: AdhmDatum, sys: EquationSystem) -> int:
@@ -231,9 +220,9 @@ def sample_generic_commuting(
         powers = _powers(t, c)
         scale = field.coerce(rng.choice([1, -1]) * rng.randint(1, 3))
         shift = field.coerce(rng.randint(-3, 3))
-        bs = [t.scale(scale) + powers[0].scale(shift)]
+        bs = [_linear_combination([powers[0], t], [shift, scale])]
         for _ in range(n - 1):
-            bs.append(_matrix_polynomial(powers, [rng.randint(-3, 3) for _ in range(c)]))
+            bs.append(_linear_combination(powers, [rng.randint(-3, 3) for _ in range(c)]))
         vs = tuple(
             tuple(field.coerce(rng.randint(-3, 3)) for _ in range(c)) for _ in range(r)
         )
@@ -270,7 +259,7 @@ def sample_punctual(
             if c >= 2:
                 coeffs = [0, rng.choice([1, -1]) * rng.randint(1, 3)]
                 coeffs += [rng.randint(-2, 2) for _ in range(2, c)]
-            bs.append(_matrix_polynomial(powers, coeffs))
+            bs.append(_linear_combination(powers, coeffs))
         vs = tuple(
             tuple(field.coerce(rng.randint(-3, 3)) for _ in range(c)) for _ in range(r)
         )

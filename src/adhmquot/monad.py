@@ -108,7 +108,8 @@ class QuadraticFormMatrix:
 def _assemble(x: AdhmDatum, grid: Sequence[Sequence]) -> list[dict]:
     """Coefficient matrices of a grid of c x c blocks.
 
-    A cell is None (a zero block) or (sign, i), the block sign (B_i z_n - z_i).
+    A cell is None (a zero block) or (sign, i) with sign = +-1, the block
+    sign (B_i z_n - z_i); the sign flips the entries, with no product.
     """
     n, c = x.n, x.c
     coeffs: list[dict] = [{} for _ in range(n + 1)]
@@ -117,13 +118,13 @@ def _assemble(x: AdhmDatum, grid: Sequence[Sequence]) -> list[dict]:
             if cell is None:
                 continue
             sign, i = cell
-            s = x.field.coerce(sign)
+            diagonal = x.field.coerce(-sign)
             r0, c0 = block_row * c, block_col * c
             for a in range(c):
-                coeffs[i][(r0 + a, c0 + a)] = -s
+                coeffs[i][(r0 + a, c0 + a)] = diagonal
                 for b, value in enumerate(x.B[i].row_tuple(a)):
                     if value:
-                        coeffs[n][(r0 + a, c0 + b)] = s * value
+                        coeffs[n][(r0 + a, c0 + b)] = value if sign > 0 else -value
     return coeffs
 
 
@@ -200,9 +201,9 @@ def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
 
     The sums run on Python ints: the point is lifted over one common
     denominator (residues over GF(p)) and multiplied into the form
-    matrix's cached lifted coefficients, and each entry becomes one scalar
-    at the end.  The sums seed the result's cached int view, so a rank
-    of the result reads them without lifting again.
+    matrix's cached lifted coefficients.  The sums are the result's int
+    view, so a rank of the result reads them without lifting again, and
+    its scalar entries are made only if read.
     """
     field = m.field
     pt = tuple(field.coerce(z) for z in point)

@@ -330,6 +330,103 @@ def test_linear_factorization_needs_no_sympy(monkeypatch, coeffs, root):
     assert rational_roots(coeffs) == _reference_rational_roots(coeffs)
 
 
+def _reference_rational_factorization(coeffs):
+    """The earlier body of rational_factorization, on sympy Poly objects."""
+    import sympy
+
+    work = [Fraction(c) for c in coeffs]
+    while len(work) > 1 and not work[-1]:
+        work.pop()
+    if len(work) <= 1:
+        return [], tuple(work), []
+    if len(work) == 2:
+        a0, a1 = work
+        return [(-a0 / a1, 1)], (a1,), []
+    z = sympy.Symbol("z")
+    scale = math.lcm(*(c.denominator for c in work))
+    ints = [c.numerator * (scale // c.denominator) for c in reversed(work)]
+    content, factors = sympy.Poly.from_list(ints, z, domain=sympy.ZZ).factor_list()
+    lead = Fraction(int(content), scale)
+    rest = sympy.Poly(1, z, domain=sympy.ZZ)
+    roots, irreducible = [], []
+    for factor, mult in factors:
+        if factor.degree() == 1:
+            a, b = (int(c) for c in factor.all_coeffs())
+            roots.append((Fraction(-b, a), mult))
+            lead *= a**mult
+        else:
+            rest *= factor**mult
+            irreducible.append((tuple(int(c) for c in reversed(factor.all_coeffs())), mult))
+    roots.sort(key=lambda rm: (rm[0] != 0, rm[0]))
+    remainder = tuple(lead * int(c) for c in reversed(rest.all_coeffs()))
+    return roots, remainder, irreducible
+
+
+def _typed(result):
+    """A factorization with every number tagged by its type, so 2 and Fraction(2) differ."""
+    roots, remainder, irreducible = result
+    tag = lambda v: (type(v).__name__, v)  # noqa: E731
+    return (
+        [(tag(root), tag(mult)) for root, mult in roots],
+        tuple(tag(c) for c in remainder),
+        [(tuple(tag(c) for c in f), tag(mult)) for f, mult in irreducible],
+    )
+
+
+def _power(poly, e):
+    out = [Fraction(1)]
+    for _ in range(e):
+        out = poly_mul(out, poly)
+    return out
+
+
+_FACTORIZATION_CASES = [
+    (),
+    (Fraction(0),),
+    (Fraction(-7, 3),),
+    (Fraction(0), Fraction(0)),
+    (Fraction(3, 4), Fraction(-1, 2)),
+    (Fraction(2), Fraction(5), Fraction(0), Fraction(0)),  # trailing zeros: degree 1
+    # linear factors with rational roots, 0 and repeated roots included
+    tuple(poly_mul(poly_mul(_power([Fraction(0), Fraction(1)], 2), _power([Fraction(-1), Fraction(2)], 3)),
+                   [Fraction(3), Fraction(1)])),
+    # irreducible quadratic and cubic, each with multiplicity >= 2, times a root
+    tuple(poly_mul(poly_mul(_power([Fraction(1), Fraction(0), Fraction(1)], 2),
+                            _power([Fraction(-2), Fraction(0), Fraction(0), Fraction(1)], 3)),
+                   [Fraction(-5), Fraction(7)])),
+    # a non-monic rational leading coefficient, a square of an irreducible
+    # quadratic with a non-unit leading coefficient, and a trailing zero
+    tuple(poly_mul(poly_mul([Fraction(-3, 7)], _power([Fraction(5), Fraction(1), Fraction(3)], 2)),
+                   [Fraction(0), Fraction(4, 9)])) + (Fraction(0),),
+    # the incomplete support of `gen --n 2 --c 4 --r 1 --unstable --seed 1`
+    (Fraction(405), Fraction(45), Fraction(1)),
+]
+
+
+@pytest.mark.parametrize("coeffs", _FACTORIZATION_CASES)
+def test_rational_factorization_matches_the_poly_reference(coeffs):
+    got = exactalg.rational_factorization(coeffs)
+    assert _typed(got) == _typed(_reference_rational_factorization(coeffs))
+    assert rational_roots(coeffs) == got[:2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_factorization_matches_the_poly_reference_on_random_products(seed):
+    rng = random.Random(900 + seed)
+    for _ in range(30):
+        poly = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))]
+        for _ in range(rng.randint(0, 3)):
+            linear = [Fraction(rng.choice((0, 1, -1, 2, -3))), Fraction(rng.randint(1, 4))]
+            poly = poly_mul(poly, _power(linear, rng.randint(1, 2)))
+        for _ in range(rng.randint(0, 2)):
+            degree = rng.choice((2, 3))
+            factor = [Fraction(rng.randint(-4, 4)) for _ in range(degree)] + [Fraction(rng.randint(1, 3))]
+            poly = poly_mul(poly, _power(factor, rng.randint(1, 2)))
+        poly += [Fraction(0)] * rng.randint(0, 1)
+        got = exactalg.rational_factorization(poly)
+        assert _typed(got) == _typed(_reference_rational_factorization(poly))
+
+
 def test_rational_roots_large_constant_term():
     # no real roots (every term dominates the next), and a constant term whose
     # divisors are too many to try one by one

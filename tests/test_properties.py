@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adhmquot import monad, quotmod
+from adhmquot import exactalg, monad, quotmod
 from adhmquot.adhm import (
-    AdhmDatum, GenerationError, _krylov_layers, _matrix_polynomial, _powers, act, equivalence,
+    AdhmDatum, GenerationError, _krylov_layers, _linear_combination, _powers, act, equivalence,
     is_adhm, is_stable, krylov_closure, random_datum,
 )
 from adhmquot.exactalg import (
@@ -988,7 +990,7 @@ def phi_cases(draw):
     field = draw(st.sampled_from(PRODUCT_FIELDS))
     n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 2))
     powers = _powers(_draw_matrix(draw, field, c, c), c)
-    bs = tuple(_matrix_polynomial(powers, [_draw_scalar(draw, field) for _ in range(c)])
+    bs = tuple(_linear_combination(powers, [_draw_scalar(draw, field) for _ in range(c)])
                for _ in range(n))
     vs = tuple(tuple(_draw_scalar(draw, field) for _ in range(c)) for _ in range(r))
     terms = {}
@@ -1016,7 +1018,7 @@ def test_matrix_polynomial_matches_scaled_sums(case):
     for k, a in enumerate(coeffs):
         if a:
             expected = expected + powers[k].scale(a)
-    got = _matrix_polynomial(powers, coeffs)
+    got = _linear_combination(powers, coeffs)
     assert _bits(got.entries) == _bits(expected.entries)
     _assert_trusted(got)
 
@@ -1062,6 +1064,56 @@ def test_rank_of_an_evaluation_reads_reduced_residues(p):
     assert a.is_zero() and rank(a) == 0 == rank(Matrix(field, 2, 2, a.entries))
     b = evaluate(m, (one,) * (p - 1) + (field.coerce(2),))
     assert rank(b) == 1 == rank(Matrix(field, 2, 2, b.entries))
+
+
+@st.composite
+def int_sums(draw):
+    """Row-major int sums over one denominator: over QQ often not in lowest
+    terms, over GF(p) negative and past p."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    ints = draw(st.lists(st.integers(-5, 5) | st.integers(-10**6, 10**6),
+                         min_size=rows * cols, max_size=rows * cols))
+    d = draw(st.sampled_from((1, 2, 6, 7))) if field == QQ else 1
+    return field, rows, cols, ints, d
+
+
+def _same_matrix(m: Matrix, public: Matrix) -> None:
+    assert m == public and hash(m) == hash(public) and repr(m) == repr(public)
+    assert _bits(m.entries) == _bits(public.entries)
+    _assert_trusted(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_sums())
+def test_entries_made_on_first_read_match_the_public_constructor(case):
+    field, rows, cols, ints, d = case
+    scalars = [Fraction(s, d) for s in ints] if field == QQ else [field.coerce(s) for s in ints]
+    public = Matrix(field, rows, cols, tuple(scalars))
+    unread = [Matrix._of_ints(field, rows, cols, list(ints), d) for _ in range(3)]
+    assert not any("entries" in vars(m) for m in unread)
+    # copies made before the first read keep the int view and make the same entries
+    pickled, copied = pickle.loads(pickle.dumps(unread[1])), copy.deepcopy(unread[2])
+    for m in (*unread, pickled, copied):
+        _same_matrix(m, public)
+    # and so do copies of a matrix whose entries were read
+    read = unread[0]
+    for m in (pickle.loads(pickle.dumps(read)), copy.deepcopy(read)):
+        _same_matrix(m, public)
+    with pytest.raises(AttributeError):
+        read.no_such_attribute
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_rank_of_an_evaluation_builds_no_scalars(field):
+    x = random_datum(3, 3, 2, seed=5, stable=False, field=field)
+    a0 = alpha0(x)
+    with mock.patch("adhmquot.exactalg._scalars", wraps=exactalg._scalars) as made:
+        evaluated = [evaluate(a0, pt) for pt in sample_points(x, 8, seed=1)]
+        ranks = [rank(m) for m in evaluated]
+    assert made.call_count == 0
+    assert not any("entries" in vars(m) for m in evaluated)
+    assert ranks == [rank(Matrix(field, m.rows, m.cols, m.entries)) for m in evaluated]
 
 
 # ------------------------------------------------ round trip and reduction mod p
@@ -1379,7 +1431,7 @@ def commuting_qq_data(draw):
         return tuple(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)))
 
     powers = _powers(Matrix(QQ, c, c, small(c * c)), c)
-    bs = tuple(_matrix_polynomial(powers, small(c)) for _ in range(n))
+    bs = tuple(_linear_combination(powers, small(c)) for _ in range(n))
     return AdhmDatum(n, c, r, bs, tuple(small(c) for _ in range(r)))
 
 
