@@ -283,25 +283,6 @@ class Matrix:
         m.__dict__.update(field=field, rows=rows, cols=cols, _lifted=(ints, d))
         return m
 
-    def __getattr__(self, name: str):
-        """Make ``entries`` of a matrix from :meth:`_of_ints` on first read.
-
-        Runs only for names missing from the instance ``__dict__``; every
-        other name, and ``entries`` without an int view, is an AttributeError.
-        """
-        lifted = self.__dict__.get("_lifted")
-        if name != "entries" or lifted is None:
-            raise AttributeError(name)
-        ints, d = lifted
-        field = self.field
-        if isinstance(field, PrimeField):  # residues, reduced by _of_ints
-            zero, p = field.zero(), field.p
-            entries = tuple(GFElement(s, p) if s else zero for s in ints)
-        else:
-            entries = tuple(_scalars(field, ints, d))
-        self.__dict__["entries"] = entries
-        return entries
-
     @cached_property
     def _lifted(self) -> tuple[list[int], int]:
         """The entries lifted once, (ints, d) as :func:`_lift` gives them.
@@ -426,6 +407,26 @@ class Matrix:
         if len(pivots) < n or any(p >= n for p in pivots):
             return None
         return Matrix._of(field, n, n, _scalars(field, [a for row in work for a in row[n:]], d))
+
+
+def _entries_from_ints(m: Matrix) -> tuple:
+    """The scalar entries of a matrix from :meth:`Matrix._of_ints`, made from
+    its int view on their first read."""
+    ints, d = m._lifted
+    field = m.field
+    if isinstance(field, PrimeField):  # residues, reduced by _of_ints
+        zero, p = field.zero(), field.p
+        return tuple(GFElement(s, p) if s else zero for s in ints)
+    return tuple(_scalars(field, ints, d))
+
+
+# Set once the dataclass is made, so that it is not taken for the field's
+# default.  A cached_property is a non-data descriptor: the entries every
+# other matrix keeps in its __dict__ shadow it and are read as fast as
+# before, where a __getattr__ would slow every attribute read of every
+# matrix.
+Matrix.entries = cached_property(_entries_from_ints)
+Matrix.entries.__set_name__(Matrix, "entries")
 
 
 def _lift(field: Field, values: Sequence) -> tuple[list[int], int]:

@@ -1100,8 +1100,6 @@ def test_entries_made_on_first_read_match_the_public_constructor(case):
     read = unread[0]
     for m in (pickle.loads(pickle.dumps(read)), copy.deepcopy(read)):
         _same_matrix(m, public)
-    with pytest.raises(AttributeError):
-        read.no_such_attribute
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)])
