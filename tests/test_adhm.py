@@ -165,6 +165,22 @@ def test_equivalence_on_unstable_orbit():
     assert act(h, x) == y
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_equivalence_search_reaches_random_combinations(field):
+    # the homogeneous solutions h_1, h_2 leave g0 and every g0 +- h_k
+    # singular, so only a random combination of all three is invertible
+    rng = random.Random(0)
+    x = random_datum(2, 2, 1, seed=0, stable=False, field=field)
+    while True:
+        g = Matrix(field, 2, 2, tuple(field.coerce(rng.randint(-2, 2)) for _ in range(4)))
+        if g.inverse() is not None:
+            break
+    y = act(g, x)
+    h = equivalence(x, y)
+    assert h is not None
+    assert act(h, x) == y
+
+
 def test_equivalence_shape_mismatch():
     x = random_datum(2, 2, 1, seed=5)
     y = random_datum(2, 3, 1, seed=5)

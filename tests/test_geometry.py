@@ -24,7 +24,7 @@ from adhmquot.geometry import (
 )
 from adhmquot.quotmod import PolyVector
 
-from helpers import datum
+from helpers import datum, mat
 
 COMMUTATORS = EquationSystem(commutators=True)
 PUNCTUAL = EquationSystem(commutators=True, nilpotent=True)
@@ -198,6 +198,14 @@ def test_generic_n2_tangent_dimension(c, r):
     x = sample_generic_commuting(2, c, r, rng)
     assert tangent_dimension(x, COMMUTATORS) == c * c + c + r * c
     assert moduli_dimension_estimate(x, COMMUTATORS) == c * (r + 1)
+
+
+def test_generic_sampler_draws_are_pinned():
+    # B_0 = shift I + scale T for the drawn shift and scale: how it is
+    # summed must not move a single draw
+    x = sample_generic_commuting(2, 2, 1, random.Random(0))
+    assert x.B == (mat([[-12, -36], [0, 0]]), mat([[5, 18], [0, -1]]))
+    assert x.v == ((Fraction(-2), Fraction(1)),)
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 2), (4, 3)])
