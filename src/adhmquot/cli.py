@@ -47,8 +47,10 @@ def _load_datum(path: str) -> adhm.AdhmDatum:
 
 
 def _emit(report: Any, summary: str) -> None:
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # print writes the newline on its own: on an unbuffered stdout (python -u,
+    # PYTHONUNBUFFERED) a write cut short by a reader that left raises
+    # nothing, and only the next write sees the closed pipe
+    print(json.dumps(report, indent=2, sort_keys=True))
     sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
     print(summary, file=sys.stderr)
 

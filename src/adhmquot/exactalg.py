@@ -397,12 +397,8 @@ class Matrix:
         if self.rows != self.cols:
             raise ShapeError("inverse of a non-square matrix")
         n, field = self.rows, self.field
-        zero, one = field.zero(), field.one()
-        aug = Matrix._of(field, n, 2 * n, (
-            x for i in range(n)
-            for x in (*self.row_tuple(i), *(one if j == i else zero for j in range(n)))
-        ))
-        work = _int_rows(aug)
+        a, da = self._lifted
+        work = [a[i * n : (i + 1) * n] + [da if j == i else 0 for j in range(n)] for i in range(n)]
         pivots, d = _eliminate(field, work)
         if len(pivots) < n or any(p >= n for p in pivots):
             return None
@@ -482,26 +478,23 @@ def _int_rows(m: Matrix) -> list[list[int]]:
 def _eliminate(field: Field, work: list[list[int]], below_only: bool = False) -> tuple[list[int], int]:
     """Gaussian elimination in place on integer rows, the one elimination core.
 
-    Returns the pivot columns and the last pivot d.  Over GF(p) the rows are
-    residues and each pivot row is normalized to 1.  Over QQ each row is
-    first divided by its gcd, as the integers grow with it.
+    Returns the pivot columns and a denominator d.  Each pivot clears the
+    rows below it (``below_only``, what :func:`rank` needs) or every other
+    row (Gauss-Jordan), and of those only the rows with a nonzero in the
+    pivot column.  The pivot row is zero left of its pivot column, so a
+    cleared row changes only from that column on, apart from a rescaling.
 
-    Without ``below_only`` every row is cleared (Gauss-Jordan) and over QQ
-    the update is fraction-free (Bareiss, Math. Comp. 22, 1968): every
-    division by the previous pivot is exact, so the pivot entries all end
-    equal to d and the reduced row echelon form is ``work`` divided by d,
-    its nonzero rows first; over GF(p), d = 1.
+    Over GF(p) the rows are residues and each pivot row is normalized to 1,
+    so a cleared row changes only at the pivot column and at the pivot
+    row's nonzeros after it, and the update walks that support; d = 1.
 
-    With ``below_only`` (what :func:`rank` needs) only the rows below the
-    pivot are cleared, and only those with a nonzero in the pivot column.
-    They are zero left of it, so only their tail from the pivot column on
-    is updated, in place.  Over GF(p) the pivot is 1, so a row changes only
-    at the pivot column and at the pivot row's nonzeros after it, and the
-    update walks that support.  Over QQ the row is kept primitive instead
-    of using Bareiss: tail <- (pv/g) tail - (f/g) pivot tail for
-    g = gcd(pv, f), then divided by its gcd; the factor pv/g rescales the
-    whole tail unless pv divides f, so it is one pass.  The returned d is
-    then 1.
+    Over QQ every row is first divided by its gcd and stays primitive: a
+    cleared row becomes (pv/g) row - (f/g) pivot row for g = gcd(pv, f),
+    divided by its gcd.  A row below the pivot is zero left of the pivot
+    column and is updated from it on; a row above is updated in full.
+    After Gauss-Jordan each pivot row is scaled so that its pivot equals d,
+    the lcm of the pivots, and the reduced row echelon form is ``work``
+    divided by d, its nonzero rows first.  With ``below_only``, d = 1.
     """
     if not work or not work[0]:
         return [], 1
@@ -511,7 +504,6 @@ def _eliminate(field: Field, work: list[list[int]], below_only: bool = False) ->
     if p is None:
         work[:] = [[a // g for a in row] if (g := gcd(*row)) > 1 else row for row in work]
     pivots: list[int] = []
-    d = 1
     for col in range(ncols):
         r = len(pivots)
         if not work[r][col]:
@@ -525,12 +517,15 @@ def _eliminate(field: Field, work: list[list[int]], below_only: bool = False) ->
         prow = work[r]
         pv = prow[col]
         pivots.append(col)
-        if below_only:
-            if p is not None:
-                support = [(j, b) for j in range(col + 1, ncols) if (b := prow[j])]
-            else:
-                ptail = prow[col:]
-            for i in range(r + 1, nrows):
+        if p is not None:
+            support = [(j, b) for j in range(col + 1, ncols) if (b := prow[j])]
+        # (rows, first column updated): the rows below, then those above
+        bands = [(range(r + 1, nrows), col)]
+        if not below_only:
+            bands.append((range(r), 0))
+        for rows, start in bands:
+            ptail = prow[start:]
+            for i in rows:
                 row = work[i]
                 f = row[col]
                 if not f:
@@ -542,25 +537,17 @@ def _eliminate(field: Field, work: list[list[int]], below_only: bool = False) ->
                     continue
                 g = gcd(pv, f)
                 s, f = pv // g, f // g
-                row[col:] = tail = [s * a - f * b for a, b in zip(row[col:], ptail)]
+                row[start:] = tail = [s * a - f * b for a, b in zip(row[start:], ptail)]
                 if (g := gcd(*tail)) > 1:
-                    row[col:] = [a // g for a in tail]
-        else:
-            for i in range(nrows):
-                if i == r:
-                    continue
-                row = work[i]
-                f = row[col]
-                if f:
-                    if p is None:
-                        work[i] = [(pv * a - f * b) // d for a, b in zip(row, prow)]
-                    else:
-                        work[i] = [(a - f * b) % p for a, b in zip(row, prow)]
-                elif pv != d:
-                    work[i] = [pv * a // d for a in row]
-            d = pv
+                    row[start:] = [a // g for a in tail]
         if len(pivots) == nrows:
             break
+    if p is not None or below_only:
+        return pivots, 1
+    d = math.lcm(*(row[c] for row, c in zip(work, pivots)))
+    for row, c in zip(work, pivots):
+        if (s := d // row[c]) != 1:
+            row[:] = [s * a for a in row]
     return pivots, d
 
 
@@ -750,11 +737,8 @@ def solve(a: Matrix, b: Sequence) -> tuple | None:
     if len(b) != a.rows:
         raise ShapeError("right-hand side length does not match row count")
     field, n = a.field, a.cols
-    bvec = [field.coerce(x) for x in b]
-    aug = Matrix._of(field, a.rows, n + 1, (
-        x for i in range(a.rows) for x in (*a.row_tuple(i), bvec[i])
-    ))
-    work = _int_rows(aug)
+    (ints, da), (y, db) = a._lifted, _lift(field, [field.coerce(x) for x in b])
+    work = [[x * db for x in ints[i * n : (i + 1) * n]] + [y[i] * da] for i in range(a.rows)]
     pivots, d = _eliminate(field, work)
     if pivots and pivots[-1] == n:
         return None

@@ -721,3 +721,19 @@ def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path, capsys, flags, 
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def test_a_reader_leaving_mid_document_exits_141_on_an_unbuffered_stdout(tmp_path, capsys):
+    """The ~90 KB document outgrows the pipe, so the reader leaves during its
+    write; unbuffered, that write reports nothing and the next one must."""
+    path = gen_file(tmp_path, capsys, "X.json", "--n", "3", "--c", "8", "--r", "3",
+                    "--stable", "--seed", "1")
+    package_root = str(Path(adhmquot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root, "PYTHONUNBUFFERED": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "adhmquot.cli", "monad", "build", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -957,7 +957,8 @@ def test_rank_matches_reference(m):
 @st.composite
 def sparse_matrices(draw):
     """Up to 60 x 40 with at most 15 % nonzeros, some rows sparse combinations of
-    earlier ones: the pivot rows are sparse, so rank updates walk their support."""
+    earlier ones: the pivot rows are sparse, so the updates of rank and rref walk
+    their support, and rref updates the sparse rows above each pivot."""
     field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
     rows, cols = draw(st.integers(1, 60)), draw(st.integers(1, 40))
     density = draw(st.sampled_from((0.02, 0.05, 0.1, 0.15)))
@@ -981,7 +982,12 @@ def sparse_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices())
 def test_rank_of_sparse_matrices_matches_reference(m):
-    assert rank(m) == len(_reference_echelonize(m.to_rows()))
+    reduced, pivots = rref(m)
+    ref_reduced, ref_pivots = _reference_rref(m)
+    assert pivots == ref_pivots
+    assert (reduced.rows, reduced.cols) == (ref_reduced.rows, ref_reduced.cols)
+    assert _bits(reduced.entries) == _bits(ref_reduced.entries)
+    assert rank(m) == len(ref_pivots)
 
 
 @st.composite
