@@ -253,17 +253,14 @@ class Matrix:
         )
 
     @classmethod
-    def _of(cls, field: Field, rows: int, cols: int, entries: Iterable, lifted=None) -> "Matrix":
+    def _of(cls, field: Field, rows: int, cols: int, entries: Iterable) -> "Matrix":
         """A matrix whose entries are already elements of ``field``, taken as they are.
 
         For results computed from field elements: the public constructor
-        would coerce every entry again.  ``lifted`` seeds the cached int view
-        (residues in [0, p) over GF(p)).
+        would coerce every entry again.
         """
         m = object.__new__(cls)
         m.__dict__.update(field=field, rows=rows, cols=cols, entries=tuple(entries))
-        if lifted is not None:
-            m.__dict__["_lifted"] = lifted
         return m
 
     @classmethod
@@ -614,6 +611,27 @@ class Subspace:
         rows = [_vector_ints(field, ambient_dim, v) for v in vectors]
         return cls(ambient_dim, _rref(field, ambient_dim, rows)[0])
 
+    @cached_property
+    def _pivots(self) -> list[int]:
+        """The pivot column of each basis row, read off the cached int view."""
+        b, n = self.basis._lifted[0], self.ambient_dim
+        return [next(j for j in range(k * n, (k + 1) * n) if b[j]) - k * n for k in range(self.dim)]
+
+    def _contains_ints(self, x: Sequence[int]) -> bool:
+        """Whether ints x (over any denominator, unreduced mod p) span a vector
+        of the subspace: as the basis is in RREF, whether x equals the rows
+        weighted by x at the pivot columns, checked on the basis's int view."""
+        n = self.ambient_dim
+        b, db = self.basis._lifted
+        residue = [db * a for a in x]  # (d * d_basis) * (x / d - combination)
+        for k, piv in enumerate(self._pivots):
+            if f := x[piv]:
+                residue = [s - f * a for s, a in zip(residue, b[k * n : (k + 1) * n])]
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            return not any(s % p for s in residue)
+        return not any(residue)
+
     def contains(self, vec: Sequence) -> bool:
         return self.coordinates(vec) is not None
 
@@ -621,23 +639,12 @@ class Subspace:
         """Coordinates of vec in the basis, or None when vec is outside.
 
         The basis is in RREF, so the coordinates are vec read at the pivot
-        columns; vec lies in the span iff it equals their combination of the
-        rows, checked in one pass over the ints of the basis's cached view.
+        columns.
         """
-        field, n = self.field, self.ambient_dim
-        x = _vector_ints(field, n, vec)
-        b, db = self.basis._lifted
-        residue = [db * a for a in x]  # (d_vec * d_basis) * (vec - combination)
-        pivots = []
-        for k in range(self.dim):
-            row = b[k * n : (k + 1) * n]
-            piv = next(j for j, a in enumerate(row) if a)
-            pivots.append(piv)
-            if f := x[piv]:
-                residue = [s - f * a for s, a in zip(residue, row)]
-        if isinstance(field, PrimeField):
-            residue = [s % field.p for s in residue]
-        return None if any(residue) else tuple(field.coerce(vec[piv]) for piv in pivots)
+        field = self.field
+        if not self._contains_ints(_vector_ints(field, self.ambient_dim, vec)):
+            return None
+        return tuple(field.coerce(vec[piv]) for piv in self._pivots)
 
     def join(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -709,7 +716,8 @@ def kernel_basis(m: Matrix) -> Subspace:
     columns reversed makes every pivot row vanish left of its pivot, so the
     vector built for the free column f has its leading 1 at f and zeros at
     every other free column: these vectors, in increasing f, are already the
-    RREF basis and need no second echelonization.
+    RREF basis and need no second echelonization.  The basis holds their
+    ints (:meth:`Matrix._of_ints`) and makes its scalars on first read.
     """
     n, field = m.cols, m.field
     work = [row[::-1] for row in _int_rows(m)]
@@ -725,7 +733,7 @@ def kernel_basis(m: Matrix) -> Subspace:
         for row, p in zip(work, pivots):
             v[p] = -row[n - 1 - f]
         ints.extend(v)
-    return Subspace(n, Matrix._of(field, n - len(pivots), n, _scalars(field, ints, d)))
+    return Subspace(n, Matrix._of_ints(field, n - len(pivots), n, ints, d))
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:

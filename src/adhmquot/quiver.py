@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
 from .adhm import AdhmDatum, is_adhm, is_stable
-from .exactalg import Matrix, PrimeField, Subspace
+from .exactalg import Matrix, PrimeField, Subspace, _int_rows, _vector_ints
 
 MAX_ENUM_PRIME = 3
 MAX_ENUM_DIM = 3
@@ -71,29 +72,25 @@ def all_subspaces(field: PrimeField, dim: int) -> Iterator[Subspace]:
         raise UnsupportedRangeError(
             f"enumeration supported for p <= {MAX_ENUM_PRIME}, dim <= {MAX_ENUM_DIM}"
         )
-    p = field.p
     yield Subspace.zero(field, dim)
     for k in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), k):
+            # the residues of the row-major basis: 1 at each pivot, free values
+            # right of it outside the pivot columns
+            pivot_ones = [0] * (k * dim)
+            for row, piv in enumerate(pivots):
+                pivot_ones[row * dim + piv] = 1
             free_positions = [
-                (row, col)
+                row * dim + col
                 for row in range(k)
                 for col in range(dim)
                 if col > pivots[row] and col not in pivots
             ]
-            for values in itertools.product(range(p), repeat=len(free_positions)):
-                rows = [[field.zero()] * dim for _ in range(k)]
-                for row, piv in enumerate(pivots):
-                    rows[row][piv] = field.one()
-                for (row, col), val in zip(free_positions, values):
-                    rows[row][col] = field.coerce(val)
-                yield Subspace(dim, Matrix.from_rows(field, rows))
-
-
-def _invariant(space: Subspace, b: Matrix) -> bool:
-    return all(
-        space.contains(b.apply(space.basis.row_tuple(i))) for i in range(space.dim)
-    )
+            for values in itertools.product(range(field.p), repeat=len(free_positions)):
+                ints = pivot_ones.copy()
+                for pos, val in zip(free_positions, values):
+                    ints[pos] = val
+                yield Subspace(dim, Matrix._of_ints(field, k, dim, ints, 1))
 
 
 def enumerate_subreps(rep: QuiverRep) -> set[tuple[int, int]]:
@@ -107,12 +104,18 @@ def enumerate_subreps(rep: QuiverRep) -> set[tuple[int, int]]:
     field = x.field
     if not isinstance(field, PrimeField):
         raise UnsupportedRangeError("the oracle runs over prime fields only")
+    bs = [_int_rows(b) for b in x.B]  # residues, lifted once per datum
+    vs = [_vector_ints(field, x.c, vec) for vec in x.v]
     found: set[tuple[int, int]] = set()
     for space in all_subspaces(field, x.c):
-        if not all(_invariant(space, b) for b in x.B):
+        rows = _int_rows(space.basis)
+        if not all(
+            space._contains_ints([sum(map(mul, b_row, row)) for b_row in b])
+            for b in bs for row in rows
+        ):
             continue
         found.add((space.dim, 0))
-        if all(space.contains(vec) for vec in x.v):
+        if all(space._contains_ints(v) for v in vs):
             found.add((space.dim, 1))
     return found
 

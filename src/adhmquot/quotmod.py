@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .adhm import AdhmDatum, _krylov_layers, is_adhm, is_stable
@@ -60,6 +60,14 @@ class PolyVector:
             if coeff:
                 clean[(alpha, j)] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, n: int, r: int, terms: dict) -> "PolyVector":
+        """A vector whose terms are already clean (exponent tuples of length n,
+        slots in 1..r, nonzero field coefficients), taken as they are."""
+        v = object.__new__(cls)
+        v.__dict__.update(n=n, r=r, terms=terms)
+        return v
 
     def __eq__(self, other):
         if not isinstance(other, PolyVector):
@@ -163,10 +171,14 @@ def _require_adhm(x: AdhmDatum) -> None:
         raise NonCommutingError("the matrices do not commute")
 
 
-def _evaluate(x: AdhmDatum, table: tuple[dict[Term, list[int]], int], p: PolyVector) -> tuple:
+def _evaluate(
+    x: AdhmDatum, table: tuple[dict[Term, list[int]], int], p: PolyVector
+) -> tuple[list[int], int]:
     """sum_j p_j(B) v_j read off a monomial vector table of x covering p's terms.
 
-    The lifted coefficients weight the table's int rows; one scalar per coordinate.
+    Returns (ints, d) with the image equal to ints / d: the lifted
+    coefficients weight the table's int rows.  Over GF(p) the ints are not
+    reduced.
     """
     field = x.field
     rows, d = table
@@ -174,7 +186,7 @@ def _evaluate(x: AdhmDatum, table: tuple[dict[Term, list[int]], int], p: PolyVec
     acc = [0] * x.c
     for term, k in zip(p.terms, coeffs):
         acc = [a + k * b for a, b in zip(acc, rows[term])]
-    return tuple(_scalars(field, acc, d * dc))
+    return acc, d * dc
 
 
 def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
@@ -186,7 +198,8 @@ def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
     _require_adhm(x)
     if p.n != x.n or p.r != x.r:
         raise ShapeError("polynomial vector shape does not match the datum")
-    return _evaluate(x, _monomial_vector_table(x, p.degree()), p)
+    ints, d = _evaluate(x, _monomial_vector_table(x, p.degree()), p)
+    return tuple(_scalars(x.field, ints, d))
 
 
 def kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
@@ -202,14 +215,17 @@ def kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
         (alpha, j) for alpha in monomials_upto(x.n, d) for j in range(1, x.r + 1)
     ]
     columns.sort(key=term_magnitude, reverse=True)
+    width = len(columns)
     table, den = _monomial_vector_table(x, d)
     ints = [table[t][row] for row in range(x.c) for t in columns]
-    kernel = kernel_basis(Matrix._of(x.field, x.c, len(columns), _scalars(x.field, ints, den)))
+    kernel = kernel_basis(Matrix._of_ints(x.field, x.c, width, ints, den))
+    basis, kd = kernel.basis._lifted
     out = []
-    for i in range(kernel.dim):
-        coeffs = kernel.basis.row_tuple(i)
-        terms = {columns[k]: coeff for k, coeff in enumerate(coeffs) if coeff}
-        out.append(PolyVector(x.n, x.r, terms))
+    for start in range(0, kernel.dim * width, width):
+        row = basis[start : start + width]
+        support = [k for k, a in enumerate(row) if a]
+        coeffs = _scalars(x.field, [row[k] for k in support], kd)
+        out.append(PolyVector._of(x.n, x.r, {columns[k]: a for k, a in zip(support, coeffs)}))
     out.reverse()
     return out
 
@@ -261,6 +277,12 @@ def module_from_generators(
     field = _gens_field(gens)
     if degree_cap is None:
         degree_cap = max(2, max((g.degree() for g in gens), default=0)) + 2
+    # each nonzero generator lifted once: the truncation's row space does not
+    # depend on the scale of a row
+    lifted = [
+        (g.degree(), list(zip(g.terms, _lift(field, list(g.terms.values()))[0])))
+        for g in gens if g.terms
+    ]
 
     qdims: list[int] = []
     for d in range(degree_cap + 1):
@@ -269,20 +291,18 @@ def module_from_generators(
         ]
         columns.sort(key=term_magnitude, reverse=True)
         col_index = {t: k for k, t in enumerate(columns)}
-        rows = []
-        for g in gens:
-            gdeg = g.degree()
-            if gdeg < 0 or gdeg > d:
+        ints: list[int] = []
+        nrows = 0
+        for gdeg, terms in lifted:
+            if gdeg > d:
                 continue
             for beta in monomials_upto(n, d - gdeg):
-                shifted = g.times_monomial(beta)
-                row = [field.zero()] * len(columns)
-                for t, coeff in shifted.terms.items():
-                    row[col_index[t]] = coeff
-                rows.append(row)
-        reduced, pivots = rref(
-            Matrix._of(field, len(rows), len(columns), [x for row in rows for x in row])
-        )
+                row = [0] * len(columns)
+                for (alpha, j), a in terms:
+                    row[col_index[(tuple(map(add, alpha, beta)), j)]] = a
+                ints.extend(row)
+                nrows += 1
+        reduced, pivots = rref(Matrix._of_ints(field, nrows, len(columns), ints, 1))
         qdims.append(len(columns) - len(pivots))
         if len(qdims) >= 2 and qdims[-1] == qdims[-2]:
             pivot_set = set(pivots)
@@ -310,7 +330,12 @@ def _certified(datum: AdhmDatum, gens: Sequence[PolyVector]) -> bool:
     if not is_adhm(datum) or not is_stable(datum):
         return False
     table = _monomial_vector_table(datum, max(g.degree() for g in gens))
-    return not any(any(_evaluate(datum, table, g)) for g in gens)
+    p = datum.field.p if isinstance(datum.field, PrimeField) else None
+    for g in gens:
+        ints, _ = _evaluate(datum, table, g)
+        if any(ints) if p is None else any(a % p for a in ints):
+            return False
+    return True
 
 
 def _freeze_quotient(n, r, field, columns, col_index, reduced, pivots, standard) -> AdhmDatum:

@@ -6,14 +6,14 @@ import copy
 import pickle
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from adhmquot import exactalg, monad, quotmod
+from adhmquot import exactalg, monad, quiver, quotmod
 from adhmquot.adhm import (
     AdhmDatum, GenerationError, _krylov_layers, _linear_combination, _powers, act, equivalence,
     is_adhm, is_stable, krylov_closure, random_datum,
@@ -34,8 +34,8 @@ from adhmquot.punctual import (
     is_nilpotent_tuple, support, verify_path,
 )
 from adhmquot.quotmod import (
-    NonCommutingError, PolyVector, hilbert_profile, kernel_basis_up_to_degree,
-    module_from_generators, monomials_of_degree, phi_apply,
+    NonCommutingError, PolyVector, QuotientError, hilbert_profile, kernel_basis_up_to_degree,
+    module_from_generators, monomials_of_degree, monomials_upto, phi_apply, term_magnitude,
 )
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
@@ -1035,11 +1035,12 @@ def test_phi_matches_reference(case):
     x, p = case
     expected = _reference_phi(x, p)
     assert _bits(phi_apply(x, p)) == _bits(expected)
-    # the certificate's path: one table for several generators
+    # the certificate's path: one table for several generators, read on ints
     table = quotmod._monomial_vector_table(x, p.degree() + 1)
-    assert _bits(quotmod._evaluate(x, table, p)) == _bits(expected)
+    assert _bits(exactalg._scalars(x.field, *quotmod._evaluate(x, table, p))) == _bits(expected)
     shifted = p.times_monomial((1,) + (0,) * (x.n - 1))
-    assert _bits(quotmod._evaluate(x, table, shifted)) == _bits(_reference_phi(x, shifted))
+    assert _bits(exactalg._scalars(x.field, *quotmod._evaluate(x, table, shifted))) == \
+        _bits(_reference_phi(x, shifted))
 
 
 def test_cached_view_takes_no_part_in_eq_hash_or_repr():
@@ -1053,7 +1054,7 @@ def test_cached_view_takes_no_part_in_eq_hash_or_repr():
         # a seeded view reads the same values, over QQ also on another denominator
         ints, d = m._lifted
         k = 3 if field == QQ else 1
-        seeded = Matrix._of(field, 2, 2, m.entries, ([k * a for a in ints], k * d))
+        seeded = Matrix._of_ints(field, 2, 2, [k * a for a in ints], k * d)
         assert seeded == m and hash(seeded) == hash(m) and repr(seeded) == before
         assert rank(seeded) == rank(m) and seeded.apply((1, 2)) == m.apply((1, 2))
 
@@ -1485,3 +1486,215 @@ def test_joint_eigenspaces_on_a_jordan_block():
                 assert shifted.apply(leaf.basis.row_tuple(i)) == (QQ.zero(),) * 5
     assert leaves[True] == [((-1,), 2), ((0,), 1)]
     assert leaves[False] == [((-1,), 1), ((0,), 1)]
+
+
+# ------------------------------------------------ the round trip and the quiver oracle on ints
+
+PRESENTATION_FIELDS = [QQ, GF(2), GF(3), GF(32003)]
+
+
+def _reference_kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
+    """The earlier presentation: a scalar matrix, and every kernel coordinate read as a scalar."""
+    columns = [(alpha, j) for alpha in monomials_upto(x.n, d) for j in range(1, x.r + 1)]
+    columns.sort(key=term_magnitude, reverse=True)
+    table, den = quotmod._monomial_vector_table(x, d)
+    ints = [table[t][row] for row in range(x.c) for t in columns]
+    kernel = kernel_basis(Matrix(x.field, x.c, len(columns), exactalg._scalars(x.field, ints, den)))
+    out = []
+    for i in range(kernel.dim):
+        coeffs = kernel.basis.row_tuple(i)
+        out.append(PolyVector(x.n, x.r, {columns[k]: a for k, a in enumerate(coeffs) if a}))
+    out.reverse()
+    return out
+
+
+def _reference_certified(datum: AdhmDatum, gens) -> bool:
+    """The earlier certificate: every generator's image evaluated in scalars."""
+    if not is_adhm(datum) or not is_stable(datum):
+        return False
+    return not any(any(_reference_phi(datum, g)) for g in gens)
+
+
+def _reference_module_from_generators(n: int, r: int, gens, degree_cap=None) -> AdhmDatum:
+    """The earlier build: each generator shifted by times_monomial into a row of scalars."""
+    field = quotmod._gens_field(gens)
+    if degree_cap is None:
+        degree_cap = max(2, max((g.degree() for g in gens), default=0)) + 2
+    qdims: list[int] = []
+    for d in range(degree_cap + 1):
+        columns = [(alpha, j) for alpha in monomials_upto(n, d) for j in range(1, r + 1)]
+        columns.sort(key=term_magnitude, reverse=True)
+        col_index = {t: k for k, t in enumerate(columns)}
+        rows = []
+        for g in gens:
+            gdeg = g.degree()
+            if gdeg < 0 or gdeg > d:
+                continue
+            for beta in monomials_upto(n, d - gdeg):
+                row = [field.zero()] * len(columns)
+                for t, coeff in g.times_monomial(beta).terms.items():
+                    row[col_index[t]] = coeff
+                rows.append(row)
+        reduced, pivots = rref(Matrix(field, len(rows), len(columns),
+                                      tuple(a for row in rows for a in row)))
+        qdims.append(len(columns) - len(pivots))
+        if len(qdims) >= 2 and qdims[-1] == qdims[-2]:
+            standard = [t for k, t in enumerate(columns) if k not in set(pivots)]
+            if any(sum(t[0]) >= d for t in standard):
+                continue
+            datum = quotmod._freeze_quotient(n, r, field, columns, col_index, reduced, pivots,
+                                             standard)
+            if _reference_certified(datum, gens):
+                return datum
+    raise QuotientError(f"no certified finite quotient up to degree cap {degree_cap}", qdims)
+
+
+def _term_bits(gens) -> list:
+    """Each generator's terms in order, with each coefficient's type and value."""
+    return [(g.n, g.r, [(t, _bits([a])) for t, a in g.terms.items()]) for g in gens]
+
+
+def _build_outcome(build, n, r, gens, cap):
+    """The rebuilt datum's entries, or the dimension profile of the QuotientError."""
+    try:
+        y = build(n, r, gens, cap)
+    except QuotientError as exc:
+        return "quotient error", exc.dimension_profile
+    return (y.n, y.c, y.r, [_bits(b.entries) for b in y.B], [_bits(v) for v in y.v])
+
+
+@st.composite
+def presented_data(draw):
+    """Commuting data over QQ (conjugated into denominators), GF(2), GF(3) and GF(32003)."""
+    field = draw(st.sampled_from(PRESENTATION_FIELDS))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    stable = draw(st.sampled_from((True, False, None)))
+    try:
+        x = random_datum(n, c, r, draw(st.integers(0, 10**6)), stable=stable,
+                         nilpotent=draw(st.booleans()), field=field)
+    except GenerationError:
+        assume(False)
+    if field == QQ and c and draw(st.booleans()):
+        x = act(draw(invertible(field, c)), x)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(presented_data(), st.data())
+def test_kernel_presentation_matches_reference(x, data):
+    d = data.draw(st.integers(0, x.c + 1))
+    got = kernel_basis_up_to_degree(x, d)
+    expected = _reference_kernel_basis_up_to_degree(x, d)
+    assert got == expected and _term_bits(got) == _term_bits(expected)
+
+
+@st.composite
+def generator_sets(draw):
+    """The kernel presentation of a datum at some degree, or a few random
+    generators with coefficients over denominators or residues (often an
+    infinite quotient, sometimes a spurious plateau), and a degree cap."""
+    if draw(st.booleans()):
+        x = draw(presented_data())
+        d = draw(st.integers(1, max(x.c, 1)))
+        gens = kernel_basis_up_to_degree(x, d)
+        assume(gens)
+        return x.n, x.r, gens, draw(st.sampled_from((None, x.c + 2)))
+    field = draw(st.sampled_from(PRESENTATION_FIELDS))
+    n, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            alpha = tuple(draw(st.integers(0, 4 if n == 1 else 2)) for _ in range(n))
+            terms[(alpha, draw(st.integers(1, r)))] = _draw_scalar(draw, field)
+        gens.append(PolyVector(n, r, terms))
+    assume(any(g.terms for g in gens))
+    return n, r, gens, draw(st.sampled_from((None, 0, 1, 2, 3, 4)))
+
+
+_PLATEAU = [PolyVector(1, 1, {((3,), 1): Fraction(1), ((2,), 1): Fraction(-1)}),
+            PolyVector.monomial(1, 1, (9,), 1, Fraction(1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_sets())
+@example((1, 1, _PLATEAU, None))  # (z^3 - z^2, z^9) = (z^2) past a spurious plateau
+@example((1, 1, _PLATEAU, 5))
+@example((1, 1, [PolyVector(1, 1, {((1,), 1): GF(2).one(), ((0,), 1): GF(2).one()})], None))
+def test_module_from_generators_matches_reference(case):
+    n, r, gens, cap = case
+    got = _build_outcome(module_from_generators, n, r, gens, cap)
+    assert got == _build_outcome(_reference_module_from_generators, n, r, gens, cap)
+    if got[0] != "quotient error":  # the int certificate agrees with the scalar one
+        y = module_from_generators(n, r, gens, cap)
+        assert quotmod._certified(y, gens) and _reference_certified(y, gens)
+
+
+def _reference_all_subspaces(field, dim: int):
+    """The earlier enumeration: each candidate basis built from scalar rows."""
+    yield Subspace.zero(field, dim)
+    for k in range(1, dim + 1):
+        for pivots in combinations(range(dim), k):
+            free = [(row, col) for row in range(k) for col in range(dim)
+                    if col > pivots[row] and col not in pivots]
+            for values in product(range(field.p), repeat=len(free)):
+                rows = [[field.zero()] * dim for _ in range(k)]
+                for row, piv in enumerate(pivots):
+                    rows[row][piv] = field.one()
+                for (row, col), val in zip(free, values):
+                    rows[row][col] = field.coerce(val)
+                yield Subspace(dim, Matrix.from_rows(field, rows))
+
+
+def _reference_enumerate_subreps(rep) -> set:
+    """The earlier oracle: invariance and membership reduced in scalars."""
+    x = rep.datum
+    found = set()
+    for space in _reference_all_subspaces(x.field, x.c):
+        rows = [space.basis.row_tuple(i) for i in range(space.dim)]
+        pivots = [next(j for j, a in enumerate(row) if a) for row in rows]
+
+        def contains(vec):
+            return not any(_reference_reduce(x.field, rows, pivots, vec)[0])
+
+        if not all(contains(_reference_apply(b, row)) for b in x.B for row in rows):
+            continue
+        found.add((space.dim, 0))
+        if all(contains(vec) for vec in x.v):
+            found.add((space.dim, 1))
+    return found
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_all_subspaces_match_reference(p, dim):
+    got = list(quiver.all_subspaces(GF(p), dim))
+    expected = list(_reference_all_subspaces(GF(p), dim))
+    assert got == expected
+    assert [_bits(s.basis.entries) for s in got] == [_bits(s.basis.entries) for s in expected]
+
+
+@st.composite
+def quiver_data(draw):
+    """Commuting data over GF(2) and GF(3) with c <= 3: random data, or
+    polynomials in one matrix with random marked vectors."""
+    field = draw(st.sampled_from([GF(2), GF(3)]))
+    n, c, r = draw(st.integers(1, 2)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        try:
+            return random_datum(n, c, r, draw(st.integers(0, 10**6)),
+                                stable=draw(st.sampled_from((True, False, None))), field=field)
+        except GenerationError:
+            assume(False)
+    powers = _powers(_draw_matrix(draw, field, c, c), max(c, 1))
+    bs = tuple(_linear_combination(powers, [_draw_scalar(draw, field) for _ in powers])
+               for _ in range(n))
+    vs = tuple(tuple(_draw_scalar(draw, field) for _ in range(c)) for _ in range(r))
+    return AdhmDatum(n, c, r, bs, vs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(quiver_data())
+def test_enumerate_subreps_matches_reference(x):
+    rep = quiver.QuiverRep(x)
+    assert quiver.enumerate_subreps(rep) == _reference_enumerate_subreps(rep)

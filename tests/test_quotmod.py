@@ -4,10 +4,13 @@ import math
 import random
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 
+from adhmquot import quotmod
 from adhmquot.adhm import AdhmDatum, equivalence, is_adhm, is_stable, random_datum
-from adhmquot.exactalg import QQ, Matrix
+from adhmquot.exactalg import GF, QQ, GFElement, Matrix, kernel_basis
 from adhmquot.quotmod import (
     NonCommutingError,
     PolyVector,
@@ -167,6 +170,40 @@ def test_certified_rejects_surviving_generator():
     assert x.c == 2 and _certified(x, [mono(1, 1, (2,), 1)])
     assert not _certified(x, [mono(1, 1, (2,), 1), mono(1, 1, (1,), 1)])
     assert not _certified(x, [mono(1, 1, (3,), 1), mono(1, 1, (0,), 1, 5)])
+
+
+def test_certified_reads_images_mod_p():
+    # over GF(2) the int image of z + 1 is B v + v = 2, which vanishes mod 2
+    field = GF(2)
+    one = field.one()
+    x = AdhmDatum(1, 1, 1, (Matrix(field, 1, 1, (one,)),), ((one,),))
+    g = PolyVector(1, 1, {((1,), 1): one, ((0,), 1): one})
+    assert phi_apply(x, g) == (field.zero(),)
+    assert _certified(x, [g])
+    assert module_from_generators(1, 1, [g]) == x
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
+def test_kernel_presentation_makes_scalars_only_for_its_terms(field):
+    x = random_datum(3, 3, 2, seed=3, stable=True, field=field)
+    kernels = []
+
+    def kept(m):
+        kernels.append(kernel_basis(m))
+        return kernels[-1]
+
+    with mock.patch("adhmquot.quotmod._scalars", wraps=quotmod._scalars) as made, \
+            mock.patch("adhmquot.quotmod.kernel_basis", side_effect=kept):
+        gens = kernel_basis_up_to_degree(x, x.c)
+    # one scalar per nonzero coordinate, none for the kernel basis itself
+    assert sum(len(call.args[1]) for call in made.call_args_list) == sum(len(g.terms) for g in gens)
+    assert len(kernels) == 1 and "entries" not in vars(kernels[0].basis)
+    scalar = Fraction if field == QQ else GFElement
+    for g in gens:
+        public = PolyVector(g.n, g.r, g.terms)
+        assert g == public and list(g.terms) == list(public.terms)
+        assert all(type(a) is scalar and a for a in g.terms.values())
+        assert all(type(e) is int for alpha, _ in g.terms for e in alpha)
 
 
 def test_hilbert_profile_examples():
