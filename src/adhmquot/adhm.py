@@ -31,6 +31,10 @@ class GenerationError(ValueError):
     """random_datum could not satisfy the requested flags within its retry budget."""
 
 
+# draws a sampler makes before it gives up on its flags
+MAX_RETRIES = 64
+
+
 @dataclass(frozen=True)
 class AdhmDatum:
     n: int
@@ -85,7 +89,8 @@ def commutator_pairs(n: int) -> list[tuple[int, int]]:
 
 def is_adhm(x: AdhmDatum) -> bool:
     """True iff every commutator vanishes, i.e. the tuple lies in the commuting locus."""
-    return all(x.B[i] @ x.B[j] == x.B[j] @ x.B[i] for i, j in commutator_pairs(x.n))
+    return all((x.B[i] @ x.B[j])._lifted == (x.B[j] @ x.B[i])._lifted
+               for i, j in commutator_pairs(x.n))
 
 
 def is_nilpotent_tuple(x: AdhmDatum) -> bool:
@@ -198,7 +203,7 @@ def stabilizer_lie_dimension(x: AdhmDatum) -> int:
     return kernel_basis(system).dim
 
 
-def equivalence(x: AdhmDatum, y: AdhmDatum, *, search_seed: int = 2024) -> Matrix | None:
+def equivalence(x: AdhmDatum, y: AdhmDatum) -> Matrix | None:
     """A g with act(g, x) = y, or None.
 
     For stable inputs the intertwiner solution is unique (the difference of
@@ -237,7 +242,7 @@ def equivalence(x: AdhmDatum, y: AdhmDatum, *, search_seed: int = 2024) -> Matri
             cand = _linear_combination([g0, h], [1, s])
             if cand.inverse() is not None:
                 return cand
-    rng = random.Random(search_seed)
+    rng = random.Random(2024)
     for _ in range(64):
         cand = _linear_combination([g0, *hbasis], [1, *(rng.randint(-3, 3) for _ in hbasis)])
         if cand.inverse() is not None:
@@ -284,22 +289,20 @@ def _random_commuting_block(
     """
     if c == 0:
         return tuple(Matrix.zero(field, 0, 0) for _ in range(n))
-    rows = []
+    ints = []
     for i in range(c):
-        row = []
         for j in range(c):
             if nilpotent:
                 if j <= i:
-                    row.append(0)
+                    ints.append(0)
                 elif j == i + 1:
                     val = rng.randint(1, max(bound, 1))
-                    row.append(val if rng.random() < 0.5 else -val)
+                    ints.append(val if rng.random() < 0.5 else -val)
                 else:
-                    row.append(rng.randint(-bound, bound))
+                    ints.append(rng.randint(-bound, bound))
             else:
-                row.append(rng.randint(-bound, bound))
-        rows.append([field.coerce(e) for e in row])
-    powers = _powers(Matrix.from_rows(field, rows), c)
+                ints.append(rng.randint(-bound, bound))
+    powers = _powers(Matrix._of_ints(field, c, c, ints, 1), c)
     bs = []
     for _ in range(n):
         coeffs = [rng.randint(-bound, bound) for _ in range(c)]
@@ -319,7 +322,6 @@ def random_datum(
     nilpotent: bool = False,
     entry_bound: int = 3,
     field: Field = QQ,
-    max_retries: int = 64,
 ) -> AdhmDatum:
     """Random commuting datum from a constructive family, deterministic per seed.
 
@@ -327,13 +329,13 @@ def random_datum(
     stable datum; ``stable=False`` requires an unstable one, built by embedding
     a smaller datum block-diagonally with the marked vectors supported in the
     first block.  Requested flags are verified before returning; after
-    ``max_retries`` failed draws a :class:`GenerationError` is raised rather
+    ``MAX_RETRIES`` failed draws a :class:`GenerationError` is raised rather
     than silently weakening a flag.
     """
     rng = random.Random(seed)
     if stable is False and c == 0:
         raise GenerationError("a c = 0 datum is vacuously stable")
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         if stable is False:
             c_top = rng.randrange(0, c)
             c_bot = c - c_top
@@ -371,5 +373,5 @@ def random_datum(
         return candidate
     raise GenerationError(
         f"could not draw a datum with flags stable={stable} nilpotent={nilpotent} "
-        f"for (n, c, r) = ({n}, {c}, {r}) in {max_retries} tries"
+        f"for (n, c, r) = ({n}, {c}, {r}) in {MAX_RETRIES} tries"
     )

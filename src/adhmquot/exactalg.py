@@ -227,12 +227,13 @@ Scalar = Union[Fraction, GFElement]
 class Matrix:
     """Dense matrix with row-major entries over a single exact field.
 
-    Degenerate shapes (0 x k and k x 0) are legal and have rank 0.  A
-    matrix built from int sums (:meth:`_of_ints`: evaluated monad maps,
-    Jacobians, matrix polynomials) holds only its int view and makes its
-    scalar ``entries`` on their first read.  ==, hash and repr read them,
-    and a pickled or copied matrix keeps its int view, so such a matrix is
-    indistinguishable from one the constructor builds on the same scalars.
+    Degenerate shapes (0 x k and k x 0) are legal and have rank 0.  Every
+    matrix an operation returns is an int view (:meth:`_of_ints`), canonical:
+    it equals ``_lift(field, entries)``, whichever path built the matrix.
+    Such a matrix makes its scalar ``entries`` on their first read.  ==, hash
+    and repr read them, and a pickled or copied matrix keeps its int view,
+    so it is indistinguishable from one the constructor builds on the same
+    scalars.
     """
 
     field: Field
@@ -253,29 +254,22 @@ class Matrix:
         )
 
     @classmethod
-    def _of(cls, field: Field, rows: int, cols: int, entries: Iterable) -> "Matrix":
-        """A matrix whose entries are already elements of ``field``, taken as they are.
-
-        For results computed from field elements: the public constructor
-        would coerce every entry again.
-        """
-        m = object.__new__(cls)
-        m.__dict__.update(field=field, rows=rows, cols=cols, entries=tuple(entries))
-        return m
-
-    @classmethod
     def _of_ints(cls, field: Field, rows: int, cols: int, ints: list[int], d: int) -> "Matrix":
         """The matrix of the row-major entries ints[k] / d, built from int sums.
 
-        The ints become the cached int view as they are, reduced mod p in
-        place over GF(p) (only the nonzero sums are touched); the scalar
-        entries are made on their first read, so a caller that only reads
-        the int view, such as :func:`rank`, never builds them.
+        Takes ownership of ``ints``: it becomes the cached int view, in the
+        canonical form :func:`_lift` gives, reduced mod p in place over GF(p)
+        (only the nonzero sums are touched) and over QQ divided by
+        gcd(d, *ints) when d > 1.  The scalar entries are made on their first
+        read, so a caller that only reads the int view, such as :func:`rank`,
+        never builds them.
         """
         if isinstance(field, PrimeField):
             p = field.p
             for k in compress(range(len(ints)), ints):
                 ints[k] %= p
+        elif d > 1 and (g := math.gcd(d, *ints)) > 1:
+            ints, d = [a // g for a in ints], d // g
         m = object.__new__(cls)
         m.__dict__.update(field=field, rows=rows, cols=cols, _lifted=(ints, d))
         return m
@@ -301,13 +295,13 @@ class Matrix:
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, rows, cols, (z,) * (rows * cols))
+        return cls._of_ints(field, rows, cols, [0] * (rows * cols), 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return cls(field, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
+        ints = [0] * (n * n)
+        ints[:: n + 1] = [1] * n
+        return cls._of_ints(field, n, n, ints, 1)
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.entries[i * self.cols + j]
@@ -325,26 +319,23 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatchError("matrices over different fields")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int, name: str) -> "Matrix":
+        """self + sign * other, summed on the int views over one denominator."""
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
+            raise ShapeError(f"shape mismatch in {name}")
+        (a, da), (b, db) = self._lifted, other._lifted
+        d = math.lcm(da, db)
+        sa, sb = d // da, sign * (d // db)
+        return Matrix._of_ints(
+            self.field, self.rows, self.cols, [sa * x + sb * y for x, y in zip(a, b)], d
         )
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in subtraction")
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, tuple(-a for a in self.entries))
+        return self._plus(other, -1, "subtraction")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -354,16 +345,18 @@ class Matrix:
             )
         (a, da), (b, db) = self._lifted, other._lifted
         out = _int_product(a, b, self.rows, self.cols, other.cols)
-        return Matrix._of(self.field, self.rows, other.cols, _scalars(self.field, out, da * db))
+        return Matrix._of_ints(self.field, self.rows, other.cols, out, da * db)
 
     def scale(self, s) -> "Matrix":
-        s = self.field.coerce(s)
-        return Matrix(self.field, self.rows, self.cols, tuple(s * a for a in self.entries))
+        (num,), ds = _lift(self.field, [self.field.coerce(s)])
+        ints, d = self._lifted
+        return Matrix._of_ints(self.field, self.rows, self.cols, [num * a for a in ints], d * ds)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(
-            self.field, self.cols, self.rows,
-            (self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
+        ints, d = self._lifted
+        cols = self.cols
+        return Matrix._of_ints(
+            self.field, cols, self.rows, [a for j in range(cols) for a in ints[j::cols]], d
         )
 
     def apply(self, vec: Sequence) -> tuple:
@@ -387,7 +380,7 @@ class Matrix:
         return result
 
     def is_zero(self) -> bool:
-        return all(not a for a in self.entries)
+        return not any(self._lifted[0])
 
     def inverse(self) -> "Matrix | None":
         """Exact inverse, or None when singular."""
@@ -399,7 +392,7 @@ class Matrix:
         pivots, d = _eliminate(field, work)
         if len(pivots) < n or any(p >= n for p in pivots):
             return None
-        return Matrix._of(field, n, n, _scalars(field, [a for row in work for a in row[n:]], d))
+        return Matrix._of_ints(field, n, n, [a for row in work for a in row[n:]], d)
 
 
 def _entries_from_ints(m: Matrix) -> tuple:
@@ -554,7 +547,7 @@ def _rref(field: Field, cols: int, work: list[list[int]]) -> tuple[Matrix, tuple
     around ``rref`` counts only outside calls."""
     pivots, d = _eliminate(field, work)
     flat = [a for row in work[: len(pivots)] for a in row]
-    return Matrix._of(field, len(pivots), cols, _scalars(field, flat, d)), tuple(pivots)
+    return Matrix._of_ints(field, len(pivots), cols, flat, d), tuple(pivots)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

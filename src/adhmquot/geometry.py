@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .adhm import AdhmDatum, _linear_combination, _powers, commutator_pairs, is_stable
+from .adhm import MAX_RETRIES, AdhmDatum, _linear_combination, _powers, commutator_pairs, is_stable
 from .exactalg import QQ, Field, Matrix, PrimeField, ShapeError, _lift, _scalars, rank
 
 
@@ -183,23 +183,16 @@ def moduli_dimension_estimate(x: AdhmDatum, sys: EquationSystem) -> int:
     return tangent_dimension(x, sys) - x.c * x.c
 
 
-def _random_invertible(
-    rng: random.Random, field: Field, c: int, bound: int = 3
-) -> tuple[Matrix, Matrix]:
-    """A random invertible c x c matrix g with small entries, and its inverse."""
+def _random_invertible(rng: random.Random, field: Field, c: int) -> tuple[Matrix, Matrix]:
+    """A random invertible c x c matrix g with entries in [-3, 3], and its inverse."""
     while True:
-        g = Matrix(
-            field, c, c,
-            tuple(field.coerce(rng.randint(-bound, bound)) for _ in range(c * c)),
-        )
+        g = Matrix._of_ints(field, c, c, [rng.randint(-3, 3) for _ in range(c * c)], 1)
         ginv = g.inverse()
         if ginv is not None:
             return g, ginv
 
 
-def sample_generic_commuting(
-    n: int, c: int, r: int, rng: random.Random, *, max_retries: int = 64
-) -> AdhmDatum:
+def sample_generic_commuting(n: int, c: int, r: int, rng: random.Random) -> AdhmDatum:
     """Stable commuting datum at a regular semisimple point of the commuting locus.
 
     B_0 is an invertible affine rescaling of a conjugated distinct-eigenvalue
@@ -208,15 +201,12 @@ def sample_generic_commuting(
     has its generic rank, which is what the dimension formulas describe.
     """
     field = QQ
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         eigs = rng.sample(range(-2 * c - 2, 2 * c + 3), c)
         g, ginv = _random_invertible(rng, field, c)
-        diag = Matrix(
-            field, c, c,
-            tuple(field.coerce(eigs[i]) if i == j else field.zero()
-                  for i in range(c) for j in range(c)),
-        )
-        t = g @ diag @ ginv
+        diag = [0] * (c * c)
+        diag[:: c + 1] = eigs
+        t = g @ Matrix._of_ints(field, c, c, diag, 1) @ ginv
         powers = _powers(t, c)
         scale = field.coerce(rng.choice([1, -1]) * rng.randint(1, 3))
         shift = field.coerce(rng.randint(-3, 3))
@@ -232,9 +222,7 @@ def sample_generic_commuting(
     raise SamplerError("could not draw a stable regular semisimple sample")
 
 
-def sample_punctual(
-    n: int, c: int, r: int, rng: random.Random, *, max_retries: int = 64
-) -> AdhmDatum:
+def sample_punctual(n: int, c: int, r: int, rng: random.Random) -> AdhmDatum:
     """Stable nilpotent commuting datum at a generic point of the principal
     nilpotent family: B_i = x_i N + y_i N^2 + ... with N regular nilpotent and
     every linear coefficient x_i nonzero.
@@ -245,14 +233,11 @@ def sample_punctual(
     if c > 3:
         raise SamplerError("punctual sampler is constructive for c <= 3 only")
     field = QQ
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         g, ginv = _random_invertible(rng, field, c)
-        shift = Matrix(
-            field, c, c,
-            tuple(field.one() if j == i + 1 else field.zero()
-                  for i in range(c) for j in range(c)),
-        )
-        powers = _powers(g @ shift @ ginv, c)
+        shift = [0] * (c * c)
+        shift[1 :: c + 1] = [1] * (c - 1)
+        powers = _powers(g @ Matrix._of_ints(field, c, c, shift, 1) @ ginv, c)
         bs = []
         for _ in range(n):
             coeffs = []
@@ -286,7 +271,6 @@ def dimension_experiment(
     punctual: bool = False,
     trials: int,
     seed: int,
-    variety_relations: tuple = (),
 ) -> DimensionExperiment:
     """Tangent dimensions at `trials` constructive samples of the chosen locus.
 
@@ -297,8 +281,6 @@ def dimension_experiment(
     after ``is_stable`` has accepted it, so neither the rank nor stability
     is decided a second time.
     """
-    if variety_relations:
-        raise SamplerError("no constructive sampler for explicit variety relations")
     sys = EquationSystem(commutators=True, nilpotent=punctual)
     rng = random.Random(seed)
     histogram: dict = {}

@@ -5,15 +5,17 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import adhmquot
-from adhmquot import cli, punctual
+from adhmquot import cli, geometry, punctual
 from adhmquot.cli import main
 from adhmquot.exactalg import PrimeField, RationalField
 
@@ -331,6 +333,37 @@ def test_path_outputs_unchanged_over_the_sweep(tmp_path):
                     outcome = _captured(["path", command[0], str(src), *command[1:]])
                     sha.update(repr((command, outcome)).encode())
     assert sha.hexdigest() == PATH_SWEEP_DIGEST
+
+
+GEN_SWEEP_FIELDS = ([], ["--prime", "3"], ["--prime", "32003"])
+GEN_SWEEP_FLAGS = ([], ["--stable"], ["--unstable"], ["--nilpotent"],
+                   ["--stable", "--nilpotent"], ["--unstable", "--nilpotent"])
+# sha256 of every gen outcome over the fields, flag sets, n <= 3, c <= 4,
+# r <= 3 and seeds 0-1, then of the samplers' draws; recorded before the
+# samplers built their integer matrices from the drawn ints
+GEN_SWEEP_DIGEST = "df719a6c50d8d87826c9a83a5d059352ecc6672876d138353894460a5b3f3c90"
+
+
+def test_gen_and_sampler_outputs_unchanged_over_the_sweep():
+    sha = hashlib.sha256()
+    for field in GEN_SWEEP_FIELDS:
+        for flags in GEN_SWEEP_FLAGS:
+            for n, c, r in product((1, 2, 3), (0, 1, 2, 3, 4), (1, 2, 3)):
+                for seed in ("0", "1"):
+                    gen = ["gen", *field, "--n", str(n), "--c", str(c), "--r", str(r),
+                           *flags, "--seed", seed]
+                    sha.update(repr((gen, _captured(gen))).encode())
+    draws = [(geometry.sample_punctual, n, c, r, seed)
+             for n, c, r, seed in product((1, 2, 3), (1, 2, 3), (1, 2, 3), range(4))]
+    draws += [(geometry.sample_generic_commuting, n, c, r, seed)
+              for n, c, r, seed in product((1, 2, 3), (1, 2, 3, 4), (1, 2, 3), range(3))]
+    for sampler, n, c, r, seed in draws:
+        try:
+            outcome = repr(sampler(n, c, r, random.Random(seed)))
+        except geometry.SamplerError as exc:
+            outcome = repr(exc)
+        sha.update(repr((sampler.__name__, n, c, r, seed, outcome)).encode())
+    assert sha.hexdigest() == GEN_SWEEP_DIGEST
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])

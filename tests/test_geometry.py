@@ -281,11 +281,6 @@ def test_punctual_sampler_guard():
     rng = random.Random(12)
     with pytest.raises(SamplerError):
         sample_punctual(2, 4, 1, rng)
-    with pytest.raises(SamplerError):
-        dimension_experiment(
-            2, 2, 1, trials=1, seed=0,
-            variety_relations=(PolyVector.monomial(2, 1, (1, 0), 1, Fraction(1)),),
-        )
 
 
 def test_moduli_estimate_does_not_compute_the_stabilizer(monkeypatch):

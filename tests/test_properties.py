@@ -24,7 +24,7 @@ from adhmquot.exactalg import (
 )
 from adhmquot.geometry import (
     EquationSystem, ResidualError, _equations, _word_products, coordinate_count, jacobian,
-    moduli_dimension_estimate, residual,
+    moduli_dimension_estimate, residual, tangent_dimension,
 )
 from adhmquot.monad import (
     LinearFormMatrix, alpha0, alpha_minus1, alpha_minus2_p3, compose, evaluate, sample_points,
@@ -805,19 +805,33 @@ def test_compose_drops_sums_that_vanish_mod_p(p):
 
 
 def _assert_trusted(m: Matrix) -> None:
-    """m is what the public constructor makes of its own entries, each the field's scalar type."""
+    """m is what the public constructor makes of its own entries, each the field's scalar type,
+    and its int view is the canonical one that _lift makes of them."""
     assert Matrix(m.field, m.rows, m.cols, m.entries) == m
     if m.field == QQ:
         assert all(type(x) is Fraction for x in m.entries)
     else:
         assert all(type(x) is GFElement and x.p == m.field.p for x in m.entries)
+    assert m._lifted == exactalg._lift(m.field, m.entries)
 
 
 @settings(max_examples=200, deadline=None)
-@given(product_pairs(), monad_maps())
-def test_internal_results_match_the_public_constructor(pair, case):
+@given(product_pairs(), monad_maps(), st.data())
+def test_internal_results_match_the_public_constructor(pair, case, data):
     a, b = pair
-    for m in (a @ b, a.transpose(), b.transpose()):
+    field, k = a.field, a.rows
+    other = _draw_matrix(data.draw, field, a.rows, a.cols)
+    square = _draw_matrix(data.draw, field, k, k)
+    s, t = _draw_scalar(data.draw, field), _draw_scalar(data.draw, field)
+    results = [
+        a @ b, a.transpose(), b.transpose(), rref(a)[0], kernel_basis(a).basis,
+        a - other, a + other, a.scale(s), square.power(data.draw(st.integers(0, 3))),
+        Matrix.zero(field, a.rows, a.cols), Matrix.identity(field, k),
+        _linear_combination([a, other], [s, t]),
+    ]
+    if (inverse := square.inverse()) is not None:
+        results.append(inverse)
+    for m in results:
         _assert_trusted(m)
     m, point = case
     if any(point):
@@ -1113,12 +1127,19 @@ def test_entries_made_on_first_read_match_the_public_constructor(case):
 def test_rank_of_an_evaluation_builds_no_scalars(field):
     x = random_datum(3, 3, 2, seed=5, stable=False, field=field)
     a0 = alpha0(x)
+    sys = EquationSystem()
     with mock.patch("adhmquot.exactalg._scalars", wraps=exactalg._scalars) as made:
         evaluated = [evaluate(a0, pt) for pt in sample_points(x, 8, seed=1)]
         ranks = [rank(m) for m in evaluated]
+        verdicts = (is_adhm(x), is_nilpotent_tuple(x), tangent_dimension(x, sys))
     assert made.call_count == 0
     assert not any("entries" in vars(m) for m in evaluated)
     assert ranks == [rank(Matrix(field, m.rows, m.cols, m.entries)) for m in evaluated]
+    assert verdicts == (
+        _reference_is_adhm(x),
+        all(_reference_power(b, x.c).is_zero() for b in x.B),
+        coordinate_count(x) - rank(_reference_jacobian(x, sys)),
+    )
 
 
 # ------------------------------------------------ round trip and reduction mod p
@@ -1185,7 +1206,7 @@ def _reference_jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
                         col = (k * c + a) * c
                         for b, q, v in terms:
                             out[q][col + b] += v
-    return Matrix._of(field, len(rows), coordinate_count(x), (v for row in rows for v in row))
+    return Matrix(field, len(rows), coordinate_count(x), tuple(v for row in rows for v in row))
 
 
 @st.composite
