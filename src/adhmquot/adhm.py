@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .exactalg import (
     QQ,
@@ -22,6 +21,7 @@ from .exactalg import (
     SpanBuilder,
     Subspace,
     _lift,
+    _linear_combination,
     kernel_basis,
     solve,
 )
@@ -164,33 +164,32 @@ def act(g: Matrix, x: AdhmDatum) -> AdhmDatum:
 
 
 def _intertwiner_system(x: AdhmDatum, y: AdhmDatum) -> Matrix:
-    """Coefficient matrix of {xi B_i = B'_i xi, xi v_j = 0} in the c^2 entries of xi."""
-    field = x.field
+    """Coefficient matrix of {xi B_i = B'_i xi, xi v_j = 0} in the c^2 entries
+    of xi, built on the int views of B, B' and v over their common denominator."""
     c = x.c
-    zero = field.zero()
-    rows: list[list] = []
-    for i in range(x.n):
-        b = x.B[i]
-        bp = y.B[i]
+    views = [(b._lifted, bp._lifted) for b, bp in zip(x.B, y.B)]
+    v, dv = _lift(x.field, [a for vec in x.v for a in vec])
+    d = math.lcm(dv, *(dm for pair in views for _, dm in pair))
+    ints: list[int] = []
+    for (b, db), (bp, dp) in views:
+        b = [d // db * a for a in b]
+        minus_bp = [-(d // dp) * a for a in bp]
         for p in range(c):
-            minus_bp = [-a for a in bp.row_tuple(p)]
             for q in range(c):
                 # (xi b - bp xi)[p][q]: xi[p][w] b[w][q] - bp[p][u] xi[u][q];
                 # the two sums share only the cell w = q, u = p
-                row = [zero] * (c * c)
-                row[p * c : (p + 1) * c] = b.col_tuple(q)
-                row[q::c] = minus_bp
-                row[p * c + q] = b.entry(q, q) - bp.entry(p, p)
-                rows.append(row)
-    for vec in x.v:
+                row = [0] * (c * c)
+                row[p * c : (p + 1) * c] = b[q::c]
+                row[q::c] = minus_bp[p * c : (p + 1) * c]
+                row[p * c + q] = b[q * c + q] + minus_bp[p * c + p]
+                ints += row
+    v = [d // dv * a for a in v]
+    for k in range(x.r):
         for p in range(c):
-            row = [zero] * (c * c)
-            for w in range(c):
-                row[p * c + w] = vec[w]
-            rows.append(row)
-    if not rows:
-        return Matrix.zero(field, 0, c * c)
-    return Matrix.from_rows(field, rows)
+            row = [0] * (c * c)
+            row[p * c : (p + 1) * c] = v[k * c : (k + 1) * c]
+            ints += row
+    return Matrix._of_ints(x.field, (x.n * c + x.r) * c, c * c, ints, d)
 
 
 def stabilizer_lie_dimension(x: AdhmDatum) -> int:
@@ -256,25 +255,6 @@ def _powers(t: Matrix, count: int) -> list[Matrix]:
     while len(powers) < count:
         powers.append(powers[-1] @ t)
     return powers
-
-
-def _linear_combination(matrices: Sequence[Matrix], coeffs: Sequence) -> Matrix:
-    """The sum of coeffs[k] * matrices[k], for up to one coefficient per
-    matrix; the zero matrix of their shape for no coefficients.
-
-    Summed as ints on the cached int views of the coefficients and of the
-    matrices, over one common denominator, into a matrix whose scalars are
-    made on first read.
-    """
-    field, rows, cols = matrices[0].field, matrices[0].rows, matrices[0].cols
-    nums, dc = _lift(field, [field.coerce(a) for a in coeffs])
-    terms = [(a, matrices[k]._lifted) for k, a in enumerate(nums) if a]
-    d = math.lcm(*(dm for _, (_, dm) in terms))
-    acc = [0] * (rows * cols)
-    for a, (ints, dm) in terms:
-        a *= d // dm
-        acc = [s + a * v for s, v in zip(acc, ints)]
-    return Matrix._of_ints(field, rows, cols, acc, d * dc)
 
 
 def _random_commuting_block(

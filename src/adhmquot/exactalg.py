@@ -320,16 +320,11 @@ class Matrix:
             raise FieldMismatchError("matrices over different fields")
 
     def _plus(self, other: "Matrix", sign: int, name: str) -> "Matrix":
-        """self + sign * other, summed on the int views over one denominator."""
+        """self + sign * other, by :func:`_linear_combination`."""
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"shape mismatch in {name}")
-        (a, da), (b, db) = self._lifted, other._lifted
-        d = math.lcm(da, db)
-        sa, sb = d // da, sign * (d // db)
-        return Matrix._of_ints(
-            self.field, self.rows, self.cols, [sa * x + sb * y for x, y in zip(a, b)], d
-        )
+        return _linear_combination([self, other], [1, sign])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._plus(other, 1, "addition")
@@ -348,9 +343,7 @@ class Matrix:
         return Matrix._of_ints(self.field, self.rows, other.cols, out, da * db)
 
     def scale(self, s) -> "Matrix":
-        (num,), ds = _lift(self.field, [self.field.coerce(s)])
-        ints, d = self._lifted
-        return Matrix._of_ints(self.field, self.rows, self.cols, [num * a for a in ints], d * ds)
+        return _linear_combination([self], [s])
 
     def transpose(self) -> "Matrix":
         ints, d = self._lifted
@@ -441,6 +434,26 @@ def _scalars(field: Field, ints: Iterable[int], d: int) -> list:
     if d == 1:
         return [Fraction(s) if s else zero for s in ints]
     return [Fraction(s, d) if s else zero for s in ints]
+
+
+def _linear_combination(matrices: Sequence[Matrix], coeffs: Sequence) -> Matrix:
+    """The sum of coeffs[k] * matrices[k], for up to one coefficient per
+    matrix; the zero matrix of their shape for no coefficients.  The one
+    place where matrices are summed.
+
+    Summed as ints on the cached int views of the coefficients and of the
+    matrices, over one common denominator, into a matrix whose scalars are
+    made on first read.
+    """
+    field, rows, cols = matrices[0].field, matrices[0].rows, matrices[0].cols
+    nums, dc = _lift(field, [field.coerce(a) for a in coeffs])
+    terms = [(a, matrices[k]._lifted) for k, a in enumerate(nums) if a]
+    d = math.lcm(*(dm for _, (_, dm) in terms))
+    acc = [0] * (rows * cols)
+    for a, (ints, dm) in terms:
+        a *= d // dm
+        acc = [s + a * v for s, v in zip(acc, ints)]
+    return Matrix._of_ints(field, rows, cols, acc, d * dc)
 
 
 def _int_product(a: list[int], b: list[int], rows: int, inner: int, cols: int) -> list[int]:
@@ -893,7 +906,7 @@ def joint_eigenspaces(
         if factors and irrational is not None:
             irrational.append((axis, factors))
         for lam, mult in sorted(roots):
-            shifted = op - Matrix.identity(space.field, op.rows).scale(lam)
+            shifted = _linear_combination([op, Matrix.identity(space.field, op.rows)], [1, -lam])
             part = kernel_basis(shifted.power(mult if generalized else 1))
             # the rows of part.basis @ space.basis are again in RREF: at the
             # pivot columns of space they read part.basis, zero to their left

@@ -14,8 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .adhm import MAX_RETRIES, AdhmDatum, _linear_combination, _powers, commutator_pairs, is_stable
-from .exactalg import QQ, Field, Matrix, PrimeField, ShapeError, _lift, _scalars, rank
+from .adhm import MAX_RETRIES, AdhmDatum, _powers, commutator_pairs, is_stable
+from .exactalg import QQ, Field, Matrix, ShapeError, _lift, _linear_combination, rank
 
 
 class ResidualError(ValueError):
@@ -85,34 +85,18 @@ def _word_products(x: AdhmDatum):
     return product
 
 
-def _block_ints(x: AdhmDatum, block: list, product) -> tuple[list[int], int]:
-    """One equation block's value as row-major ints over one denominator, (ints, d).
-
-    Reads the cached int views of the coefficients and word products; over
-    GF(p) the ints are residues and d = 1.
-    """
-    field = x.field
-    terms = []
-    for coeff, word in block:
-        (num,), dc = _lift(field, [coeff])
-        ints, dw = product(word)._lifted
-        terms.append((num, dc * dw, ints))
-    d = math.lcm(*(den for _, den, _ in terms))
-    acc = [0] * (x.c * x.c)
-    for num, den, ints in terms:
-        k = num * (d // den)
-        acc = [s + k * v for s, v in zip(acc, ints)]
-    if isinstance(field, PrimeField):
-        acc = [s % field.p for s in acc]
-    return acc, d
+def _block_value(block: list, product) -> Matrix:
+    """One equation block's value, summed over the memoised word products; a
+    block with no words (a zero relation) is the zero matrix."""
+    words = [product(word) for _, word in block] or [product(())]
+    return _linear_combination(words, [coeff for coeff, _ in block])
 
 
 def residual(x: AdhmDatum, sys: EquationSystem) -> tuple:
     """All equation values stacked: commutator entries (pairs in lexicographic
     order), then B_i^e entries per i, then each variety relation's entries."""
     product = _word_products(x)
-    return tuple(v for block in _equations(x, sys)
-                 for v in _scalars(x.field, *_block_ints(x, block, product)))
+    return tuple(v for block in _equations(x, sys) for v in _block_value(block, product).entries)
 
 
 def coordinate_count(x: AdhmDatum) -> int:
@@ -136,7 +120,7 @@ def jacobian(x: AdhmDatum, sys: EquationSystem) -> Matrix:
     """
     blocks = _equations(x, sys)
     product = _word_products(x)
-    if any(any(_block_ints(x, block, product)[0]) for block in blocks):
+    if not all(_block_value(block, product).is_zero() for block in blocks):
         raise ResidualError("datum does not satisfy the equation system exactly")
     field, c = x.field, x.c
     ncols = coordinate_count(x)

@@ -90,16 +90,6 @@ class PolyVector:
             key=lambda kv: (kv[0][1], sum(kv[0][0]), tuple(-a for a in kv[0][0])),
         )
 
-    def times_monomial(self, beta: Sequence[int]) -> "PolyVector":
-        beta = tuple(beta)
-        if len(beta) != self.n:
-            raise ShapeError("monomial arity does not match n")
-        shifted = {
-            (tuple(a + b for a, b in zip(alpha, beta)), j): coeff
-            for (alpha, j), coeff in self.terms.items()
-        }
-        return PolyVector(self.n, self.r, shifted)
-
     @classmethod
     def unit(cls, n: int, r: int, j: int, field: Field = QQ) -> "PolyVector":
         return cls(n, r, {((0,) * n, j): field.one()})

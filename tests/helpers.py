@@ -1,5 +1,5 @@
 """Builders shared by the test modules: rational matrices, polynomial
-products and ADHM data from nested lists."""
+products, shifted polynomial vectors and ADHM data from nested lists."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from adhmquot.adhm import AdhmDatum
 from adhmquot.exactalg import QQ, Matrix
+from adhmquot.quotmod import PolyVector
 
 
 def mat(rows) -> Matrix:
@@ -20,6 +21,12 @@ def poly_mul(a, b) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def shifted(p: PolyVector, beta) -> PolyVector:
+    """p times the monomial z^beta: every term's exponents moved by beta."""
+    return PolyVector(p.n, p.r, {(tuple(a + b for a, b in zip(alpha, beta)), j): coeff
+                                 for (alpha, j), coeff in p.terms.items()})
 
 
 def datum(n, c, r, bs, vs) -> AdhmDatum:

@@ -8,7 +8,7 @@ import pytest
 
 from adhmquot import adhm, geometry
 from adhmquot.adhm import AdhmDatum, act, commutator_pairs, random_datum, stabilizer_lie_dimension
-from adhmquot.exactalg import GF, QQ, Matrix, ShapeError
+from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, rank
 from adhmquot.geometry import (
     EquationSystem,
     ResidualError,
@@ -182,6 +182,19 @@ def test_jacobian_oracle_on_more_systems(x, sys):
         direction = rand_direction(rng, x.n, x.c, x.field)
         flat = [e for d in direction for e in d.entries] + [x.field.zero()] * (x.r * x.c)
         assert j.apply(flat) == residual_directional(x, sys, direction)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["qq", "gf32003"])
+def test_a_zero_relation_is_a_block_of_zeros(field):
+    # PolyVector(n, 1, {}) has no words: its block is the zero c x c matrix
+    x = random_datum(2, 3, 1, seed=1, field=field)
+    sys = EquationSystem(commutators=True, variety_relations=(PolyVector(2, 1, {}),))
+    values = residual(x, sys)
+    assert len(values) == 18 and not any(values)
+    j = jacobian(x, sys)
+    assert (j.rows, j.cols) == (18, 21) and rank(j) == 6
+    assert j.entries[: 9 * 21] == jacobian(x, COMMUTATORS).entries
+    assert not any(j.entries[9 * 21 :])
 
 
 def test_nilpotency_power_defaults_to_c():

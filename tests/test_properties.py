@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from adhmquot import exactalg, monad, quiver, quotmod
 from adhmquot.adhm import (
-    AdhmDatum, GenerationError, _krylov_layers, _linear_combination, _powers, act, equivalence,
+    AdhmDatum, GenerationError, _krylov_layers, _powers, act, equivalence,
     is_adhm, is_stable, krylov_closure, random_datum,
 )
 from adhmquot.exactalg import (
-    GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, Subspace, char_poly,
+    GF, QQ, GFElement, Matrix, ShapeError, SpanBuilder, Subspace, _linear_combination, char_poly,
     joint_eigenspaces, kernel_basis, rank, rational_eigenvalues, rref, solve,
 )
 from adhmquot.geometry import (
@@ -37,6 +37,8 @@ from adhmquot.quotmod import (
     NonCommutingError, PolyVector, QuotientError, hilbert_profile, kernel_basis_up_to_degree,
     module_from_generators, monomials_of_degree, monomials_upto, phi_apply, term_magnitude,
 )
+
+from helpers import shifted
 
 FIELDS = [QQ, GF(2), GF(3), GF(32003)]
 
@@ -1034,13 +1036,55 @@ def matrix_polynomials(draw):
 @given(matrix_polynomials())
 def test_matrix_polynomial_matches_scaled_sums(case):
     powers, coeffs = case
-    expected = Matrix.zero(powers[0].field, powers[0].rows, powers[0].cols)
-    for k, a in enumerate(coeffs):
-        if a:
-            expected = expected + powers[k].scale(a)
+    field = powers[0].field
+    expected = [field.zero()] * len(powers[0].entries)
+    for m, a in zip(powers, coeffs):
+        expected = [s + a * x for s, x in zip(expected, m.entries)]
     got = _linear_combination(powers, coeffs)
-    assert _bits(got.entries) == _bits(expected.entries)
+    assert (got.rows, got.cols) == (powers[0].rows, powers[0].cols)
+    assert _bits(got.entries) == _bits(expected)
     _assert_trusted(got)
+
+
+@st.composite
+def matrix_sums(draw):
+    """Two matrices of one shape, 0 x k and k x 0 included, and a scalar: zero,
+    an int, or a field element (over QQ with denominators 1, 2, 3, 7)."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    s = draw(st.one_of(st.just(0), st.integers(-3, 3))) if draw(st.booleans()) else _draw_scalar(draw, field)
+    return _draw_matrix(draw, field, rows, cols), _draw_matrix(draw, field, rows, cols), s
+
+
+def _sum_example(field, rows, cols, s):
+    if field == QQ:
+        values = [Fraction(k - 2, k % 3 + 1) for k in range(rows * cols)]
+    else:
+        values = [field.coerce(k * k - 2) for k in range(rows * cols)]
+    return Matrix(field, rows, cols, tuple(values)), Matrix(field, rows, cols, tuple(values[::-1])), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_sums())
+@example(_sum_example(QQ, 0, 3, 0))
+@example(_sum_example(QQ, 3, 0, Fraction(5, 3)))
+@example(_sum_example(QQ, 2, 3, Fraction(-7, 6)))
+@example(_sum_example(QQ, 2, 2, 0))
+@example(_sum_example(GF(2), 3, 0, 1))
+@example(_sum_example(GF(2), 3, 3, 0))
+@example(_sum_example(GF(3), 0, 2, GF(3).coerce(2)))
+@example(_sum_example(GF(3), 2, 3, 0))
+@example(_sum_example(GF(32003), 2, 2, "5/3"))
+@example(_sum_example(GF(32003), 4, 0, 0))
+def test_sums_and_scales_match_entrywise_scalars(case):
+    a, b, s = case
+    t = a.field.coerce(s)
+    for got, want in [(a + b, [x + y for x, y in zip(a.entries, b.entries)]),
+                      (a - b, [x - y for x, y in zip(a.entries, b.entries)]),
+                      (a.scale(s), [t * x for x in a.entries])]:
+        assert (got.rows, got.cols) == (a.rows, a.cols)
+        assert _bits(got.entries) == _bits(want)
+        _assert_trusted(got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1052,9 +1096,9 @@ def test_phi_matches_reference(case):
     # the certificate's path: one table for several generators, read on ints
     table = quotmod._monomial_vector_table(x, p.degree() + 1)
     assert _bits(exactalg._scalars(x.field, *quotmod._evaluate(x, table, p))) == _bits(expected)
-    shifted = p.times_monomial((1,) + (0,) * (x.n - 1))
-    assert _bits(exactalg._scalars(x.field, *quotmod._evaluate(x, table, shifted))) == \
-        _bits(_reference_phi(x, shifted))
+    moved = shifted(p, (1,) + (0,) * (x.n - 1))
+    assert _bits(exactalg._scalars(x.field, *quotmod._evaluate(x, table, moved))) == \
+        _bits(_reference_phi(x, moved))
 
 
 def test_cached_view_takes_no_part_in_eq_hash_or_repr():
@@ -1537,7 +1581,7 @@ def _reference_certified(datum: AdhmDatum, gens) -> bool:
 
 
 def _reference_module_from_generators(n: int, r: int, gens, degree_cap=None) -> AdhmDatum:
-    """The earlier build: each generator shifted by times_monomial into a row of scalars."""
+    """The earlier build: each generator shifted by a monomial into a row of scalars."""
     field = quotmod._gens_field(gens)
     if degree_cap is None:
         degree_cap = max(2, max((g.degree() for g in gens), default=0)) + 2
@@ -1553,7 +1597,7 @@ def _reference_module_from_generators(n: int, r: int, gens, degree_cap=None) -> 
                 continue
             for beta in monomials_upto(n, d - gdeg):
                 row = [field.zero()] * len(columns)
-                for t, coeff in g.times_monomial(beta).terms.items():
+                for t, coeff in shifted(g, beta).terms.items():
                     row[col_index[t]] = coeff
                 rows.append(row)
         reduced, pivots = rref(Matrix(field, len(rows), len(columns),

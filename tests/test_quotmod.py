@@ -24,7 +24,7 @@ from adhmquot.quotmod import (
     phi_apply,
 )
 
-from helpers import datum
+from helpers import datum, shifted
 
 
 def unit(n, r, j):
@@ -75,8 +75,8 @@ def test_phi_linearity_and_shift(seed):
             terms[(alpha, 1)] = Fraction(coeff)
     p = PolyVector(2, 1, terms)
     for i in range(2):
-        shifted = p.times_monomial(tuple(1 if k == i else 0 for k in range(2)))
-        assert phi_apply(x, shifted) == x.B[i].apply(phi_apply(x, p))
+        moved = shifted(p, tuple(1 if k == i else 0 for k in range(2)))
+        assert phi_apply(x, moved) == x.B[i].apply(phi_apply(x, p))
 
 
 def test_kernel_c0_is_everything():
