@@ -11,17 +11,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .exactalg import (
     QQ,
     Field,
     Matrix,
+    PrimeField,
     ShapeError,
     SingularMatrixError,
-    SpanBuilder,
     Subspace,
+    _first_independent,
+    _int_rows,
     _lift,
     _linear_combination,
+    _vector_ints,
     kernel_basis,
     solve,
 )
@@ -98,40 +102,52 @@ def is_nilpotent_tuple(x: AdhmDatum) -> bool:
     return all(b.power(x.c).is_zero() for b in x.B)
 
 
-def _krylov_layers(x: AdhmDatum) -> tuple[SpanBuilder, list[list[tuple]]]:
+def _krylov_layers(x: AdhmDatum) -> tuple[list[list[int]], list[list[tuple]]]:
     """Greedy scan of the Krylov words B^alpha v_j in (|alpha|, alpha, j) order.
 
-    Returns the span and, per degree, the kept ``(alpha, j, vector)`` (j
-    0-based); a word is kept when it grows the span.  Layer 0 is always
-    there, later layers are non-empty, and the scan stops at the first empty
-    layer or once the span is V.  Only B_i-images of kept words are formed,
-    yet the choice is that of a scan of every word: if w was not kept, w is
-    in the span of kept words scanned before it, which B_i maps to words
-    scanned before B_i w (adding e_i keeps degree and lex comparisons).
+    Returns the kept words' int vectors and, per degree, the kept
+    ``(alpha, j, ints)`` (j 0-based); a word is kept when it grows the span.
+    Layer 0 is always there, later layers are non-empty, and the scan stops
+    at the first empty layer or once the span is V.  Only B_i-images of kept
+    words are formed, yet the choice is that of a scan of every word: if w
+    was not kept, w is in the span of kept words scanned before it, which B_i
+    maps to words scanned before B_i w (adding e_i keeps degree and lex
+    comparisons).
 
     For a non-commuting tuple, alpha only orders the images: all n images of
     every kept word are tried, sorted by (alpha, j, i, k) with k the word's
     place in its layer, none dropped for sharing a label.  So the span is
     still B-invariant, the Krylov closure.
+
+    The walk runs on ints, up to scale: each v_j is lifted on its own, each
+    image is formed on B_i's int view with its denominator dropped (reduced
+    mod p over GF(p)), and :func:`_first_independent` picks each layer's
+    words after the kept ones.
     """
-    span = SpanBuilder(x.field, x.c)
-    layer = [((0,) * x.n, j, vec) for j, vec in enumerate(x.v) if span.add(vec)]
+    field, c = x.field, x.c
+    p = field.p if isinstance(field, PrimeField) else None
+    rows = [_int_rows(b) for b in x.B]
+    vecs = [_vector_ints(field, c, vec) for vec in x.v]
+    layer = [((0,) * x.n, j, vecs[j]) for j in _first_independent(field, c, vecs)]
+    kept = [vec for _, _, vec in layer]
     layers = [layer]
-    while layer and span.dim < x.c:
-        words, layer = layer, []
-        for alpha, j, i, k in sorted(
+    while layer and len(kept) < c:
+        words = sorted(
             (alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], j, i, k)
-            for k, (alpha, j, _) in enumerate(words)
+            for k, (alpha, j, _) in enumerate(layer)
             for i in range(x.n)
-        ):
-            vec = x.B[i].apply(words[k][2])
-            if span.add(vec):
-                layer.append((alpha, j, vec))
-                if span.dim == x.c:
-                    break
+        )
+        images = []
+        for _, _, i, k in words:
+            image = [sum(map(mul, row, layer[k][2])) for row in rows[i]]
+            images.append(image if p is None else [a % p for a in image])
+        start = len(kept)
+        layer = [(*words[u - start][:2], images[u - start])
+                 for u in _first_independent(field, c, kept + images)[start:]]
+        kept += [vec for _, _, vec in layer]
         if layer:
             layers.append(layer)
-    return span, layers
+    return kept, layers
 
 
 def krylov_closure(x: AdhmDatum) -> Subspace:
@@ -140,8 +156,7 @@ def krylov_closure(x: AdhmDatum) -> Subspace:
     The span of the kept Krylov words (:func:`_krylov_layers`); each layer
     grows it, so at most c layers follow span{v_j}.
     """
-    span, _ = _krylov_layers(x)
-    return span.to_subspace()
+    return Subspace.from_vectors(x.field, x.c, _krylov_layers(x)[0])
 
 
 def is_stable(x: AdhmDatum) -> bool:

@@ -576,6 +576,13 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(m.field, _int_rows(m), below_only=True)[0])
 
 
+def _first_independent(field: Field, dim: int, vectors: Sequence[Sequence[int]]) -> list[int]:
+    """The indices of the int vectors of length dim (residues over GF(p)) that
+    are not in the span of the vectors before them: the pivot columns of the
+    matrix whose columns are the vectors."""
+    return _eliminate(field, [[v[k] for v in vectors] for k in range(dim)], below_only=True)[0]
+
+
 def _vector_ints(field: Field, ambient_dim: int, vec: Sequence) -> list[int]:
     """vec coerced into field and lifted to ints; the common denominator is dropped."""
     if len(vec) != ambient_dim:
@@ -658,60 +665,6 @@ class Subspace:
         vectors = [self.basis.row_tuple(i) for i in range(self.basis.rows)]
         vectors += [other.basis.row_tuple(i) for i in range(other.basis.rows)]
         return Subspace.from_vectors(self.field, self.ambient_dim, vectors)
-
-
-class SpanBuilder:
-    """Incrementally grown row span; ``add`` reports whether the span grew.
-
-    Rows are kept as ints (residues with pivot 1 over GF(p), primitive over
-    QQ), forward-reduced in insertion order, so membership tests reduce
-    against them in that order; over QQ the update is fraction-free.
-    """
-
-    def __init__(self, field: Field, ambient_dim: int):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self._p = field.p if isinstance(field, PrimeField) else None
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def _residue(self, vec: Sequence) -> list[int]:
-        """vec reduced against the rows: zero exactly when vec is in the span."""
-        v = _vector_ints(self.field, self.ambient_dim, vec)
-        p = self._p
-        for row, piv in zip(self._rows, self._pivots):
-            if f := v[piv]:
-                if p is None:
-                    pv = row[piv]
-                    v = [pv * a - f * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: Sequence) -> bool:
-        v = self._residue(vec)
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        if self._p is None:
-            g = math.gcd(*v)
-            v = [a // g for a in v]
-        elif v[piv] != 1:
-            inv = pow(v[piv], -1, self._p)
-            v = [a * inv % self._p for a in v]
-        self._rows.append(v)
-        self._pivots.append(piv)
-        return True
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._residue(vec))
-
-    def to_subspace(self) -> Subspace:
-        return Subspace.from_vectors(self.field, self.ambient_dim, self._rows)
 
 
 def kernel_basis(m: Matrix) -> Subspace:

@@ -27,6 +27,9 @@ from .exactalg import (
 )
 from .quotmod import NonCommutingError
 
+# sample points have integer coordinates in [-SAMPLE_BOUND, SAMPLE_BOUND]
+SAMPLE_BOUND = 7
+
 
 @dataclass(frozen=True)
 class LinearForm:
@@ -316,7 +319,7 @@ def fiber_report(x: AdhmDatum, point: Sequence) -> FiberReport:
     return FiberReport(point=pt, term_dims=term_dims, ranks=ranks, middle_dim=middle, euler=euler)
 
 
-def sample_points(x: AdhmDatum, count: int, seed: int, *, bound: int = 7) -> list[tuple]:
+def sample_points(x: AdhmDatum, count: int, seed: int) -> list[tuple]:
     """Deterministic rational sample points on P^n: affine-chart points plus a
     few on the hyperplane at infinity."""
     rng = random.Random(seed)
@@ -325,12 +328,12 @@ def sample_points(x: AdhmDatum, count: int, seed: int, *, bound: int = 7) -> lis
     infinity = max(1, count // 8)
     for _ in range(count - infinity):
         pts.append(
-            tuple(field.coerce(rng.randint(-bound, bound)) for _ in range(x.n))
+            tuple(field.coerce(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for _ in range(x.n))
             + (field.one(),)
         )
     for _ in range(infinity):
         while True:
-            coords = [rng.randint(-bound, bound) for _ in range(x.n)]
+            coords = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(x.n)]
             if any(coords):
                 break
         pts.append(tuple(field.coerce(z) for z in coords) + (field.zero(),))

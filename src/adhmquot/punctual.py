@@ -122,19 +122,26 @@ def _path_data(x: AdhmDatum, *, experimental: bool) -> PathData:
         raise NonCommutingError("the path scales a commuting tuple")
     # one Krylov walk decides stability and gives the greedily independent
     # v_j, completed to a basis by the later words, in (|alpha|, alpha, j) order
-    span, layers = _krylov_layers(x)
-    if span.dim != x.c:
+    kept, layers = _krylov_layers(x)
+    if len(kept) != x.c:
         raise PathConstructionError("basis completion needs a stable datum")
     selected = [j for _, j, _ in layers[0]]
     remaining = [j for j in range(x.r) if j not in selected]
-    completion = [vec for layer in layers[1:] for _, _, vec in layer]
     needed = len(remaining)
-    zero_vec = (x.field.zero(),) * x.c
-    padded = completion[:needed] + [zero_vec] * max(0, needed - len(completion))
+    # the walk keeps its words up to scale: rebuild the exact value of each
+    # completion word used, B^alpha v_j, in any order as x commutes
+    completion = []
+    for alpha, j, _ in [word for layer in layers[1:] for word in layer][:needed]:
+        vec = x.v[j]
+        for b, e in zip(x.B, alpha):
+            for _ in range(e):
+                vec = b.apply(vec)
+        completion.append(vec)
+    completion += [(x.field.zero(),) * x.c] * (needed - len(completion))
     return PathData(
         selected=tuple(selected),
         remaining=tuple(remaining),
-        completion=tuple(padded),
+        completion=tuple(completion),
         permutation=tuple(selected) + tuple(remaining),
     )
 

@@ -265,14 +265,9 @@ def module_from_generators(
         if g.n != n or g.r != r:
             raise ShapeError("generator shape does not match (n, r)")
     field = _gens_field(gens)
+    lifted = _lifted_generators(field, gens)
     if degree_cap is None:
-        degree_cap = max(2, max((g.degree() for g in gens), default=0)) + 2
-    # each nonzero generator lifted once: the truncation's row space does not
-    # depend on the scale of a row
-    lifted = [
-        (g.degree(), list(zip(g.terms, _lift(field, list(g.terms.values()))[0])))
-        for g in gens if g.terms
-    ]
+        degree_cap = max(2, max((gdeg for gdeg, _ in lifted), default=0)) + 2
 
     qdims: list[int] = []
     for d in range(degree_cap + 1):
@@ -300,7 +295,7 @@ def module_from_generators(
             if any(sum(t[0]) >= d for t in standard):
                 continue  # a top-degree monomial survived; not stabilized yet
             datum = _freeze_quotient(n, r, field, columns, col_index, reduced, pivots, standard)
-            if _certified(datum, gens):
+            if _certified(datum, lifted):
                 return datum
             # a generator above this degree cuts the quotient further; the
             # plateau was spurious, so keep scanning
@@ -309,9 +304,19 @@ def module_from_generators(
     )
 
 
-def _certified(datum: AdhmDatum, gens: Sequence[PolyVector]) -> bool:
+def _lifted_generators(field: Field, gens: Sequence[PolyVector]) -> list[tuple[int, list]]:
+    """Each nonzero generator lifted once, as (degree, [(term, int)]): neither
+    the truncation's row space nor a vanishing image depends on its scale."""
+    return [
+        (g.degree(), list(zip(g.terms, _lift(field, list(g.terms.values()))[0])))
+        for g in gens if g.terms
+    ]
+
+
+def _certified(datum: AdhmDatum, lifted: Sequence[tuple[int, list]]) -> bool:
     """The frozen datum is the true quotient iff it commutes, the units
-    generate, and every input generator's class vanishes in it.
+    generate, and every input generator's class vanishes in it; the
+    generators come lifted by :func:`_lifted_generators`.
 
     The frozen classes always span the quotient once the truncation
     plateaus, so vanishing generators force the surjection onto the true
@@ -319,11 +324,13 @@ def _certified(datum: AdhmDatum, gens: Sequence[PolyVector]) -> bool:
     """
     if not is_adhm(datum) or not is_stable(datum):
         return False
-    table = _monomial_vector_table(datum, max(g.degree() for g in gens))
+    rows, _ = _monomial_vector_table(datum, max((gdeg for gdeg, _ in lifted), default=0))
     p = datum.field.p if isinstance(datum.field, PrimeField) else None
-    for g in gens:
-        ints, _ = _evaluate(datum, table, g)
-        if any(ints) if p is None else any(a % p for a in ints):
+    for _, terms in lifted:
+        ints = [0] * datum.c
+        for term, a in terms:
+            ints = [s + a * b for s, b in zip(ints, rows[term])]
+        if any(ints) if p is None else any(s % p for s in ints):
             return False
     return True
 

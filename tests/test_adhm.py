@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from adhmquot import exactalg
 from adhmquot.adhm import (
     AdhmDatum,
     GenerationError,
+    _krylov_layers,
     act,
     commutator_pairs,
     commutators,
@@ -57,6 +59,44 @@ def test_krylov_examples(jordan2):
     assert krylov_closure(x).dim == 1 and not is_stable(x)
     x = AdhmDatum(1, 2, 1, (jordan2,), ((0, 1),))
     assert krylov_closure(x).dim == 2 and is_stable(x)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_krylov_walk_builds_no_scalars(monkeypatch, field):
+    rng = random.Random(5)
+    data = []
+    for seed in range(12):
+        n, c, r = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+        x = random_datum(n, c, r, seed=seed, stable=(True, False, None)[seed % 3], field=field)
+        # conjugating by diag(1, ..., c) puts denominators into B and v
+        g = Matrix.from_rows(field, [[k + 1 if k == i else 0 for k in range(c)] for i in range(c)])
+        noncommuting = tuple(
+            Matrix.from_rows(field, [[rng.randint(-2, 2) for _ in range(c)] for _ in range(c)])
+            for _ in range(n)
+        )
+        data += [x, act(g, x), AdhmDatum(n, c, r, noncommuting, x.v)]
+    expected = [(krylov_closure(x).dim, _krylov_layers(x)) for x in data]
+
+    def no_scalars(*args):
+        raise AssertionError("the Krylov walk built scalars")
+
+    monkeypatch.setattr(exactalg, "_scalars", no_scalars)
+    walks = [_krylov_layers(x) for x in data]
+    assert [(len(kept), (kept, layers)) for kept, layers in walks] == expected
+
+
+@pytest.mark.parametrize("field,rows", [
+    (GF(2), [[1, 1], [1, 1]]),  # B v = (2, 2) = 0
+    (GF(3), [[1, 2], [2, 1]]),  # B v = (3, 3) = 0
+    (GF(2), [[1, 1, 0], [1, 1, 0], [1, 1, 0]]),  # B v = (2, 2, 2) = 0
+    (GF(3), [[1, 2, 0], [2, 1, 0], [1, 2, 0]]),  # B v = (3, 3, 3) = 0
+])
+def test_krylov_walk_reduces_images_mod_p(field, rows):
+    c = len(rows)
+    x = AdhmDatum(1, c, 1, (Matrix.from_rows(field, rows),), ((1, 1) + (0,) * (c - 2),))
+    kept, layers = _krylov_layers(x)
+    assert kept == [[1, 1] + [0] * (c - 2)] and len(layers) == 1
+    assert krylov_closure(x).dim == 1 and not is_stable(x)
 
 
 def test_stability_c0_vacuous():

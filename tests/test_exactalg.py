@@ -16,8 +16,8 @@ from adhmquot.exactalg import (
     LinearAlgebraError,
     Matrix,
     ShapeError,
-    SpanBuilder,
     Subspace,
+    _first_independent,
     char_poly,
     kernel_basis,
     rank,
@@ -174,13 +174,15 @@ def test_subspace_contains_and_join():
     assert s.coordinates((1, 1, 0)) is None
 
 
-def test_span_builder_tracks_growth():
-    sb = SpanBuilder(QQ, 3)
-    assert sb.add((1, 1, 0))
-    assert not sb.add((2, 2, 0))
-    assert sb.add((0, 0, 5))
-    assert sb.dim == 2
-    assert sb.contains((3, 3, 7))
+def test_first_independent_picks_the_vectors_that_grow_the_span():
+    assert _first_independent(QQ, 3, [[1, 1, 0], [2, 2, 0], [0, 0, 5], [3, 3, 7]]) == [0, 2]
+    assert _first_independent(QQ, 0, [[], []]) == []  # dim 0
+    assert _first_independent(QQ, 3, []) == []  # no vectors
+    assert _first_independent(QQ, 2, [[0, 0], [0, 3], [0, 0], [4, 0]]) == [1, 3]  # zero vectors
+    assert _first_independent(QQ, 2, [[1, 2], [1, 2], [2, 4], [1, 3], [1, 3]]) == [0, 3]  # repeats
+    # residues: (1, 1) and (1, 0) span GF(2)^2, and (2, 1) = 2 (1, 2) over GF(3)
+    assert _first_independent(GF(2), 2, [[1, 1], [0, 0], [1, 1], [1, 0], [0, 1]]) == [0, 3]
+    assert _first_independent(GF(3), 2, [[1, 2], [2, 1], [0, 1], [2, 2]]) == [0, 2]
 
 
 def test_char_poly_and_roots():

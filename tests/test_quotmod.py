@@ -16,6 +16,7 @@ from adhmquot.quotmod import (
     PolyVector,
     QuotientError,
     _certified,
+    _lifted_generators,
     hilbert_profile,
     kernel_basis_up_to_degree,
     module_from_generators,
@@ -162,14 +163,15 @@ def test_certified_rejects_noncommuting_datum(noncommuting_pair):
     # stable, and z_0 and z_1^2 both kill v: only the commutator check can fail
     assert is_stable(x) and not is_adhm(x)
     assert b0.apply(x.v[0]) == b1.apply(b1.apply(x.v[0])) == (Fraction(0),) * 2
-    assert not _certified(x, [mono(2, 1, (1, 0), 1), mono(2, 1, (0, 2), 1)])
+    gens = [mono(2, 1, (1, 0), 1), mono(2, 1, (0, 2), 1)]
+    assert not _certified(x, _lifted_generators(QQ, gens))
 
 
 def test_certified_rejects_surviving_generator():
     x = module_from_generators(1, 1, [mono(1, 1, (2,), 1)])
-    assert x.c == 2 and _certified(x, [mono(1, 1, (2,), 1)])
-    assert not _certified(x, [mono(1, 1, (2,), 1), mono(1, 1, (1,), 1)])
-    assert not _certified(x, [mono(1, 1, (3,), 1), mono(1, 1, (0,), 1, 5)])
+    assert x.c == 2 and _certified(x, _lifted_generators(QQ, [mono(1, 1, (2,), 1)]))
+    assert not _certified(x, _lifted_generators(QQ, [mono(1, 1, (2,), 1), mono(1, 1, (1,), 1)]))
+    assert not _certified(x, _lifted_generators(QQ, [mono(1, 1, (3,), 1), mono(1, 1, (0,), 1, 5)]))
 
 
 def test_certified_reads_images_mod_p():
@@ -179,7 +181,7 @@ def test_certified_reads_images_mod_p():
     x = AdhmDatum(1, 1, 1, (Matrix(field, 1, 1, (one,)),), ((one,),))
     g = PolyVector(1, 1, {((1,), 1): one, ((0,), 1): one})
     assert phi_apply(x, g) == (field.zero(),)
-    assert _certified(x, [g])
+    assert _certified(x, _lifted_generators(field, [g]))
     assert module_from_generators(1, 1, [g]) == x
 
 
