@@ -443,16 +443,18 @@ def _linear_combination(matrices: Sequence[Matrix], coeffs: Sequence) -> Matrix:
 
     Summed as ints on the cached int views of the coefficients and of the
     matrices, over one common denominator, into a matrix whose scalars are
-    made on first read.
+    made on first read.  Each term walks only its matrix's nonzero entries.
     """
     field, rows, cols = matrices[0].field, matrices[0].rows, matrices[0].cols
     nums, dc = _lift(field, [field.coerce(a) for a in coeffs])
-    terms = [(a, matrices[k]._lifted) for k, a in enumerate(nums) if a]
+    terms = [(a, m._lifted) for a, m in zip(nums, matrices) if a]
     d = math.lcm(*(dm for _, (_, dm) in terms))
-    acc = [0] * (rows * cols)
+    cells = range(rows * cols)
+    acc = [0] * len(cells)
     for a, (ints, dm) in terms:
         a *= d // dm
-        acc = [s + a * v for s, v in zip(acc, ints)]
+        for k in compress(cells, ints):
+            acc[k] += a * ints[k]
     return Matrix._of_ints(field, rows, cols, acc, d * dc)
 
 
@@ -460,15 +462,18 @@ def _int_product(a: list[int], b: list[int], rows: int, inner: int, cols: int) -
     """Row-major product of flat integer matrices a (rows x inner) and b (inner x cols).
 
     Each output row accumulates the rows of b picked out by the nonzeros of
-    the matching row of a.
+    the matching row of a, walking only the nonzeros of each such row.
     """
     out: list[int] = []
+    inner_range, col_range = range(inner), range(cols)
     for i in range(rows):
+        a_row = a[i * inner : (i + 1) * inner]
         acc = [0] * cols
-        for k, x in enumerate(a[i * inner : (i + 1) * inner]):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, b[k * cols : (k + 1) * cols])]
-        out.extend(acc)
+        for k in compress(inner_range, a_row):
+            x, b_row = a_row[k], b[k * cols : (k + 1) * cols]
+            for j in compress(col_range, b_row):
+                acc[j] += x * b_row[j]
+        out += acc
     return out
 
 

@@ -8,9 +8,9 @@ target @ source, with row counts matching the target term.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .adhm import AdhmDatum, is_adhm, krylov_closure
@@ -20,7 +20,7 @@ from .exactalg import (
     ShapeError,
     Subspace,
     _lift,
-    _scalars,
+    _linear_combination,
     joint_eigenspaces,
     kernel_basis,
     rank,
@@ -52,42 +52,28 @@ class LinearForm:
 class LinearFormMatrix:
     """Matrix of linear forms z_0 A_0 + ... + z_n A_n.
 
-    coeffs[k] is the coefficient matrix A_k, stored sparsely as a dict
-    {(i, j): scalar} that never holds a zero, so equal maps compare equal.
+    coeffs[k] is the coefficient matrix A_k, a rows x cols :class:`Matrix`.
     """
 
     field: Field
     rows: int
     cols: int
-    coeffs: tuple  # one sparse coefficient matrix per variable
+    coeffs: tuple  # one coefficient Matrix per variable
 
     @property
     def var_count(self) -> int:
         return len(self.coeffs)
 
-    @cached_property
-    def _lifted(self) -> tuple[tuple[list, ...], int]:
-        """The coefficients as Python ints, lifted once: (per variable [(i, j, int)], d).
-
-        All variables share one common denominator d (residues and d = 1
-        over GF(p)), so A_k[i, j] == int / d.  The view is cached outside
-        the dataclass fields: it takes no part in == or repr.
-        """
-        ints, d = _lift(self.field, [c for ak in self.coeffs for c in ak.values()])
-        it = iter(ints)  # consumed in the order the coefficients were listed
-        return tuple([(i, j, v) for (i, j), v in zip(ak, it)] for ak in self.coeffs), d
-
     def entry(self, i: int, j: int) -> LinearForm:
-        zero = self.field.zero()
-        return LinearForm(tuple(a.get((i, j), zero) for a in self.coeffs))
+        return LinearForm(tuple(a.entry(i, j) for a in self.coeffs))
 
 
 @dataclass(frozen=True)
 class QuadraticFormMatrix:
     """Matrix of quadratic forms: the sum over k <= l of z_k z_l C_kl.
 
-    coeffs maps (k, l) to C_kl, a sparse matrix like those of
-    LinearFormMatrix; only nonzero coefficient matrices are kept.
+    coeffs maps (k, l) to the coefficient Matrix C_kl; only nonzero ones
+    are kept.
     """
 
     field: Field
@@ -100,46 +86,42 @@ class QuadraticFormMatrix:
 
     def coefficient_matrix(self, k: int, l: int) -> Matrix:
         """Scalar matrix of the z_k z_l coefficients."""
-        c = self.coeffs.get((min(k, l), max(k, l)), {})
-        zero = self.field.zero()
-        return Matrix(
-            self.field, self.rows, self.cols,
-            tuple(c.get((i, j), zero) for i in range(self.rows) for j in range(self.cols)),
-        )
+        c = self.coeffs.get((min(k, l), max(k, l)))
+        return Matrix.zero(self.field, self.rows, self.cols) if c is None else c
 
 
-def _assemble(x: AdhmDatum, grid: Sequence[Sequence]) -> list[dict]:
-    """Coefficient matrices of a grid of c x c blocks.
+def _assemble(x: AdhmDatum, rows: int, cols: int, grid: Sequence[Sequence], framing=()) -> tuple:
+    """Coefficient matrices, over one denominator, of c x c blocks and framing columns.
 
     A cell is None (a zero block) or (sign, i) with sign = +-1, the block
-    sign (B_i z_n - z_i); the sign flips the entries, with no product.
+    sign (B_i z_n - z_i); the sign flips the entries of B_i's int view,
+    with no product.  The framing vectors fill the last columns of A_n.
     """
-    n, c = x.n, x.c
-    coeffs: list[dict] = [{} for _ in range(n + 1)]
+    n, c, field = x.n, x.c, x.field
+    views = [b._lifted for b in x.B]
+    vs, dv = _lift(field, [a for vec in framing for a in vec])
+    d = math.lcm(dv, *(db for _, db in views))
+    ints = [[0] * (rows * cols) for _ in range(n + 1)]
     for block_row, cells in enumerate(grid):
         for block_col, cell in enumerate(cells):
-            if cell is None:
-                continue
-            sign, i = cell
-            diagonal = x.field.coerce(-sign)
-            r0, c0 = block_row * c, block_col * c
-            for a in range(c):
-                coeffs[i][(r0 + a, c0 + a)] = diagonal
-                for b, value in enumerate(x.B[i].row_tuple(a)):
-                    if value:
-                        coeffs[n][(r0 + a, c0 + b)] = value if sign > 0 else -value
-    return coeffs
+            if cell is not None:
+                sign, i = cell
+                b, s = views[i][0], sign * (d // views[i][1])
+                for a in range(c):
+                    at = (block_row * c + a) * cols + block_col * c
+                    ints[i][at + a] = -sign * d
+                    ints[n][at : at + c] = [s * e for e in b[a * c : (a + 1) * c]]
+    for j in range(len(framing)):
+        column = vs[j * rows : (j + 1) * rows]
+        ints[n][cols - len(framing) + j :: cols] = [(d // dv) * a for a in column]
+    return tuple(Matrix._of_ints(field, rows, cols, a, d) for a in ints)
 
 
 def alpha0(x: AdhmDatum) -> LinearFormMatrix:
     """The c x (nc + r) map (B_0 z_n - z_0 | ... | B_{n-1} z_n - z_{n-1} | v_j z_n)."""
     n, c, r = x.n, x.c, x.r
-    coeffs = _assemble(x, [[(1, i) for i in range(n)]])
-    for j in range(r):
-        for row, value in enumerate(x.v[j]):
-            if value:
-                coeffs[n][(row, n * c + j)] = value
-    return LinearFormMatrix(x.field, c, n * c + r, tuple(coeffs))
+    coeffs = _assemble(x, c, n * c + r, [[(1, i) for i in range(n)]], x.v)
+    return LinearFormMatrix(x.field, c, n * c + r, coeffs)
 
 
 def alpha_minus1(x: AdhmDatum) -> LinearFormMatrix:
@@ -155,9 +137,8 @@ def alpha_minus1(x: AdhmDatum) -> LinearFormMatrix:
     for col, (i, m) in enumerate(block_cols):
         grid[i][col] = (1, i + 1 + m)
         grid[i + 1 + m][col] = (-1, i)
-    return LinearFormMatrix(
-        x.field, n * c + r, len(block_cols) * c, tuple(_assemble(x, grid))
-    )
+    rows, cols = n * c + r, len(block_cols) * c
+    return LinearFormMatrix(x.field, rows, cols, _assemble(x, rows, cols, grid))
 
 
 def alpha_minus2_p3(x: AdhmDatum) -> LinearFormMatrix:
@@ -165,64 +146,37 @@ def alpha_minus2_p3(x: AdhmDatum) -> LinearFormMatrix:
     if x.n != 3:
         raise ShapeError("the depth-two map is only constructed for n = 3")
     grid = [[(-1, 2)], [(1, 1)], [(-1, 0)]]
-    return LinearFormMatrix(x.field, 3 * x.c, x.c, tuple(_assemble(x, grid)))
+    return LinearFormMatrix(x.field, 3 * x.c, x.c, _assemble(x, 3 * x.c, x.c, grid))
 
 
 def compose(a: LinearFormMatrix, b: LinearFormMatrix) -> QuadraticFormMatrix:
-    """Exact product a @ b: C_kl = A_k B_l + A_l B_k for k < l, C_kk = A_k B_k."""
+    """Exact product a @ b: C_kl = A_k B_l + A_l B_k for k < l, C_kk = A_k B_k.
+
+    Only the nonzero C_kl are kept; over GF(p) a sum that vanishes mod p
+    counts as zero.
+    """
     if a.cols != b.rows:
         raise ShapeError("inner dimensions do not match")
     if a.var_count != b.var_count or a.field != b.field:
         raise ShapeError("factors disagree on variables or field")
-    (a_lifted, da), (b_lifted, db) = a._lifted, b._lifted
-    # each B_l as {row: [(col, int), ...]}, so A_k B_l walks nonzeros only
-    b_rows = []
-    for bl in b_lifted:
-        index: dict = {}
-        for m, j, value in bl:
-            index.setdefault(m, []).append((j, value))
-        b_rows.append(index)
-    sums: dict = {}
-    for k, ak in enumerate(a_lifted):
-        for l, index in enumerate(b_rows):
-            acc = sums.setdefault((min(k, l), max(k, l)), {})
-            for i, m, av in ak:
-                for j, bv in index.get(m, ()):
-                    acc[(i, j)] = acc.get((i, j), 0) + av * bv
-    out = {}
-    for key, acc in sums.items():
-        # sums that vanish (mod p over GF(p)) come back as the falsy zero
-        values = _scalars(a.field, acc.values(), da * db)
-        nonzero = {ij: value for ij, value in zip(acc, values) if value}
-        if nonzero:
-            out[key] = nonzero
-    return QuadraticFormMatrix(a.field, a.rows, b.cols, out)
+    one, out = a.field.one(), {}
+    for k, (ak, bk) in enumerate(zip(a.coeffs, b.coeffs)):
+        out[(k, k)] = ak @ bk
+        for l in range(k + 1, a.var_count):
+            out[(k, l)] = _linear_combination([ak @ b.coeffs[l], a.coeffs[l] @ bk], [one, one])
+    nonzero = {key: c for key, c in out.items() if not c.is_zero()}
+    return QuadraticFormMatrix(a.field, a.rows, b.cols, nonzero)
 
 
 def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
-    """Scalar matrix obtained by evaluating every entry at a point of P^n.
-
-    The sums run on Python ints: the point is lifted over one common
-    denominator (residues over GF(p)) and multiplied into the form
-    matrix's cached lifted coefficients.  The sums are the result's int
-    view, so a rank of the result reads them without lifting again, and
-    its scalar entries are made only if read.
-    """
-    field = m.field
-    pt = tuple(field.coerce(z) for z in point)
+    """Scalar matrix obtained by evaluating every entry at a point of P^n:
+    the sum of z_k A_k."""
+    pt = tuple(m.field.coerce(z) for z in point)
     if len(pt) != m.var_count:
         raise ShapeError("point arity does not match the variable count")
     if all(not z for z in pt):
         raise ValueError("the zero tuple is not a point of projective space")
-    zs, dz = _lift(field, pt)
-    lifted, dc = m._lifted
-    cols = m.cols
-    acc = [0] * (m.rows * cols)
-    for z, ak in zip(zs, lifted):
-        if z:
-            for i, j, c in ak:
-                acc[i * cols + j] += c * z
-    return Matrix._of_ints(field, m.rows, cols, acc, dz * dc)
+    return _linear_combination(m.coeffs, pt)
 
 
 @dataclass(frozen=True)

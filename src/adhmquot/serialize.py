@@ -207,15 +207,16 @@ def form_matrix_from_obj(obj: Any) -> LinearFormMatrix:
     raw = _typed(obj["entries"], list, "entries")
     if len(raw) != rows:
         raise FormatError("entries do not match the declared row count")
-    coeffs: tuple[dict, ...] = tuple({} for _ in range(nvars))
-    for i, row in enumerate(raw):
+    values = []  # row-major cells, nvars coefficients each
+    for row in raw:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError("entries do not match the declared column count")
-        for j, cell in enumerate(row):
+        for cell in row:
             if not isinstance(cell, list) or len(cell) != nvars:
                 raise FormatError("each entry lists one coefficient per variable")
-            for a, text in zip(coeffs, cell):
-                value = parse_scalar(field, text)
-                if value:
-                    a[(i, j)] = value
+            values.extend(parse_scalar(field, text) for text in cell)
+    # all-zero variables share one matrix: nvars costs one reference each
+    zero = Matrix.zero(field, rows, cols)
+    coeffs = tuple(Matrix(field, rows, cols, tuple(ak)) if any(ak) else zero
+                   for ak in (values[k::nvars] for k in range(nvars)))
     return LinearFormMatrix(field, rows, cols, coeffs)

@@ -103,7 +103,7 @@ def test_alpha_minus2_column():
 def test_compose_zero_factor():
     x = random_datum(2, 2, 1, seed=5)
     a0 = alpha0(x)
-    zero_factor = LinearFormMatrix(QQ, a0.cols, 4, ({}, {}, {}))
+    zero_factor = LinearFormMatrix(QQ, a0.cols, 4, (Matrix.zero(QQ, a0.cols, 4),) * 3)
     assert compose(a0, zero_factor).is_zero()
 
 

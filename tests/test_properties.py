@@ -647,11 +647,16 @@ def _reference_evaluate(m, point) -> Matrix:
     for z, ak in zip(pt, m.coeffs):
         if not z:
             continue
-        for (i, j), c in ak.items():
-            idx = i * m.cols + j
+        for idx, c in enumerate(ak.entries):
+            if not c:
+                continue
             term = c if z == one else c * z
             out[idx] = out[idx] + term if out[idx] else term
     return Matrix(field, m.rows, m.cols, tuple(out))
+
+
+def _nonzeros(m: Matrix) -> dict:
+    return {(i, j): value for i in range(m.rows) for j in range(m.cols) if (value := m.entry(i, j))}
 
 
 def _reference_compose(a: LinearFormMatrix, b: LinearFormMatrix) -> dict:
@@ -659,22 +664,24 @@ def _reference_compose(a: LinearFormMatrix, b: LinearFormMatrix) -> dict:
     b_rows = []
     for bl in b.coeffs:
         index: dict = {}
-        for (m, j), value in bl.items():
+        for (m, j), value in _nonzeros(bl).items():
             index.setdefault(m, []).append((j, value))
         b_rows.append(index)
     sums: dict = {}
     for k, ak in enumerate(a.coeffs):
         for l, index in enumerate(b_rows):
             acc = sums.setdefault((min(k, l), max(k, l)), {})
-            for (i, m), av in ak.items():
+            for (i, m), av in _nonzeros(ak).items():
                 for j, bv in index.get(m, ()):
                     prev = acc.get((i, j))
                     acc[(i, j)] = av * bv if prev is None else prev + av * bv
     out = {}
+    zero = a.field.zero()
     for key, acc in sums.items():
         nonzero = {ij: value for ij, value in acc.items() if value}
         if nonzero:
-            out[key] = nonzero
+            out[key] = Matrix(a.field, a.rows, b.cols, tuple(
+                nonzero.get((i, j), zero) for i in range(a.rows) for j in range(b.cols)))
     return out
 
 
@@ -723,14 +730,67 @@ def _draw_form_matrix(draw, field, rows: int, cols: int, nvars: int) -> LinearFo
     """Sparse coefficient matrices, about half of each one's entries zero."""
     coeffs = []
     for _ in range(nvars):
-        ak = {}
-        for i in range(rows):
-            for j in range(cols):
-                value = _draw_scalar(draw, field) if draw(st.booleans()) else None
-                if value:
-                    ak[(i, j)] = value
-        coeffs.append(ak)
+        entries = [_draw_scalar(draw, field) if draw(st.booleans()) else field.zero()
+                   for _ in range(rows * cols)]
+        coeffs.append(Matrix(field, rows, cols, tuple(entries)))
     return LinearFormMatrix(field, rows, cols, tuple(coeffs))
+
+
+def _draw_raw_datum(draw, field) -> AdhmDatum:
+    """A raw (not necessarily commuting) tuple, over QQ with mixed denominators."""
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    bs = tuple(_draw_matrix(draw, field, c, c) for _ in range(n))
+    vs = tuple(tuple(_draw_scalar(draw, field) for _ in range(c)) for _ in range(r))
+    return AdhmDatum(n, c, r, bs, vs)
+
+
+def _monad_builds(x: AdhmDatum) -> list:
+    return [alpha0, alpha_minus1] + ([alpha_minus2_p3] if x.n == 3 else [])
+
+
+def _reference_monad_maps(x: AdhmDatum) -> list[LinearFormMatrix]:
+    """The monad maps from their block formulas, on scalars: block (sign, i) is
+    sign (B_i z_n - z_i), and alpha0's framing columns are v_j z_n."""
+    n, c, r, field = x.n, x.c, x.r, x.field
+
+    def build(rows, cols, blocks, framing=()):
+        coeffs = [[field.zero()] * (rows * cols) for _ in range(n + 1)]
+        for (block_row, block_col), (sign, i) in blocks.items():
+            for a in range(c):
+                for b in range(c):
+                    at = (block_row * c + a) * cols + block_col * c + b
+                    coeffs[n][at] = x.B[i].entry(a, b) if sign > 0 else -x.B[i].entry(a, b)
+                    if a == b:
+                        coeffs[i][at] = field.coerce(-sign)
+        for j, vec in enumerate(framing):
+            for a in range(c):
+                coeffs[n][a * cols + n * c + j] = vec[a]
+        return LinearFormMatrix(field, rows, cols,
+                                tuple(Matrix(field, rows, cols, tuple(e)) for e in coeffs))
+
+    pairs = [(i, m) for i in range(n - 1) for m in range(n - i - 1)]
+    depth1 = {}
+    for col, (i, m) in enumerate(pairs):
+        depth1[(i, col)], depth1[(i + 1 + m, col)] = (1, i + 1 + m), (-1, i)
+    maps = [build(c, n * c + r, {(0, i): (1, i) for i in range(n)}, x.v),
+            build(n * c + r, len(pairs) * c, depth1)]
+    if n == 3:
+        maps.append(build(3 * c, c, {(0, 0): (-1, 2), (1, 0): (1, 1), (2, 0): (-1, 0)}))
+    return maps
+
+
+@st.composite
+def raw_data(draw):
+    return _draw_raw_datum(draw, draw(st.sampled_from(PRODUCT_FIELDS)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_data())
+def test_monad_maps_match_their_block_formulas(x):
+    for build, expected in zip(_monad_builds(x), _reference_monad_maps(x), strict=True):
+        got = build(x)
+        assert (got.field, got.rows, got.cols) == (expected.field, expected.rows, expected.cols)
+        assert [_bits(a.entries) for a in got.coeffs] == [_bits(a.entries) for a in expected.coeffs]
 
 
 @st.composite
@@ -739,12 +799,9 @@ def monad_maps(draw):
     and a point that often has zeros."""
     field = draw(st.sampled_from(PRODUCT_FIELDS))
     if draw(st.booleans()):
-        n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
-        bs = tuple(_draw_matrix(draw, field, c, c) for _ in range(n))
-        vs = tuple(tuple(_draw_scalar(draw, field) for _ in range(c)) for _ in range(r))
-        x = AdhmDatum(n, c, r, bs, vs)
-        builds = [alpha0, alpha_minus1] + ([alpha_minus2_p3] if n == 3 else [])
-        m = draw(st.sampled_from(builds))(x)
+        x = _draw_raw_datum(draw, field)
+        n = x.n
+        m = draw(st.sampled_from(_monad_builds(x)))(x)
     else:
         rows, cols, n = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
         m = _draw_form_matrix(draw, field, rows, cols, n + 1)
@@ -779,7 +836,7 @@ def form_pairs(draw):
 
 
 def _exact_coeffs(coeffs: dict) -> dict:
-    return {key: {ij: _bits((v,)) for ij, v in c.items()} for key, c in coeffs.items()}
+    return {key: (c.rows, c.cols, _bits(c.entries)) for key, c in coeffs.items()}
 
 
 @settings(max_examples=400, deadline=None)
@@ -795,11 +852,13 @@ def test_compose_matches_reference(pair):
 def test_compose_drops_sums_that_vanish_mod_p(p):
     # the z0^2 block is (row of p ones) @ (column of p ones) = p = 0; only the z0 z1 block is left
     field = GF(p)
-    one = field.one()
-    a = LinearFormMatrix(field, 2, p, ({(i, m): one for i in range(2) for m in range(p)}, {}))
-    b = LinearFormMatrix(field, p, 1, ({(m, 0): one for m in range(p)}, {(0, 0): one}))
+    a = LinearFormMatrix(field, 2, p, (Matrix.from_rows(field, [[1] * p] * 2),
+                                       Matrix.zero(field, 2, p)))
+    b = LinearFormMatrix(field, p, 1, (Matrix.from_rows(field, [[1]] * p),
+                                       Matrix.from_rows(field, [[1]] + [[0]] * (p - 1))))
     got = compose(a, b)
-    assert got.coeffs == _reference_compose(a, b) == {(0, 1): {(0, 0): one, (1, 0): one}}
+    assert got.coeffs == _reference_compose(a, b) == {(0, 1): Matrix.from_rows(field, [[1], [1]])}
+    assert got.coefficient_matrix(0, 0) == Matrix.zero(field, 2, 1)
 
 
 def _assert_trusted(m: Matrix) -> None:
@@ -834,6 +893,18 @@ def test_internal_results_match_the_public_constructor(pair, case, data):
     m, point = case
     if any(point):
         _assert_trusted(evaluate(m, point))
+    cols = data.draw(st.integers(0, 3))
+    comp = compose(m, _draw_form_matrix(data.draw, m.field, m.cols, cols, m.var_count))
+    for c in m.coeffs + tuple(comp.coeffs.values()):
+        _assert_trusted(c)
+    for k in range(m.var_count):
+        for l in range(k, m.var_count):
+            block = comp.coefficient_matrix(k, l)
+            _assert_trusted(block)
+            if (k, l) in comp.coeffs:
+                assert not block.is_zero()
+            else:  # never drawn, or cancelled (often mod 2 or 3)
+                assert block == Matrix.zero(m.field, m.rows, cols)
 
 
 @st.composite
@@ -1116,8 +1187,7 @@ def test_rank_of_an_evaluation_reads_reduced_residues(p):
     # a seeded view holding the unreduced sums would count a pivot
     field = GF(p)
     one = field.one()
-    m = LinearFormMatrix(field, 2, 2, tuple({(i, j): one for i in range(2) for j in range(2)}
-                                            for _ in range(p)))
+    m = LinearFormMatrix(field, 2, 2, (Matrix(field, 2, 2, (one,) * 4),) * p)
     a = evaluate(m, (one,) * p)
     assert a.is_zero() and rank(a) == 0 == rank(Matrix(field, 2, 2, a.entries))
     b = evaluate(m, (one,) * (p - 1) + (field.coerce(2),))

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from adhmquot.adhm import random_datum
-from adhmquot.exactalg import GF, QQ
+from adhmquot.exactalg import GF, QQ, Matrix
 from adhmquot.monad import alpha0, alpha_minus1, evaluate
 from adhmquot.quotmod import kernel_basis_up_to_degree
 from adhmquot.serialize import (
@@ -110,14 +112,16 @@ def test_form_matrix_lifted_view_survives_the_round_trip(field):
     for build in (alpha0, alpha_minus1):
         m = build(x)
         before = repr(m)
-        at_point = evaluate(m, point)  # fills the cached lifted view
-        assert "_lifted" in vars(m) and repr(m) == before
+        at_point = evaluate(m, point)
+        assert repr(m) == before
         fresh = build(x)
-        assert "_lifted" not in vars(fresh) and fresh == m
+        assert fresh == m
         parsed = form_matrix_from_obj(form_matrix_to_obj(m))
         assert parsed == m
         assert evaluate(parsed, point) == at_point
         assert evaluate(m, point) == at_point
+        # the coefficients parsed from scalars lift to the int views the builder wrote
+        assert [a._lifted for a in parsed.coeffs] == [a._lifted for a in m.coeffs]
 
 
 def test_form_matrix_from_obj_drops_explicit_zeros():
@@ -133,8 +137,23 @@ def test_form_matrix_from_obj_drops_explicit_zeros():
     }
     parsed = form_matrix_from_obj(obj)
     assert parsed == alpha0(x)
-    assert all(value for a in parsed.coeffs for value in a.values())
+    assert [a._lifted for a in parsed.coeffs] == [a._lifted for a in alpha0(x).coeffs]
     assert form_matrix_to_obj(parsed) == form_matrix_to_obj(alpha0(x))
+
+
+def test_form_matrix_from_obj_shares_the_zero_coefficient_matrix():
+    # no cells: every variable is zero, and a million of them cost one reference each
+    obj = {"schema": "linear-form-matrix@1", "field": "rational",
+           "rows": 0, "cols": 0, "vars": 10**6, "entries": []}
+    tracemalloc.start()
+    try:
+        parsed = form_matrix_from_obj(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert parsed.var_count == 10**6 and parsed.coeffs[0] == Matrix.zero(QQ, 0, 0)
+    assert len({id(a) for a in parsed.coeffs}) == 1
 
 
 @pytest.mark.parametrize("changes,message", [
