@@ -236,21 +236,16 @@ def equivalence(x: AdhmDatum, y: AdhmDatum) -> Matrix | None:
         return Matrix.identity(field, c)
     # inhomogeneous system: g B_i - B'_i g = 0, g v_j = v'_j
     coeff = _intertwiner_system(x, y)
-    rhs = [field.zero()] * (x.n * c * c)
-    for j in range(x.r):
-        rhs.extend(y.v[j])
+    rhs = [0] * (x.n * c * c) + [a for vec in y.v for a in vec]
     particular = solve(coeff, rhs)
     if particular is None:
         return None
-
-    def as_matrix(flat):
-        return Matrix(field, c, c, tuple(flat))
-
-    g0 = as_matrix(particular)
+    g0 = Matrix._of_ints(field, c, c, *_lift(field, particular))
     if g0.inverse() is not None:
         return g0
-    homogeneous = kernel_basis(coeff)
-    hbasis = [as_matrix(homogeneous.basis.row_tuple(i)) for i in range(homogeneous.dim)]
+    # the homogeneous solutions, sliced out of the kernel basis's int view
+    (ints, d), cc = kernel_basis(coeff).basis._lifted, c * c
+    hbasis = [Matrix._of_ints(field, c, c, ints[k : k + cc], d) for k in range(0, len(ints), cc)]
     for h in hbasis:
         for s in (1, -1):
             cand = _linear_combination([g0, h], [1, s])
@@ -307,6 +302,15 @@ def _random_commuting_block(
     return tuple(bs)
 
 
+def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    """diag(a, b) for square blocks with integer entries (int views over
+    d = 1, as the samplers draw them), joined on their int views."""
+    (x, _), (y, _), s, t = a._lifted, b._lifted, a.rows, b.rows
+    ints = [u for i in range(s) for u in x[i * s : (i + 1) * s] + [0] * t]
+    ints += [u for i in range(t) for u in [0] * s + y[i * t : (i + 1) * t]]
+    return Matrix._of_ints(a.field, s + t, s + t, ints, 1)
+
+
 def random_datum(
     n: int,
     c: int,
@@ -333,30 +337,18 @@ def random_datum(
     for _ in range(MAX_RETRIES):
         if stable is False:
             c_top = rng.randrange(0, c)
-            c_bot = c - c_top
             top = _random_commuting_block(rng, field, n, c_top, entry_bound, nilpotent)
-            bot = _random_commuting_block(rng, field, n, c_bot, entry_bound, nilpotent)
-            bs = []
-            zero = field.zero()
-            for i in range(n):
-                rows = []
-                for p in range(c_top):
-                    rows.append(list(top[i].row_tuple(p)) + [zero] * c_bot)
-                for p in range(c_bot):
-                    rows.append([zero] * c_top + list(bot[i].row_tuple(p)))
-                bs.append(Matrix.from_rows(field, rows) if rows else Matrix.zero(field, 0, 0))
-            vs = []
-            for _ in range(r):
-                vec = [field.coerce(rng.randint(-entry_bound, entry_bound)) for _ in range(c_top)]
-                vs.append(tuple(vec) + (zero,) * c_bot)
-            candidate = AdhmDatum(n, c, r, tuple(bs), tuple(vs))
+            bot = _random_commuting_block(rng, field, n, c - c_top, entry_bound, nilpotent)
+            bs = tuple(_block_diagonal(a, b) for a, b in zip(top, bot))
         else:
+            c_top = c
             bs = _random_commuting_block(rng, field, n, c, entry_bound, nilpotent)
-            vs = tuple(
-                tuple(field.coerce(rng.randint(-entry_bound, entry_bound)) for _ in range(c))
-                for _ in range(r)
-            )
-            candidate = AdhmDatum(n, c, r, bs, vs)
+        # the marked vectors vanish off the first block
+        vs = tuple(
+            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(c_top)) + (0,) * (c - c_top)
+            for _ in range(r)
+        )
+        candidate = AdhmDatum(n, c, r, bs, vs)
         if not is_adhm(candidate):
             continue
         if nilpotent and not is_nilpotent_tuple(candidate):

@@ -855,11 +855,13 @@ def joint_eigenspaces(
         if axis == len(ops):
             yield eigs, space
             return
-        images = [space.coordinates(ops[axis].apply(space.basis.row_tuple(s)))
-                  for s in range(space.dim)]
-        if None in images:
+        (a, da), (b, db), n = ops[axis]._lifted, space.basis._lifted, space.ambient_dim
+        images = [_int_product(a, b[s * n : (s + 1) * n], n, n, 1) for s in range(space.dim)]
+        if not all(map(space._contains_ints, images)):
             raise LinearAlgebraError("subspace is not invariant under the operators")
-        op = Matrix.from_rows(space.field, images).transpose()
+        # column s of the restricted operator: image s in the RREF basis, read at its pivots
+        op = Matrix._of_ints(space.field, space.dim, space.dim,
+                             [u[piv] for piv in space._pivots for u in images], da * db)
         roots, factors = rational_eigenvalues(op)
         if factors and irrational is not None:
             irrational.append((axis, factors))

@@ -8,6 +8,7 @@ with z_0 heaviest; term magnitude breaks ties by slot, slot 1 largest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul
@@ -132,14 +133,17 @@ def _basis_display_key(term: Term) -> tuple:
 def _monomial_vector_table(x: AdhmDatum, degree: int) -> tuple[dict[Term, list[int]], int]:
     """Values B^alpha v_j for |alpha| <= degree, filled degree by degree on ints.
 
-    Returns (table, d) with B^alpha v_j = table[(alpha, j)] / d.  The B_i
-    share one lifted denominator e and the v_j another; degree k carries
-    e^k and is scaled by e^(degree - k) at the end.  Over GF(p) all are residues.
+    Returns (table, d) with B^alpha v_j = table[(alpha, j)] / d.  The B_i's
+    int views are rescaled to one denominator e and the v_j share another;
+    degree k carries e^k and is scaled by e^(degree - k) at the end.  Over
+    GF(p) all are residues.
     """
     field, n, c, degree = x.field, x.n, x.c, max(degree, 0)
     p = field.p if isinstance(field, PrimeField) else None
-    bs, e = _lift(field, [a for b in x.B for a in b.entries])
-    rows = [bs[k * c : (k + 1) * c] for k in range(n * c)]  # B_i is rows[i*c : (i+1)*c]
+    views = [b._lifted for b in x.B]
+    e = math.lcm(*(db for _, db in views))
+    rows = [[e // db * a for a in bs[k * c : (k + 1) * c]]  # B_i is rows[i*c : (i+1)*c]
+            for bs, db in views for k in range(c)]
     vs, dv = _lift(field, [a for vec in x.v for a in vec])
     table = {((0,) * n, j): vs[(j - 1) * c : j * c] for j in range(1, x.r + 1)}
     for d in range(1, degree + 1):
@@ -161,22 +165,17 @@ def _require_adhm(x: AdhmDatum) -> None:
         raise NonCommutingError("the matrices do not commute")
 
 
-def _evaluate(
-    x: AdhmDatum, table: tuple[dict[Term, list[int]], int], p: PolyVector
-) -> tuple[list[int], int]:
-    """sum_j p_j(B) v_j read off a monomial vector table of x covering p's terms.
+def _image(rows: dict[Term, list[int]], c: int, terms) -> list[int]:
+    """sum_j p_j(B) v_j for p given as lifted (term, int) pairs, read off the
+    int rows of a monomial vector table covering its terms.
 
-    Returns (ints, d) with the image equal to ints / d: the lifted
-    coefficients weight the table's int rows.  Over GF(p) the ints are not
-    reduced.
+    The image is the returned ints over the table's denominator times p's;
+    over GF(p) the ints are not reduced.
     """
-    field = x.field
-    rows, d = table
-    coeffs, dc = _lift(field, [field.coerce(a) for a in p.terms.values()])
-    acc = [0] * x.c
-    for term, k in zip(p.terms, coeffs):
-        acc = [a + k * b for a, b in zip(acc, rows[term])]
-    return acc, d * dc
+    acc = [0] * c
+    for term, a in terms:
+        acc = [s + a * b for s, b in zip(acc, rows[term])]
+    return acc
 
 
 def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
@@ -188,8 +187,10 @@ def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
     _require_adhm(x)
     if p.n != x.n or p.r != x.r:
         raise ShapeError("polynomial vector shape does not match the datum")
-    ints, d = _evaluate(x, _monomial_vector_table(x, p.degree()), p)
-    return tuple(_scalars(x.field, ints, d))
+    field = x.field
+    coeffs, dc = _lift(field, [field.coerce(a) for a in p.terms.values()])
+    rows, d = _monomial_vector_table(x, p.degree())
+    return tuple(_scalars(field, _image(rows, x.c, zip(p.terms, coeffs)), d * dc))
 
 
 def kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
@@ -327,41 +328,28 @@ def _certified(datum: AdhmDatum, lifted: Sequence[tuple[int, list]]) -> bool:
     rows, _ = _monomial_vector_table(datum, max((gdeg for gdeg, _ in lifted), default=0))
     p = datum.field.p if isinstance(datum.field, PrimeField) else None
     for _, terms in lifted:
-        ints = [0] * datum.c
-        for term, a in terms:
-            ints = [s + a * b for s, b in zip(ints, rows[term])]
+        ints = _image(rows, datum.c, terms)
         if any(ints) if p is None else any(s % p for s in ints):
             return False
     return True
 
 
 def _freeze_quotient(n, r, field, columns, col_index, reduced, pivots, standard) -> AdhmDatum:
-    pivot_row = {p: k for k, p in enumerate(pivots)}
+    """The multiplication matrices and unit images on the standard monomials,
+    read as ints off the int view of ``reduced``, whose pivots equal its d."""
+    (ints, d), width = reduced._lifted, len(columns)
     basis = sorted(standard, key=_basis_display_key)
-    basis_index = {t: k for k, t in enumerate(basis)}
-    c = len(basis)
-
-    def normal_form(term: Term) -> list:
-        out = [field.zero()] * c
-        k = col_index[term]
-        if k in pivot_row:
-            row = reduced.row_tuple(pivot_row[k])
-            for t, idx in basis_index.items():
-                coeff = row[col_index[t]]
-                if coeff:
-                    out[idx] = -coeff
-        else:
-            out[basis_index[term]] = field.one()
-        return out
-
+    c, basis_cols = len(basis), [col_index[t] for t in basis]
+    # the class of every monomial of the truncation, as ints over d: a standard
+    # one is a basis vector, a pivot one minus its reduced row at the basis
+    classes = {t: [d if s == t else 0 for s in basis] for t in basis}
+    for k, piv in enumerate(pivots):
+        classes[columns[piv]] = [-ints[k * width + j] for j in basis_cols]
     bs = []
     for i in range(n):
-        cols = []
-        for t in basis:
-            alpha, j = t
-            shifted = tuple(a + 1 if k == i else a for k, a in enumerate(alpha))
-            cols.append(normal_form((shifted, j)))
-        entries = tuple(cols[col][row] for row in range(c) for col in range(c))
-        bs.append(Matrix(field, c, c, entries))
-    vs = tuple(tuple(normal_form(((0,) * n, j))) for j in range(1, r + 1))
+        # column s of B_i is the class of z_i times basis monomial s
+        cols = [classes[(tuple(a + (k == i) for k, a in enumerate(alpha)), j)]
+                for alpha, j in basis]
+        bs.append(Matrix._of_ints(field, c, c, [u for row in zip(*cols) for u in row], d))
+    vs = tuple(tuple(_scalars(field, classes[((0,) * n, j)], d)) for j in range(1, r + 1))
     return AdhmDatum(n, c, r, tuple(bs), vs)

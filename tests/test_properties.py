@@ -1158,11 +1158,15 @@ def test_phi_matches_reference(case):
     expected = _reference_phi(x, p)
     assert _bits(phi_apply(x, p)) == _bits(expected)
     # the certificate's path: one table for several generators, read on ints
-    table = quotmod._monomial_vector_table(x, p.degree() + 1)
-    assert _bits(exactalg._scalars(x.field, *quotmod._evaluate(x, table, p))) == _bits(expected)
+    rows, d = quotmod._monomial_vector_table(x, p.degree() + 1)
+
+    def image(q: PolyVector) -> list:
+        coeffs, dc = exactalg._lift(x.field, [x.field.coerce(a) for a in q.terms.values()])
+        return exactalg._scalars(x.field, quotmod._image(rows, x.c, zip(q.terms, coeffs)), d * dc)
+
+    assert _bits(image(p)) == _bits(expected)
     moved = shifted(p, (1,) + (0,) * (x.n - 1))
-    assert _bits(exactalg._scalars(x.field, *quotmod._evaluate(x, table, moved))) == \
-        _bits(_reference_phi(x, moved))
+    assert _bits(image(moved)) == _bits(_reference_phi(x, moved))
 
 
 def test_cached_view_takes_no_part_in_eq_hash_or_repr():
@@ -1247,6 +1251,34 @@ def test_rank_of_an_evaluation_builds_no_scalars(field):
         all(_reference_power(b, x.c).is_zero() for b in x.B),
         coordinate_count(x) - rank(_reference_jacobian(x, sys)),
     )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(32003)])
+def test_library_builds_no_matrix_from_scalars(field):
+    rng = random.Random(0)
+    while True:
+        g = Matrix(field, 2, 2, tuple(field.coerce(rng.randint(-2, 2)) for _ in range(4)))
+        if g.inverse() is not None:
+            break
+    with mock.patch.object(Matrix, "__post_init__", side_effect=AssertionError("built from scalars")):
+        with pytest.raises(AssertionError, match="built from scalars"):
+            Matrix.from_rows(field, [[1]])
+        # the random-search case of equivalence, on sampler-made unstable data
+        x = random_datum(2, 2, 1, seed=0, stable=False, field=field)
+        h = equivalence(x, act(g, x))
+        assert h is not None and act(h, x) == act(g, x)
+        unstable = random_datum(3, 3, 2, seed=1, stable=False, field=field)
+        stable = random_datum(2, 3, 2, seed=2, stable=True, field=field)
+        gens = kernel_basis_up_to_degree(stable, stable.c)
+        kernel_basis_up_to_degree(unstable, unstable.c)
+        assert not any("entries" in vars(b) for b in (*unstable.B, *stable.B))
+        assert equivalence(stable, module_from_generators(stable.n, stable.r, gens)) is not None
+        for witness in (support, monad.surjectivity_certificate):
+            if field == QQ:
+                witness(unstable)
+            else:
+                with pytest.raises(exactalg.FieldMismatchError, match="rationals only"):
+                    witness(unstable)
 
 
 # ------------------------------------------------ round trip and reduction mod p
@@ -1616,6 +1648,17 @@ def test_joint_eigenspaces_on_a_jordan_block():
     assert leaves[False] == [((-1,), 1), ((0,), 1)]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_joint_eigenspaces_rejects_a_subspace_that_is_not_invariant(field):
+    op = Matrix.from_rows(field, [["1/2", 1], [0, 2]])
+    line = Subspace.from_vectors(field, 2, [(1, "1/2")])  # op maps (1, 1/2) to (1, 1)
+    with pytest.raises(exactalg.LinearAlgebraError, match="not invariant"):
+        list(joint_eigenspaces([op], line, generalized=False))
+    if field == QQ:  # the eigenline of 2 is invariant, and its own leaf
+        eigenline = Subspace.from_vectors(field, 2, [(1, "3/2")])
+        assert list(joint_eigenspaces([op], eigenline, generalized=False)) == [((2,), eigenline)]
+
+
 # ------------------------------------------------ the round trip and the quiver oracle on ints
 
 PRESENTATION_FIELDS = [QQ, GF(2), GF(3), GF(32003)]
@@ -1641,6 +1684,40 @@ def _reference_certified(datum: AdhmDatum, gens) -> bool:
     if not is_adhm(datum) or not is_stable(datum):
         return False
     return not any(any(_reference_phi(datum, g)) for g in gens)
+
+
+def _reference_freeze_quotient(n, r, field, columns, col_index, reduced, pivots,
+                               standard) -> AdhmDatum:
+    """The earlier freeze: normal forms read as scalars off the reduced rows."""
+    pivot_row = {p: k for k, p in enumerate(pivots)}
+    basis = sorted(standard, key=quotmod._basis_display_key)
+    basis_index = {t: k for k, t in enumerate(basis)}
+    c = len(basis)
+
+    def normal_form(term) -> list:
+        out = [field.zero()] * c
+        k = col_index[term]
+        if k in pivot_row:
+            row = reduced.row_tuple(pivot_row[k])
+            for t, idx in basis_index.items():
+                coeff = row[col_index[t]]
+                if coeff:
+                    out[idx] = -coeff
+        else:
+            out[basis_index[term]] = field.one()
+        return out
+
+    bs = []
+    for i in range(n):
+        cols = []
+        for t in basis:
+            alpha, j = t
+            shifted_alpha = tuple(a + 1 if k == i else a for k, a in enumerate(alpha))
+            cols.append(normal_form((shifted_alpha, j)))
+        entries = tuple(cols[col][row] for row in range(c) for col in range(c))
+        bs.append(Matrix(field, c, c, entries))
+    vs = tuple(tuple(normal_form(((0,) * n, j))) for j in range(1, r + 1))
+    return AdhmDatum(n, c, r, tuple(bs), vs)
 
 
 def _reference_module_from_generators(n: int, r: int, gens, degree_cap=None) -> AdhmDatum:
@@ -1670,8 +1747,8 @@ def _reference_module_from_generators(n: int, r: int, gens, degree_cap=None) -> 
             standard = [t for k, t in enumerate(columns) if k not in set(pivots)]
             if any(sum(t[0]) >= d for t in standard):
                 continue
-            datum = quotmod._freeze_quotient(n, r, field, columns, col_index, reduced, pivots,
-                                             standard)
+            datum = _reference_freeze_quotient(n, r, field, columns, col_index, reduced, pivots,
+                                               standard)
             if _reference_certified(datum, gens):
                 return datum
     raise QuotientError(f"no certified finite quotient up to degree cap {degree_cap}", qdims)
