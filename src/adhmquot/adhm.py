@@ -267,6 +267,28 @@ def _powers(t: Matrix, count: int) -> list[Matrix]:
     return powers
 
 
+def _polynomials(t: Matrix, rows: list[list[int]]) -> tuple[Matrix, ...]:
+    """sum_k row[k] t^k for each coefficient row; an empty row gives zero."""
+    powers = _powers(t, max(map(len, rows), default=0))
+    return tuple(_linear_combination(powers, row) for row in rows)
+
+
+def _marked_vectors(rng: random.Random, r: int, c: int, bound: int, support: int) -> tuple:
+    """r int vectors of length c, drawn in [-bound, bound] on their first
+    ``support`` coordinates and zero after them."""
+    return tuple(tuple(rng.randint(-bound, bound) for _ in range(support)) + (0,) * (c - support)
+                 for _ in range(r))
+
+
+def _redraw(draw, accept, error: Exception) -> AdhmDatum:
+    """The first of ``MAX_RETRIES`` data from ``draw()`` that ``accept``
+    passes; ``error`` is raised when none does."""
+    for _ in range(MAX_RETRIES):
+        if accept(x := draw()):
+            return x
+    raise error
+
+
 def _random_commuting_block(
     rng: random.Random, field: Field, n: int, c: int, bound: int, nilpotent: bool
 ) -> tuple[Matrix, ...]:
@@ -277,29 +299,20 @@ def _random_commuting_block(
     T is strictly upper triangular with nonzero superdiagonal and the
     polynomials have zero constant term, which forces B_i^c = 0.
     """
-    if c == 0:
-        return tuple(Matrix.zero(field, 0, 0) for _ in range(n))
     ints = []
     for i in range(c):
         for j in range(c):
-            if nilpotent:
-                if j <= i:
-                    ints.append(0)
-                elif j == i + 1:
-                    val = rng.randint(1, max(bound, 1))
-                    ints.append(val if rng.random() < 0.5 else -val)
-                else:
-                    ints.append(rng.randint(-bound, bound))
+            if nilpotent and j <= i:
+                ints.append(0)
+            elif nilpotent and j == i + 1:
+                val = rng.randint(1, max(bound, 1))
+                ints.append(val if rng.random() < 0.5 else -val)
             else:
                 ints.append(rng.randint(-bound, bound))
-    powers = _powers(Matrix._of_ints(field, c, c, ints, 1), c)
-    bs = []
-    for _ in range(n):
-        coeffs = [rng.randint(-bound, bound) for _ in range(c)]
-        if nilpotent:
-            coeffs[0] = 0
-        bs.append(_linear_combination(powers, coeffs))
-    return tuple(bs)
+    rows = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(n)]
+    if nilpotent:  # the constant terms are drawn, then zeroed
+        rows = [[0, *row[1:]] for row in rows]
+    return _polynomials(Matrix._of_ints(field, c, c, ints, 1), rows)
 
 
 def _block_diagonal(a: Matrix, b: Matrix) -> Matrix:
@@ -334,31 +347,21 @@ def random_datum(
     rng = random.Random(seed)
     if stable is False and c == 0:
         raise GenerationError("a c = 0 datum is vacuously stable")
-    for _ in range(MAX_RETRIES):
-        if stable is False:
-            c_top = rng.randrange(0, c)
-            top = _random_commuting_block(rng, field, n, c_top, entry_bound, nilpotent)
+
+    def draw() -> AdhmDatum:
+        # an unstable datum is block-diagonal, its marked vectors off the first block zero
+        c_top = rng.randrange(0, c) if stable is False else c
+        bs = _random_commuting_block(rng, field, n, c_top, entry_bound, nilpotent)
+        if c_top < c:
             bot = _random_commuting_block(rng, field, n, c - c_top, entry_bound, nilpotent)
-            bs = tuple(_block_diagonal(a, b) for a, b in zip(top, bot))
-        else:
-            c_top = c
-            bs = _random_commuting_block(rng, field, n, c, entry_bound, nilpotent)
-        # the marked vectors vanish off the first block
-        vs = tuple(
-            tuple(rng.randint(-entry_bound, entry_bound) for _ in range(c_top)) + (0,) * (c - c_top)
-            for _ in range(r)
-        )
-        candidate = AdhmDatum(n, c, r, bs, vs)
-        if not is_adhm(candidate):
-            continue
-        if nilpotent and not is_nilpotent_tuple(candidate):
-            continue
-        if stable is True and not is_stable(candidate):
-            continue
-        if stable is False and is_stable(candidate):
-            continue
-        return candidate
-    raise GenerationError(
+            bs = tuple(_block_diagonal(a, b) for a, b in zip(bs, bot))
+        return AdhmDatum(n, c, r, bs, _marked_vectors(rng, r, c, entry_bound, c_top))
+
+    def accept(x: AdhmDatum) -> bool:
+        return (is_adhm(x) and (not nilpotent or is_nilpotent_tuple(x))
+                and (stable is None or is_stable(x) == stable))
+
+    return _redraw(draw, accept, GenerationError(
         f"could not draw a datum with flags stable={stable} nilpotent={nilpotent} "
         f"for (n, c, r) = ({n}, {c}, {r}) in {MAX_RETRIES} tries"
-    )
+    ))

@@ -14,8 +14,10 @@ import math
 import random
 from dataclasses import dataclass
 
-from .adhm import MAX_RETRIES, AdhmDatum, _powers, commutator_pairs, is_stable
-from .exactalg import QQ, Field, Matrix, ShapeError, _lift, _linear_combination, rank
+from .adhm import (
+    AdhmDatum, _marked_vectors, _polynomials, _redraw, commutator_pairs, is_stable,
+)
+from .exactalg import QQ, Matrix, ShapeError, _lift, _linear_combination, rank
 
 
 class ResidualError(ValueError):
@@ -167,13 +169,14 @@ def moduli_dimension_estimate(x: AdhmDatum, sys: EquationSystem) -> int:
     return tangent_dimension(x, sys) - x.c * x.c
 
 
-def _random_invertible(rng: random.Random, field: Field, c: int) -> tuple[Matrix, Matrix]:
-    """A random invertible c x c matrix g with entries in [-3, 3], and its inverse."""
+def _random_invertible(rng: random.Random, t: Matrix) -> Matrix:
+    """g t g^-1 for a random invertible g with entries in [-3, 3]."""
+    c = t.rows
     while True:
-        g = Matrix._of_ints(field, c, c, [rng.randint(-3, 3) for _ in range(c * c)], 1)
+        g = Matrix._of_ints(t.field, c, c, [rng.randint(-3, 3) for _ in range(c * c)], 1)
         ginv = g.inverse()
         if ginv is not None:
-            return g, ginv
+            return g @ t @ ginv
 
 
 def sample_generic_commuting(n: int, c: int, r: int, rng: random.Random) -> AdhmDatum:
@@ -184,26 +187,18 @@ def sample_generic_commuting(n: int, c: int, r: int, rng: random.Random) -> Adhm
     B_i are random polynomials in T.  At such points the commutator Jacobian
     has its generic rank, which is what the dimension formulas describe.
     """
-    field = QQ
-    for _ in range(MAX_RETRIES):
-        eigs = rng.sample(range(-2 * c - 2, 2 * c + 3), c)
-        g, ginv = _random_invertible(rng, field, c)
+
+    def draw() -> AdhmDatum:
         diag = [0] * (c * c)
-        diag[:: c + 1] = eigs
-        t = g @ Matrix._of_ints(field, c, c, diag, 1) @ ginv
-        powers = _powers(t, c)
-        scale = field.coerce(rng.choice([1, -1]) * rng.randint(1, 3))
-        shift = field.coerce(rng.randint(-3, 3))
-        bs = [_linear_combination([powers[0], t], [shift, scale])]
-        for _ in range(n - 1):
-            bs.append(_linear_combination(powers, [rng.randint(-3, 3) for _ in range(c)]))
-        vs = tuple(
-            tuple(field.coerce(rng.randint(-3, 3)) for _ in range(c)) for _ in range(r)
-        )
-        datum = AdhmDatum(n, c, r, tuple(bs), vs)
-        if is_stable(datum):
-            return datum
-    raise SamplerError("could not draw a stable regular semisimple sample")
+        diag[:: c + 1] = rng.sample(range(-2 * c - 2, 2 * c + 3), c)
+        t = _random_invertible(rng, Matrix._of_ints(QQ, c, c, diag, 1))
+        scale = rng.choice([1, -1]) * rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3), scale]]  # B_0 = shift I + scale T, scale drawn first
+        rows += [[rng.randint(-3, 3) for _ in range(c)] for _ in range(n - 1)]
+        return AdhmDatum(n, c, r, _polynomials(t, rows), _marked_vectors(rng, r, c, 3, c))
+
+    return _redraw(draw, is_stable,
+                   SamplerError("could not draw a stable regular semisimple sample"))
 
 
 def sample_punctual(n: int, c: int, r: int, rng: random.Random) -> AdhmDatum:
@@ -216,26 +211,18 @@ def sample_punctual(n: int, c: int, r: int, rng: random.Random) -> AdhmDatum:
     """
     if c > 3:
         raise SamplerError("punctual sampler is constructive for c <= 3 only")
-    field = QQ
-    for _ in range(MAX_RETRIES):
-        g, ginv = _random_invertible(rng, field, c)
+
+    def draw() -> AdhmDatum:
         shift = [0] * (c * c)
         shift[1 :: c + 1] = [1] * (c - 1)
-        powers = _powers(g @ Matrix._of_ints(field, c, c, shift, 1) @ ginv, c)
-        bs = []
-        for _ in range(n):
-            coeffs = []
-            if c >= 2:
-                coeffs = [0, rng.choice([1, -1]) * rng.randint(1, 3)]
-                coeffs += [rng.randint(-2, 2) for _ in range(2, c)]
-            bs.append(_linear_combination(powers, coeffs))
-        vs = tuple(
-            tuple(field.coerce(rng.randint(-3, 3)) for _ in range(c)) for _ in range(r)
-        )
-        datum = AdhmDatum(n, c, r, tuple(bs), vs)
-        if is_stable(datum):
-            return datum
-    raise SamplerError("could not draw a stable punctual sample")
+        t = _random_invertible(rng, Matrix._of_ints(QQ, c, c, shift, 1))
+        rows = [[] for _ in range(n)]  # N = 0 when c < 2
+        if c >= 2:  # no constant term, a nonzero linear one
+            rows = [[0, rng.choice([1, -1]) * rng.randint(1, 3),
+                     *(rng.randint(-2, 2) for _ in range(2, c))] for _ in range(n)]
+        return AdhmDatum(n, c, r, _polynomials(t, rows), _marked_vectors(rng, r, c, 3, c))
+
+    return _redraw(draw, is_stable, SamplerError("could not draw a stable punctual sample"))
 
 
 @dataclass(frozen=True)

@@ -248,13 +248,14 @@ def module_from_generators(
     """Multiplication matrices on the quotient of the free rank-r module.
 
     The quotient by the submodule generated by ``gens`` is truncated degree by
-    degree; equal truncated dimensions at two consecutive degrees are the
-    finite-colength signal, the standard-monomial basis is frozen there, and
-    the returned datum consists of the multiplication-by-z_i matrices together
-    with the images of the unit generators.  Before returning, the freeze is
-    certified (commuting, generated by the units, every generator's class
-    vanishes), which rules out spurious plateaus caused by generators of
-    higher degree; an uncertified plateau just continues the scan.
+    degree; the first degree g with no standard monomial is the finite-colength
+    signal, and the standard monomials below g, onto which every monomial of
+    degree <= g reduces, are frozen as the basis.  The returned datum consists
+    of the multiplication-by-z_i matrices together with the images of the
+    unit generators.  Before returning, the freeze is certified (commuting,
+    generated by the units, every generator's class vanishes), which rules out
+    spurious gaps caused by generators of higher degree; an uncertified gap
+    just continues the scan.
 
     ``degree_cap`` defaults to max(2, max generator degree) + 2; if no degree
     up to the cap certifies, a :class:`QuotientError` carrying the dimension
@@ -290,16 +291,15 @@ def module_from_generators(
                 nrows += 1
         reduced, pivots = rref(Matrix._of_ints(field, nrows, len(columns), ints, 1))
         qdims.append(len(columns) - len(pivots))
-        if len(qdims) >= 2 and qdims[-1] == qdims[-2]:
-            pivot_set = set(pivots)
-            standard = [t for k, t in enumerate(columns) if k not in pivot_set]
-            if any(sum(t[0]) >= d for t in standard):
-                continue  # a top-degree monomial survived; not stabilized yet
-            datum = _freeze_quotient(n, r, field, columns, col_index, reduced, pivots, standard)
-            if _certified(datum, lifted):
-                return datum
-            # a generator above this degree cuts the quotient further; the
-            # plateau was spurious, so keep scanning
+        pivot_set = set(pivots)
+        standard = [t for k, t in enumerate(columns) if k not in pivot_set]
+        gap = min(set(range(d + 2)) - {sum(t[0]) for t in standard})
+        if gap > d:
+            continue  # a standard monomial in every degree; not finite yet
+        standard = [t for t in standard if sum(t[0]) < gap]
+        datum = _freeze_quotient(n, r, field, columns, col_index, reduced, pivots, standard)
+        if _certified(datum, lifted):
+            return datum
     raise QuotientError(
         f"no certified finite quotient up to degree cap {degree_cap}", qdims
     )
@@ -319,9 +319,9 @@ def _certified(datum: AdhmDatum, lifted: Sequence[tuple[int, list]]) -> bool:
     generate, and every input generator's class vanishes in it; the
     generators come lifted by :func:`_lifted_generators`.
 
-    The frozen classes always span the quotient once the truncation
-    plateaus, so vanishing generators force the surjection onto the true
-    quotient to be an isomorphism.
+    Below a degree gap every monomial reduces onto the frozen classes, so
+    they span the true quotient and vanishing generators force the
+    surjection onto it to be an isomorphism.
     """
     if not is_adhm(datum) or not is_stable(datum):
         return False

@@ -35,6 +35,15 @@ def gen_file(tmp_path, capsys, name, *flags):
     return path
 
 
+def test_gen_exhausts_its_retries_with_one_line(capsys):
+    # with every entry zero no draw is stable, so all MAX_RETRIES draws fail
+    code, doc, err = run(capsys, "gen", "--n", "2", "--c", "2", "--r", "1", "--stable",
+                         "--entry-bound", "0", "--seed", "0")
+    assert code == 2 and doc is None
+    assert err.splitlines() == ["error: could not draw a datum with flags stable=True "
+                                "nilpotent=False for (n, c, r) = (2, 2, 1) in 64 tries"]
+
+
 def test_gen_is_deterministic(capsys):
     args = ["gen", "--n", "3", "--c", "2", "--r", "2", "--nilpotent", "--seed", "7"]
     code1 = main(args)

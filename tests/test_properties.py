@@ -1721,7 +1721,8 @@ def _reference_freeze_quotient(n, r, field, columns, col_index, reduced, pivots,
 
 
 def _reference_module_from_generators(n: int, r: int, gens, degree_cap=None) -> AdhmDatum:
-    """The earlier build: each generator shifted by a monomial into a row of scalars."""
+    """The earlier build: each generator shifted by a monomial into a row of
+    scalars, frozen below the first degree gap as the library does."""
     field = quotmod._gens_field(gens)
     if degree_cap is None:
         degree_cap = max(2, max((g.degree() for g in gens), default=0)) + 2
@@ -1743,14 +1744,16 @@ def _reference_module_from_generators(n: int, r: int, gens, degree_cap=None) -> 
         reduced, pivots = rref(Matrix(field, len(rows), len(columns),
                                       tuple(a for row in rows for a in row)))
         qdims.append(len(columns) - len(pivots))
-        if len(qdims) >= 2 and qdims[-1] == qdims[-2]:
-            standard = [t for k, t in enumerate(columns) if k not in set(pivots)]
-            if any(sum(t[0]) >= d for t in standard):
-                continue
-            datum = _reference_freeze_quotient(n, r, field, columns, col_index, reduced, pivots,
-                                               standard)
-            if _reference_certified(datum, gens):
-                return datum
+        standard = [t for k, t in enumerate(columns) if k not in set(pivots)]
+        # the first degree with no standard monomial, if there is one up to d
+        gaps = [g for g in range(d + 1) if all(sum(t[0]) != g for t in standard)]
+        if not gaps:
+            continue
+        standard = [t for t in standard if sum(t[0]) < gaps[0]]
+        datum = _reference_freeze_quotient(n, r, field, columns, col_index, reduced, pivots,
+                                           standard)
+        if _reference_certified(datum, gens):
+            return datum
     raise QuotientError(f"no certified finite quotient up to degree cap {degree_cap}", qdims)
 
 
@@ -1797,7 +1800,7 @@ def test_kernel_presentation_matches_reference(x, data):
 def generator_sets(draw):
     """The kernel presentation of a datum at some degree, or a few random
     generators with coefficients over denominators or residues (often an
-    infinite quotient, sometimes a spurious plateau), and a degree cap."""
+    infinite quotient, sometimes a spurious gap), and a degree cap."""
     if draw(st.booleans()):
         x = draw(presented_data())
         d = draw(st.integers(1, max(x.c, 1)))
@@ -1819,6 +1822,9 @@ def generator_sets(draw):
 
 _PLATEAU = [PolyVector(1, 1, {((3,), 1): Fraction(1), ((2,), 1): Fraction(-1)}),
             PolyVector.monomial(1, 1, (9,), 1, Fraction(1))]
+# (z^2 e_1, 2 e_2 - 3 z e_1): every truncation keeps its top z^d e_2
+_GAP = [PolyVector.monomial(1, 2, (2,), 1, Fraction(1)),
+        PolyVector(1, 2, {((0,), 2): Fraction(2), ((1,), 1): Fraction(-3)})]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1826,6 +1832,9 @@ _PLATEAU = [PolyVector(1, 1, {((3,), 1): Fraction(1), ((2,), 1): Fraction(-1)}),
 @example((1, 1, _PLATEAU, None))  # (z^3 - z^2, z^9) = (z^2) past a spurious plateau
 @example((1, 1, _PLATEAU, 5))
 @example((1, 1, [PolyVector(1, 1, {((1,), 1): GF(2).one(), ((0,), 1): GF(2).one()})], None))
+@example((1, 2, _GAP, None))
+@example((2, 1, [PolyVector(2, 1, {((0, 1), 1): GF(2).one()}),
+                 PolyVector(2, 1, {((0, 1), 1): GF(2).one(), ((0, 0), 1): GF(2).one()})], None))
 def test_module_from_generators_matches_reference(case):
     n, r, gens, cap = case
     got = _build_outcome(module_from_generators, n, r, gens, cap)

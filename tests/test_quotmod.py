@@ -157,6 +157,47 @@ def test_module_spurious_plateau_is_rejected():
         module_from_generators(1, 1, [p, high], degree_cap=5)
 
 
+def test_module_freezes_below_the_first_degree_gap():
+    # k[z]^2 / (z^2 e_1, 2 e_2 - 3 z e_1): z^d e_2 survives every truncation
+    # at degree d, yet degree 1 has no standard monomial from d = 2 on
+    gens = [mono(1, 2, (2,), 1), PolyVector(1, 2, {((0,), 2): Fraction(2), ((1,), 1): Fraction(-3)})]
+    x = module_from_generators(1, 2, gens)
+    assert (x.c, x.v) == (2, ((1, 0), (0, 1)))  # the basis e_1, e_2
+    assert x.B[0] == Matrix(QQ, 2, 2, (0, 0, Fraction(2, 3), 0))  # z e_1 = (2/3) e_2
+    assert _certified(x, _lifted_generators(QQ, gens))
+
+
+def test_module_freezes_a_gap_at_degree_zero():
+    # over GF(2), (z_1, z_1 + 1) contains 1: the quotient is zero, though
+    # z_0^d survives every truncation
+    one = GF(2).one()
+    gens = [PolyVector(2, 1, {((0, 1), 1): one}),
+            PolyVector(2, 1, {((0, 1), 1): one, ((0, 0), 1): one})]
+    x = module_from_generators(2, 1, gens)
+    assert (x.c, x.field) == (0, GF(2))
+
+
+def test_module_freezes_presentations_with_a_surviving_slot():
+    # (f(z) e_1, a e_2 - g(z) e_1) with deg g >= 1 is k[z]/(f): e_2 = g e_1 / a
+    rng = random.Random(0)
+
+    def nonzero():
+        return rng.choice([1, -1]) * rng.randint(1, 3)
+
+    def poly(deg):  # slot-1 terms of a polynomial of degree deg
+        coeffs = [rng.randint(-3, 3) for _ in range(deg)] + [nonzero()]
+        return {((k,), 1): Fraction(a) for k, a in enumerate(coeffs)}
+
+    for _ in range(100):
+        deg_f = rng.randint(1, 3)
+        f, g = poly(deg_f), poly(rng.randint(1, 2))
+        gens = [PolyVector(1, 2, f),
+                PolyVector(1, 2, {((0,), 2): Fraction(nonzero()), **{t: -b for t, b in g.items()}})]
+        x = module_from_generators(1, 2, gens)
+        assert x.c == deg_f
+        assert _certified(x, _lifted_generators(QQ, gens))
+
+
 def test_certified_rejects_noncommuting_datum(noncommuting_pair):
     b0, b1 = noncommuting_pair
     x = AdhmDatum(2, 2, 1, (b0, b1), ((1, 0),))
