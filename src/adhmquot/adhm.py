@@ -11,21 +11,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from .exactalg import (
     QQ,
     Field,
     Matrix,
-    PrimeField,
     ShapeError,
     SingularMatrixError,
     Subspace,
     _first_independent,
-    _int_rows,
     _lift,
     _linear_combination,
-    _vector_ints,
+    _reduced,
     kernel_basis,
     solve,
 )
@@ -73,6 +72,22 @@ class AdhmDatum:
     def field(self) -> Field:
         return self.B[0].field
 
+    @cached_property
+    def _ints(self) -> tuple[list[list[list[int]]], list[list[int]], int]:
+        """The datum lifted once, (rows, vecs, d): B_i = rows[i] / d as row
+        lists and v_j = vecs[j] / d, over one common denominator d (residues
+        and d = 1 over GF(p)).
+
+        Cached outside the dataclass fields: no part of ==, hash or repr.
+        """
+        c, views = self.c, [b._lifted for b in self.B]
+        vs, dv = _lift(self.field, [a for vec in self.v for a in vec])
+        d = math.lcm(dv, *(db for _, db in views))
+        rows = [[[d // db * a for a in ints[k * c : (k + 1) * c]] for k in range(c)]
+                for ints, db in views]
+        vecs = [[d // dv * a for a in vs[j * c : (j + 1) * c]] for j in range(self.r)]
+        return rows, vecs, d
+
     def same_shape(self, other: "AdhmDatum") -> bool:
         return (self.n, self.c, self.r) == (other.n, other.c, other.r)
 
@@ -119,15 +134,13 @@ def _krylov_layers(x: AdhmDatum) -> tuple[list[list[int]], list[list[tuple]]]:
     place in its layer, none dropped for sharing a label.  So the span is
     still B-invariant, the Krylov closure.
 
-    The walk runs on ints, up to scale: each v_j is lifted on its own, each
-    image is formed on B_i's int view with its denominator dropped (reduced
-    mod p over GF(p)), and :func:`_first_independent` picks each layer's
-    words after the kept ones.
+    The walk runs on the datum's int view (:attr:`AdhmDatum._ints`), each
+    image reduced mod p over GF(p), and :func:`_first_independent` picks each
+    layer's words after the kept ones.  So for a commuting tuple a word kept
+    in layer k is exactly d^(k+1) B^alpha v_j (its residues over GF(p)).
     """
     field, c = x.field, x.c
-    p = field.p if isinstance(field, PrimeField) else None
-    rows = [_int_rows(b) for b in x.B]
-    vecs = [_vector_ints(field, c, vec) for vec in x.v]
+    rows, vecs, _ = x._ints
     layer = [((0,) * x.n, j, vecs[j]) for j in _first_independent(field, c, vecs)]
     kept = [vec for _, _, vec in layer]
     layers = [layer]
@@ -137,10 +150,8 @@ def _krylov_layers(x: AdhmDatum) -> tuple[list[list[int]], list[list[tuple]]]:
             for k, (alpha, j, _) in enumerate(layer)
             for i in range(x.n)
         )
-        images = []
-        for _, _, i, k in words:
-            image = [sum(map(mul, row, layer[k][2])) for row in rows[i]]
-            images.append(image if p is None else [a % p for a in image])
+        images = [_reduced(field, [sum(map(mul, row, layer[k][2])) for row in rows[i]])
+                  for _, _, i, k in words]
         start = len(kept)
         layer = [(*words[u - start][:2], images[u - start])
                  for u in _first_independent(field, c, kept + images)[start:]]
@@ -180,29 +191,29 @@ def act(g: Matrix, x: AdhmDatum) -> AdhmDatum:
 
 def _intertwiner_system(x: AdhmDatum, y: AdhmDatum) -> Matrix:
     """Coefficient matrix of {xi B_i = B'_i xi, xi v_j = 0} in the c^2 entries
-    of xi, built on the int views of B, B' and v over their common denominator."""
+    of xi, built on the int views of x and y over their common denominator."""
     c = x.c
-    views = [(b._lifted, bp._lifted) for b, bp in zip(x.B, y.B)]
-    v, dv = _lift(x.field, [a for vec in x.v for a in vec])
-    d = math.lcm(dv, *(dm for pair in views for _, dm in pair))
+    (bs, vs, dx), (bps, _, dy) = x._ints, y._ints
+    d = math.lcm(dx, dy)
+    sx, sy = d // dx, d // dy
     ints: list[int] = []
-    for (b, db), (bp, dp) in views:
-        b = [d // db * a for a in b]
-        minus_bp = [-(d // dp) * a for a in bp]
+    for b, bp in zip(bs, bps):
+        columns = [[sx * row[q] for row in b] for q in range(c)]
+        minus_bp = [[-sy * a for a in row] for row in bp]
         for p in range(c):
             for q in range(c):
                 # (xi b - bp xi)[p][q]: xi[p][w] b[w][q] - bp[p][u] xi[u][q];
                 # the two sums share only the cell w = q, u = p
                 row = [0] * (c * c)
-                row[p * c : (p + 1) * c] = b[q::c]
-                row[q::c] = minus_bp[p * c : (p + 1) * c]
-                row[p * c + q] = b[q * c + q] + minus_bp[p * c + p]
+                row[p * c : (p + 1) * c] = columns[q]
+                row[q::c] = minus_bp[p]
+                row[p * c + q] = columns[q][q] + minus_bp[p][p]
                 ints += row
-    v = [d // dv * a for a in v]
-    for k in range(x.r):
+    for vec in vs:
+        vec = [sx * a for a in vec]
         for p in range(c):
             row = [0] * (c * c)
-            row[p * c : (p + 1) * c] = v[k * c : (k + 1) * c]
+            row[p * c : (p + 1) * c] = vec
             ints += row
     return Matrix._of_ints(x.field, (x.n * c + x.r) * c, c * c, ints, d)
 

@@ -55,10 +55,6 @@ def _emit(report: Any, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _fmt(field, value) -> str:
-    return field.format(value)
-
-
 def _require_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise serialize.FormatError(f"{flag} must be at least {low}, got {value}")
@@ -128,7 +124,7 @@ def cmd_support(args) -> tuple[Any, bool]:
         "schema": "support-report@1",
         "complete": report.complete,
         "points": [
-            {"point": [_fmt(x.field, z) for z in pt], "multiplicity": mult}
+            {"point": [x.field.format(z) for z in pt], "multiplicity": mult}
             for pt, mult in report.points
         ],
         "factorizations": [
@@ -184,6 +180,8 @@ def cmd_quot_present(args) -> tuple[Any, bool]:
 
 
 def cmd_quot_build(args) -> tuple[Any, bool]:
+    if args.degree_cap is not None:
+        _require_at_least("--degree-cap", args.degree_cap, 0)
     n, r, gens, _field = serialize.polyvectors_from_obj(_load_json(args.file))
     datum = quotmod.module_from_generators(n, r, gens, degree_cap=args.degree_cap)
     return serialize.datum_to_obj(datum), True
@@ -230,7 +228,7 @@ def cmd_monad_rank(args) -> tuple[Any, bool]:
         report = monad.fiber_report(x, coords)
         obj = {
             "schema": "fiber-report@1",
-            "point": [_fmt(x.field, z) for z in report.point],
+            "point": [x.field.format(z) for z in report.point],
             "term_dims": list(report.term_dims),
             "ranks": report.ranks,
             "middle_dim": report.middle_dim,
@@ -245,7 +243,7 @@ def cmd_monad_rank(args) -> tuple[Any, bool]:
         "all_full_rank": report["all_full_rank"],
         "samples": [
             {
-                "point": [_fmt(x.field, z) for z in row["point"]],
+                "point": [x.field.format(z) for z in row["point"]],
                 "rank": row["rank"],
                 "support_point": row["support_point"],
             }

@@ -391,12 +391,7 @@ class Matrix:
 def _entries_from_ints(m: Matrix) -> tuple:
     """The scalar entries of a matrix from :meth:`Matrix._of_ints`, made from
     its int view on their first read."""
-    ints, d = m._lifted
-    field = m.field
-    if isinstance(field, PrimeField):  # residues, reduced by _of_ints
-        zero, p = field.zero(), field.p
-        return tuple(GFElement(s, p) if s else zero for s in ints)
-    return tuple(_scalars(field, ints, d))
+    return tuple(_scalars(m.field, *m._lifted))
 
 
 # Set once the dataclass is made, so that it is not taken for the field's
@@ -434,6 +429,14 @@ def _scalars(field: Field, ints: Iterable[int], d: int) -> list:
     if d == 1:
         return [Fraction(s) if s else zero for s in ints]
     return [Fraction(s, d) if s else zero for s in ints]
+
+
+def _reduced(field: Field, ints: list[int]) -> list[int]:
+    """ints reduced mod p over GF(p); over QQ the ints as they are."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return [a % p for a in ints]
+    return ints
 
 
 def _linear_combination(matrices: Sequence[Matrix], coeffs: Sequence) -> Matrix:
@@ -645,10 +648,7 @@ class Subspace:
         for k, piv in enumerate(self._pivots):
             if f := x[piv]:
                 residue = [s - f * a for s, a in zip(residue, b[k * n : (k + 1) * n])]
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            return not any(s % p for s in residue)
-        return not any(residue)
+        return not any(_reduced(self.field, residue))
 
     def contains(self, vec: Sequence) -> bool:
         return self.coordinates(vec) is not None

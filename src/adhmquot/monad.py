@@ -8,7 +8,6 @@ target @ source, with row counts matching the target term.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,7 +18,6 @@ from .exactalg import (
     Matrix,
     ShapeError,
     Subspace,
-    _lift,
     _linear_combination,
     joint_eigenspaces,
     kernel_basis,
@@ -90,37 +88,36 @@ class QuadraticFormMatrix:
         return Matrix.zero(self.field, self.rows, self.cols) if c is None else c
 
 
-def _assemble(x: AdhmDatum, rows: int, cols: int, grid: Sequence[Sequence], framing=()) -> tuple:
-    """Coefficient matrices, over one denominator, of c x c blocks and framing columns.
+def _assemble(x: AdhmDatum, rows: int, cols: int, grid: Sequence[Sequence],
+              framing: bool = False) -> tuple:
+    """Coefficient matrices, over the datum's denominator, of c x c blocks and framing columns.
 
     A cell is None (a zero block) or (sign, i) with sign = +-1, the block
-    sign (B_i z_n - z_i); the sign flips the entries of B_i's int view,
-    with no product.  The framing vectors fill the last columns of A_n.
+    sign (B_i z_n - z_i); the sign flips the rows of B_i in the datum's int
+    view, with no product.  With ``framing`` the vectors v_j fill the last r
+    columns of A_n.
     """
-    n, c, field = x.n, x.c, x.field
-    views = [b._lifted for b in x.B]
-    vs, dv = _lift(field, [a for vec in framing for a in vec])
-    d = math.lcm(dv, *(db for _, db in views))
+    n, c = x.n, x.c
+    bs, vs, d = x._ints
     ints = [[0] * (rows * cols) for _ in range(n + 1)]
     for block_row, cells in enumerate(grid):
         for block_col, cell in enumerate(cells):
             if cell is not None:
                 sign, i = cell
-                b, s = views[i][0], sign * (d // views[i][1])
-                for a in range(c):
+                for a, row in enumerate(bs[i]):
                     at = (block_row * c + a) * cols + block_col * c
                     ints[i][at + a] = -sign * d
-                    ints[n][at : at + c] = [s * e for e in b[a * c : (a + 1) * c]]
-    for j in range(len(framing)):
-        column = vs[j * rows : (j + 1) * rows]
-        ints[n][cols - len(framing) + j :: cols] = [(d // dv) * a for a in column]
-    return tuple(Matrix._of_ints(field, rows, cols, a, d) for a in ints)
+                    ints[n][at : at + c] = [sign * e for e in row]
+    if framing:
+        for j, vec in enumerate(vs):
+            ints[n][cols - x.r + j :: cols] = vec
+    return tuple(Matrix._of_ints(x.field, rows, cols, a, d) for a in ints)
 
 
 def alpha0(x: AdhmDatum) -> LinearFormMatrix:
     """The c x (nc + r) map (B_0 z_n - z_0 | ... | B_{n-1} z_n - z_{n-1} | v_j z_n)."""
     n, c, r = x.n, x.c, x.r
-    coeffs = _assemble(x, c, n * c + r, [[(1, i) for i in range(n)]], x.v)
+    coeffs = _assemble(x, c, n * c + r, [[(1, i) for i in range(n)]], framing=True)
     return LinearFormMatrix(x.field, c, n * c + r, coeffs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .adhm import AdhmDatum, _krylov_layers, equivalence, is_adhm, is_nilpotent_tuple
-from .exactalg import QQ, Matrix, ShapeError, Subspace, joint_eigenspaces
+from .exactalg import QQ, Matrix, ShapeError, Subspace, _scalars, joint_eigenspaces
 from .quotmod import NonCommutingError
 
 
@@ -128,15 +128,10 @@ def _path_data(x: AdhmDatum, *, experimental: bool) -> PathData:
     selected = [j for _, j, _ in layers[0]]
     remaining = [j for j in range(x.r) if j not in selected]
     needed = len(remaining)
-    # the walk keeps its words up to scale: rebuild the exact value of each
-    # completion word used, B^alpha v_j, in any order as x commutes
-    completion = []
-    for alpha, j, _ in [word for layer in layers[1:] for word in layer][:needed]:
-        vec = x.v[j]
-        for b, e in zip(x.B, alpha):
-            for _ in range(e):
-                vec = b.apply(vec)
-        completion.append(vec)
+    # a word kept in layer k is d^(k+1) B^alpha v_j, d the datum's denominator
+    d = x._ints[2]
+    words = [(k, ints) for k, layer in enumerate(layers[1:], 1) for _, _, ints in layer]
+    completion = [tuple(_scalars(x.field, ints, d ** (k + 1))) for k, ints in words[:needed]]
     completion += [(x.field.zero(),) * x.c] * (needed - len(completion))
     return PathData(
         selected=tuple(selected),

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Iterator
 
 from .adhm import AdhmDatum, is_adhm, is_stable
-from .exactalg import Matrix, PrimeField, Subspace, _int_rows, _vector_ints
+from .exactalg import Matrix, PrimeField, Subspace, _int_rows
 
 MAX_ENUM_PRIME = 3
 MAX_ENUM_DIM = 3
@@ -104,8 +104,7 @@ def enumerate_subreps(rep: QuiverRep) -> set[tuple[int, int]]:
     field = x.field
     if not isinstance(field, PrimeField):
         raise UnsupportedRangeError("the oracle runs over prime fields only")
-    bs = [_int_rows(b) for b in x.B]  # residues, lifted once per datum
-    vs = [_vector_ints(field, x.c, vec) for vec in x.v]
+    bs, vs, _ = x._ints  # residues
     found: set[tuple[int, int]] = set()
     for space in all_subspaces(field, x.c):
         rows = _int_rows(space.basis)

@@ -8,7 +8,6 @@ with z_0 heaviest; term magnitude breaks ties by slot, slot 1 largest.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul
@@ -16,7 +15,7 @@ from typing import Sequence
 
 from .adhm import AdhmDatum, _krylov_layers, is_adhm, is_stable
 from .exactalg import (
-    QQ, Field, GFElement, Matrix, PrimeField, ShapeError, _lift, _scalars, kernel_basis, rref,
+    QQ, Field, GFElement, Matrix, ShapeError, _lift, _reduced, _scalars, kernel_basis, rref,
 )
 
 Term = tuple[tuple[int, ...], int]  # (exponent tuple, slot index, 1-based)
@@ -133,31 +132,25 @@ def _basis_display_key(term: Term) -> tuple:
 def _monomial_vector_table(x: AdhmDatum, degree: int) -> tuple[dict[Term, list[int]], int]:
     """Values B^alpha v_j for |alpha| <= degree, filled degree by degree on ints.
 
-    Returns (table, d) with B^alpha v_j = table[(alpha, j)] / d.  The B_i's
-    int views are rescaled to one denominator e and the v_j share another;
-    degree k carries e^k and is scaled by e^(degree - k) at the end.  Over
-    GF(p) all are residues.
+    Returns (table, d) with B^alpha v_j = table[(alpha, j)] / d.  The table
+    is filled on the datum's int view over its denominator e, so degree k
+    carries e^(k+1) and is scaled by e^(degree - k) at the end: d = e^(degree+1).
+    Over GF(p) all are residues.
     """
-    field, n, c, degree = x.field, x.n, x.c, max(degree, 0)
-    p = field.p if isinstance(field, PrimeField) else None
-    views = [b._lifted for b in x.B]
-    e = math.lcm(*(db for _, db in views))
-    rows = [[e // db * a for a in bs[k * c : (k + 1) * c]]  # B_i is rows[i*c : (i+1)*c]
-            for bs, db in views for k in range(c)]
-    vs, dv = _lift(field, [a for vec in x.v for a in vec])
-    table = {((0,) * n, j): vs[(j - 1) * c : j * c] for j in range(1, x.r + 1)}
+    field, n, degree = x.field, x.n, max(degree, 0)
+    rows, vecs, e = x._ints
+    table = {((0,) * n, j): vecs[j - 1] for j in range(1, x.r + 1)}
     for d in range(1, degree + 1):
         for alpha in monomials_of_degree(n, d):
             i = next(k for k, a in enumerate(alpha) if a > 0)
             parent = tuple(a - 1 if k == i else a for k, a in enumerate(alpha))
             for j in range(1, x.r + 1):
                 u = table[(parent, j)]
-                out = [sum(map(mul, row, u)) for row in rows[i * c : (i + 1) * c]]
-                table[(alpha, j)] = out if p is None else [a % p for a in out]
+                table[(alpha, j)] = _reduced(field, [sum(map(mul, row, u)) for row in rows[i]])
     if e > 1:
         scales = [e ** (degree - k) for k in range(degree + 1)]
         table = {t: [a * scales[sum(t[0])] for a in u] for t, u in table.items()}
-    return table, dv * e**degree
+    return table, e ** (degree + 1)
 
 
 def _require_adhm(x: AdhmDatum) -> None:
@@ -326,12 +319,8 @@ def _certified(datum: AdhmDatum, lifted: Sequence[tuple[int, list]]) -> bool:
     if not is_adhm(datum) or not is_stable(datum):
         return False
     rows, _ = _monomial_vector_table(datum, max((gdeg for gdeg, _ in lifted), default=0))
-    p = datum.field.p if isinstance(datum.field, PrimeField) else None
-    for _, terms in lifted:
-        ints = _image(rows, datum.c, terms)
-        if any(ints) if p is None else any(s % p for s in ints):
-            return False
-    return True
+    return not any(any(_reduced(datum.field, _image(rows, datum.c, terms)))
+                   for _, terms in lifted)
 
 
 def _freeze_quotient(n, r, field, columns, col_index, reduced, pivots, standard) -> AdhmDatum:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -97,6 +100,38 @@ def test_krylov_walk_reduces_images_mod_p(field, rows):
     kept, layers = _krylov_layers(x)
     assert kept == [[1, 1] + [0] * (c - 2)] and len(layers) == 1
     assert krylov_closure(x).dim == 1 and not is_stable(x)
+
+
+@pytest.mark.parametrize("field,c", [(QQ, 3), (GF(3), 3), (GF(32003), 3), (QQ, 0)])
+def test_datum_int_view_is_exact_and_outside_the_fields(field, c):
+    rng = random.Random(c)
+
+    def entry():  # denominators 1, 2, 5 and 7 are units in GF(3) and GF(32003)
+        return field.coerce(f"{rng.randint(-3, 3)}/{rng.choice((1, 2, 5, 7))}")
+
+    bs = tuple(Matrix(field, c, c, tuple(entry() for _ in range(c * c))) for _ in range(2))
+    vs = tuple(tuple(entry() for _ in range(c)) for _ in range(2))
+    x, fresh = AdhmDatum(2, c, 2, bs, vs), AdhmDatum(2, c, 2, bs, vs)
+    before = (hash(x), repr(x))
+    rows, vecs, d = x._ints
+    scale = field.one() / field.coerce(d)
+    assert [[[field.coerce(a) * scale for a in row] for row in b] for b in rows] == [
+        b.to_rows() for b in x.B
+    ]
+    assert [tuple(field.coerce(a) * scale for a in vec) for vec in vecs] == list(x.v)
+    ints = [a for b in rows for row in b for a in row] + [a for vec in vecs for a in vec]
+    if field == QQ:  # one common denominator, the least one
+        scalars = [a for b in x.B for a in b.entries] + [a for vec in x.v for a in vec]
+        assert d == math.lcm(*(a.denominator for a in scalars))
+        assert d > 1 or c == 0
+    else:  # residues
+        assert d == 1 and all(0 <= a < field.p for a in ints)
+    # cached outside the fields: ==, hash and repr do not see it
+    assert (hash(x), repr(x)) == before == (hash(fresh), repr(fresh)) and x == fresh
+    assert "_ints" in vars(x) and "_ints" not in vars(fresh)
+    copies = (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), pickle.loads(pickle.dumps(fresh)))
+    for copied in copies:
+        assert copied == x and repr(copied) == repr(x) and copied._ints == x._ints
 
 
 def test_stability_c0_vacuous():

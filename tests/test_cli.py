@@ -147,6 +147,20 @@ def test_quot_build_infinite_quotient_is_usage_error(tmp_path, capsys):
     assert "degree cap" in err
 
 
+def test_quot_build_degree_cap_zero_stays_legal(tmp_path, capsys):
+    # the unit generates everything: degree 0 already has no standard monomial
+    doc = {
+        "schema": "poly-vectors@1",
+        "n": 2,
+        "r": 1,
+        "generators": [[{"alpha": [0, 0], "j": 1, "coeff": "1"}]],
+    }
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "quot", "build", str(path), "--degree-cap", "0")
+    assert code == 0 and out["c"] == 0 and out["v"] == [[]]
+
+
 def test_equiv_failure_exit(tmp_path, capsys):
     a = gen_file(tmp_path, capsys, "e1.json",
                  "--n", "2", "--c", "2", "--r", "1", "--stable", "--seed", "6")
@@ -612,6 +626,8 @@ def test_zero_c_stays_legal(capsys):
                  "--samples must be at least 0, got -2", id="monad-rank-samples"),
     pytest.param(["quot", "present", "--degree", "-1"],
                  "--degree must be at least 0, got -1", id="quot-present-degree"),
+    pytest.param(["quot", "build", "--degree-cap=-1"],
+                 "--degree-cap must be at least 0, got -1", id="quot-build-degree-cap"),
 ])
 def test_negative_datum_flags_are_usage_errors(tmp_path, capsys, argv, message):
     src = gen_file(tmp_path, capsys, "f.json",

@@ -467,12 +467,16 @@ def _reference_path_data(x: AdhmDatum) -> PathData:
 @st.composite
 def arbitrary_tuples(draw):
     """Sparse small-entry tuples over QQ or GF(2), almost never commuting, so
-    many images share an exponent label yet differ."""
+    many images share an exponent label yet differ; over QQ the entries have
+    denominators 1, 2, 3 and 7."""
     field = draw(st.sampled_from((QQ, GF(2))))
     n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 5)), draw(st.integers(1, 3))
 
     def entries(k):
         values = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=k, max_size=k))
+        if field == QQ:
+            dens = draw(st.lists(st.sampled_from((1, 2, 3, 7)), min_size=k, max_size=k))
+            return tuple(Fraction(e, d) for e, d in zip(values, dens))
         return tuple(field.coerce(e) for e in values)
 
     bs = tuple(Matrix(field, c, c, entries(c * c)) for _ in range(n))
@@ -509,13 +513,32 @@ def test_krylov_walk_tries_every_image_of_a_non_commuting_tuple():
 
 @st.composite
 def commuting_stable_data(draw):
+    """Stable commuting data from random_datum; over QQ half of them get
+    denominators 1, 2, 3 and 7: each B_i and v_j is scaled by such a unit,
+    the last v_j becomes a multiple of v_1 (so the path completes with Krylov
+    words), and the datum is conjugated by a diagonal of units."""
     field = draw(st.sampled_from((QQ, GF(2), GF(3))))
     n, c, r = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
     try:
-        return random_datum(n, c, r, draw(st.integers(0, 10**6)), stable=True,
-                            nilpotent=draw(st.booleans()), field=field)
+        x = random_datum(n, c, r, draw(st.integers(0, 10**6)), stable=True,
+                         nilpotent=draw(st.booleans()), field=field)
     except GenerationError:
         assume(False)
+    if field != QQ or not draw(st.booleans()):
+        return x
+
+    def unit():
+        return Fraction(draw(st.sampled_from((1, -1, 2, -3))), draw(st.sampled_from((1, 2, 3, 7))))
+
+    bs = tuple(b.scale(unit()) for b in x.B)
+    vs = [tuple(a * s for a in vec) for vec, s in zip(x.v, [unit() for _ in x.v])]
+    if r > 1:
+        s = unit()
+        vs[-1] = tuple(a * s for a in vs[0])
+    g = Matrix.from_rows(QQ, [[unit() if k == i else 0 for k in range(c)] for i in range(c)])
+    y = act(g, AdhmDatum(n, c, r, bs, tuple(vs)))
+    assume(is_stable(y))
+    return y
 
 
 @settings(max_examples=300, deadline=None)

@@ -218,6 +218,21 @@ def test_hand_path_example(jordan2):
     assert half.v[1] == (Fraction(1, 2), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("bs,vs,start", [
+    # B_0 = diag(1/2, 1/3), B_1 = diag(2/5, 1), v_2 = 2 v_1: the walk runs over
+    # d = 30 and keeps B_1 v_1 in layer 1 as 30^2 (2/5, 1)
+    ([[["1/2", 0], [0, "1/3"]], [["2/5", 0], [0, 1]]], [(1, 1), (2, 2)],
+     ((1, 1), (Fraction(2, 5), 1))),
+    # B = diag(1/2, 1/3, 1/5), v_2 = v_3 = v_1: layers 1 and 2 hold 30^2 B v_1 and 30^3 B^2 v_1
+    ([[["1/2", 0, 0], [0, "1/3", 0], [0, 0, "1/5"]]], [(1, 1, 1)] * 3,
+     ((1, 1, 1), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)),
+      (Fraction(1, 4), Fraction(1, 9), Fraction(1, 25)))),
+])
+def test_path_completion_words_are_exact_over_mixed_denominators(bs, vs, start):
+    x = datum(len(bs), len(vs[0]), len(vs), bs, vs)
+    assert homotopy_path(x, Fraction(0)).v == start
+
+
 def test_path_endpoints(jordan2):
     x = AdhmDatum(2, 2, 2, (jordan2, Matrix.zero(QQ, 2, 2)), ((0, 1), (0, 1)))
     start = homotopy_path(x, Fraction(0))
