@@ -21,6 +21,7 @@ from .exactalg import (
     ShapeError,
     SingularMatrixError,
     Subspace,
+    _eliminate,
     _first_independent,
     _lift,
     _linear_combination,
@@ -117,8 +118,10 @@ def is_nilpotent_tuple(x: AdhmDatum) -> bool:
     return all(b.power(x.c).is_zero() for b in x.B)
 
 
-def _krylov_layers(x: AdhmDatum) -> tuple[list[list[int]], list[list[tuple]]]:
-    """Greedy scan of the Krylov words B^alpha v_j in (|alpha|, alpha, j) order.
+def _krylov_walk(field: Field, n: int, c: int, rows: list[list[list[int]]],
+                 vecs: list[list[int]]) -> tuple[list[list[int]], list[list[tuple]]]:
+    """Greedy scan of the Krylov words B^alpha v_j in (|alpha|, alpha, j) order
+    for B_i = rows[i] and v_j = vecs[j], ints of length c (residues over GF(p)).
 
     Returns the kept words' int vectors and, per degree, the kept
     ``(alpha, j, ints)`` (j 0-based); a word is kept when it grows the span.
@@ -134,21 +137,17 @@ def _krylov_layers(x: AdhmDatum) -> tuple[list[list[int]], list[list[tuple]]]:
     place in its layer, none dropped for sharing a label.  So the span is
     still B-invariant, the Krylov closure.
 
-    The walk runs on the datum's int view (:attr:`AdhmDatum._ints`), each
-    image reduced mod p over GF(p), and :func:`_first_independent` picks each
-    layer's words after the kept ones.  So for a commuting tuple a word kept
-    in layer k is exactly d^(k+1) B^alpha v_j (its residues over GF(p)).
+    Each image is reduced mod p over GF(p), and :func:`_first_independent`
+    picks each layer's words after the kept ones.  Kept lists are vecs[j] or new.
     """
-    field, c = x.field, x.c
-    rows, vecs, _ = x._ints
-    layer = [((0,) * x.n, j, vecs[j]) for j in _first_independent(field, c, vecs)]
+    layer = [((0,) * n, j, vecs[j]) for j in _first_independent(field, c, vecs)]
     kept = [vec for _, _, vec in layer]
     layers = [layer]
     while layer and len(kept) < c:
         words = sorted(
             (alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:], j, i, k)
             for k, (alpha, j, _) in enumerate(layer)
-            for i in range(x.n)
+            for i in range(n)
         )
         images = [_reduced(field, [sum(map(mul, row, layer[k][2])) for row in rows[i]])
                   for _, _, i, k in words]
@@ -159,6 +158,13 @@ def _krylov_layers(x: AdhmDatum) -> tuple[list[list[int]], list[list[tuple]]]:
         if layer:
             layers.append(layer)
     return kept, layers
+
+
+def _krylov_layers(x: AdhmDatum) -> tuple[list[list[int]], list[list[tuple]]]:
+    """:func:`_krylov_walk` on :attr:`AdhmDatum._ints`: for a commuting tuple a
+    word kept in layer k is exactly d^(k+1) B^alpha v_j (residues over GF(p))."""
+    rows, vecs, _ = x._ints
+    return _krylov_walk(x.field, x.n, x.c, rows, vecs)
 
 
 def krylov_closure(x: AdhmDatum) -> Subspace:
@@ -231,20 +237,38 @@ def stabilizer_lie_dimension(x: AdhmDatum) -> int:
 def equivalence(x: AdhmDatum, y: AdhmDatum) -> Matrix | None:
     """A g with act(g, x) = y, or None.
 
-    For stable inputs the intertwiner solution is unique (the difference of
-    two solutions kills a generating set), so the answer is exact.  For
-    non-stable inputs the solution space may be positive-dimensional; a
-    bounded deterministic search then looks for an invertible point of it
-    and may miss one, which is the documented best-effort behavior.
+    The Krylov closure U of the joint datum diag(B_i, B'_i), (v_j, v'_j) on
+    V + V' projects onto that of x: x is stable iff U has pivots in the first
+    c columns.  The graph {(w, g w)} of a g with act(g, x) = y is invariant
+    and holds every (v_j, v'_j), so it contains U, and is U for a stable x.
+    So U's first c reduced rows (e_k, g e_k) give the answer g if it is
+    invertible; else no g exists, as when U is no graph and a pivot past
+    column c - 1 zeroes a row of g.  (A word of a non-commuting tuple is an
+    ordered product; the argument stands.)
+
+    For an unstable x the intertwiner solutions may form a positive-
+    dimensional family; a bounded deterministic search then looks for an
+    invertible point of it and may miss one, the documented best effort.
     """
     if not x.same_shape(y):
         raise ShapeError("equivalence requires matching (n, c, r)")
     if x.field != y.field:
         raise ShapeError("equivalence requires one common field")
-    c = x.c
-    field = x.field
+    c, field = x.c, x.field
     if x == y:
         return Matrix.identity(field, c)
+    (bs, vs, dx), (bps, vps, dy) = x._ints, y._ints
+    d = math.lcm(dx, dy)
+    sx, sy, zero = d // dx, d // dy, [0] * c
+    rows = [[[sx * a for a in row] + zero for row in b]
+            + [zero + [sy * a for a in row] for row in bp] for b, bp in zip(bs, bps)]
+    vecs = [[sx * a for a in v] + [sy * a for a in vp] for v, vp in zip(vs, vps)]
+    kept = _krylov_walk(field, x.n, 2 * c, rows, vecs)[0]
+    pivots, e = _eliminate(field, kept)
+    if pivots[:c] == list(range(c)):  # x is stable
+        # a pivot past column c - 1 (U is no graph) is a zero row of g
+        g = Matrix._of_ints(field, c, c, [kept[k][c + m] for m in range(c) for k in range(c)], e)
+        return g if g.inverse() is not None else None
     # inhomogeneous system: g B_i - B'_i g = 0, g v_j = v'_j
     coeff = _intertwiner_system(x, y)
     rhs = [0] * (x.n * c * c) + [a for vec in y.v for a in vec]

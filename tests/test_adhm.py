@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from adhmquot import exactalg
+from adhmquot import adhm, exactalg
 from adhmquot.adhm import (
     AdhmDatum,
     GenerationError,
@@ -254,6 +254,66 @@ def test_equivalence_search_reaches_random_combinations(field):
     h = equivalence(x, y)
     assert h is not None
     assert act(h, x) == y
+
+
+# B e_1 = e_2 makes the first stable, B e_1 = 0 the second unstable
+STABLE_PAIR_X = datum(1, 2, 1, [[[0, 0], [1, 0]]], [(1, 0)])
+UNSTABLE_PAIR_Y = datum(1, 2, 1, [[[0, 1], [0, 0]]], [(1, 0)])
+
+
+def _counting_system(monkeypatch) -> list:
+    calls = []
+    original = adhm._intertwiner_system
+
+    def counting(x, y):
+        calls.append((x, y))
+        return original(x, y)
+
+    monkeypatch.setattr(adhm, "_intertwiner_system", counting)
+    return calls
+
+
+def test_equivalence_of_a_stable_and_an_unstable_datum_is_none(monkeypatch):
+    calls = _counting_system(monkeypatch)
+    # x stable: the joint closure is the graph of g = [[1, 0], [0, 0]], which is singular
+    assert equivalence(STABLE_PAIR_X, UNSTABLE_PAIR_Y) is None and calls == []
+    # x unstable: the intertwiner system has no solution
+    assert equivalence(UNSTABLE_PAIR_Y, STABLE_PAIR_X) is None
+    assert calls == [(UNSTABLE_PAIR_Y, STABLE_PAIR_X)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])
+def test_equivalence_of_a_non_commuting_stable_tuple_returns_g(field):
+    # B_0 e_1 = e_2, B_1 e_1 = e_3, B_1 e_2 = e_4: B_0 B_1 v = 0 but B_1 B_0 v = e_4
+    unit = [[1 if j == i else 0 for j in range(4)] for i in range(4)]
+    b0 = [[0] * 4, unit[0], [0] * 4, [0] * 4]
+    b1 = [[0] * 4, [0] * 4, unit[0], unit[1]]
+    x = AdhmDatum(2, 4, 1, (Matrix.from_rows(field, b0), Matrix.from_rows(field, b1)), ((1, 0, 0, 0),))
+    assert is_stable(x) and not is_adhm(x)
+    g = Matrix.from_rows(field, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0]])  # det -1
+    assert equivalence(x, act(g, x)) == g
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_equivalence_at_c0(field):
+    x = AdhmDatum(2, 0, 2, (Matrix.zero(field, 0, 0),) * 2, ((), ()))
+    assert equivalence(x, copy.deepcopy(x)) == Matrix.identity(field, 0)
+
+
+def test_equivalence_solves_the_intertwiner_system_only_for_unstable_x(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the intertwiner system was built")
+
+    monkeypatch.setattr(adhm, "_intertwiner_system", refuse)
+    monkeypatch.setattr(adhm, "solve", refuse)
+    x = random_datum(2, 3, 2, seed=4, stable=True)
+    g = mat([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
+    assert equivalence(x, act(g, x)) == g
+    assert equivalence(x, random_datum(2, 3, 2, seed=5, stable=True)) is None
+    assert equivalence(STABLE_PAIR_X, UNSTABLE_PAIR_Y) is None
+    unstable = random_datum(2, 3, 1, seed=31, stable=False)
+    with pytest.raises(AssertionError, match="intertwiner system"):
+        equivalence(unstable, act(g, unstable))
 
 
 def test_equivalence_shape_mismatch():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from adhmquot import exactalg, monad, quiver, quotmod
 from adhmquot.adhm import (
-    AdhmDatum, GenerationError, _krylov_layers, _powers, act, equivalence,
+    AdhmDatum, GenerationError, _intertwiner_system, _krylov_layers, _powers, act, equivalence,
     is_adhm, is_stable, krylov_closure, random_datum,
 )
 from adhmquot.exactalg import (
@@ -1470,6 +1470,93 @@ def test_round_trip_lands_in_the_same_orbit(x):
     assert y.field == x.field and y.c == x.c
     g = equivalence(x, y)
     assert g is not None and act(g, x) == y
+
+
+def _reference_equivalence(x: AdhmDatum, y: AdhmDatum) -> Matrix | None:
+    """The earlier equivalence for every x: solve the intertwiner system in the
+    c^2 entries of g, then search its solutions for an invertible point."""
+    c, field = x.c, x.field
+    if x == y:
+        return Matrix.identity(field, c)
+    coeff = _intertwiner_system(x, y)
+    rhs = [0] * (x.n * c * c) + [a for vec in y.v for a in vec]
+    particular = solve(coeff, rhs)
+    if particular is None:
+        return None
+    g0 = Matrix(field, c, c, tuple(particular))
+    if g0.inverse() is not None:
+        return g0
+    hbasis = [Matrix(field, c, c, tuple(row)) for row in kernel_basis(coeff).basis.to_rows()]
+    for h in hbasis:
+        for s in (1, -1):
+            cand = _linear_combination([g0, h], [1, s])
+            if cand.inverse() is not None:
+                return cand
+    rng = random.Random(2024)
+    for _ in range(64):
+        cand = _linear_combination([g0, *hbasis], [1, *(rng.randint(-3, 3) for _ in hbasis)])
+        if cand.inverse() is not None:
+            return cand
+    return None
+
+
+def _draw_equivalence_datum(draw, field, n: int, c: int, r: int, kind: str) -> AdhmDatum:
+    """A raw (mostly non-commuting) tuple, a perturbed stable datum or a
+    random datum of the given stability; over QQ with denominators 1, 2, 3
+    and 7 (a raw tuple's entries, or a diagonal conjugation)."""
+    def entries(k):
+        values = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2)), min_size=k, max_size=k))
+        if field == QQ:
+            dens = draw(st.lists(st.sampled_from((1, 2, 3, 7)), min_size=k, max_size=k))
+            return tuple(Fraction(e, d) for e, d in zip(values, dens))
+        return tuple(field.coerce(e) for e in values)
+
+    if kind == "raw":
+        bs = tuple(Matrix(field, c, c, entries(c * c)) for _ in range(n))
+        return AdhmDatum(n, c, r, bs, tuple(entries(c) for _ in range(r)))
+    stable = {"stable": True, "perturbed": True, "unstable": False, "any": None}[kind]
+    try:
+        x = random_datum(n, c, r, draw(st.integers(0, 10**6)), stable=stable, field=field)
+    except GenerationError:
+        assume(False)
+    if kind == "perturbed" and c >= 2:  # a corner entry: B_0 stops commuting for n >= 2
+        b0 = x.B[0].to_rows()
+        b0[c - 1][0] += field.one()
+        x = AdhmDatum(n, c, r, (Matrix.from_rows(field, b0),) + x.B[1:], x.v)
+    if field == QQ and draw(st.booleans()):
+        dens = [Fraction(1, draw(st.sampled_from((1, 2, 3, 7)))) for _ in range(c)]
+        x = act(Matrix.from_rows(QQ, [[a if j == i else 0 for j in range(c)]
+                                      for i, a in enumerate(dens)]), x)
+    return x
+
+
+EQUIVALENCE_KINDS = ("stable", "perturbed", "unstable", "any", "raw")
+
+
+@st.composite
+def equivalence_pairs(draw):
+    """(x, y): y a conjugate of x, an unrelated datum or an unstable one, over
+    QQ, GF(2), GF(3) and GF(32003)."""
+    field = draw(st.sampled_from(FIELDS))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 2))
+    x = _draw_equivalence_datum(draw, field, n, c, r, draw(st.sampled_from(EQUIVALENCE_KINDS)))
+    target = draw(st.sampled_from(("conjugate", "unrelated", "unstable")))
+    if target == "conjugate":
+        g = draw(invertible(field, c))
+        assume(g.inverse() is not None)  # a drawn 2 on the diagonal is zero in GF(2)
+        return x, act(g, x)
+    kind = draw(st.sampled_from(EQUIVALENCE_KINDS)) if target == "unrelated" else "unstable"
+    return x, _draw_equivalence_datum(draw, field, n, c, r, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(equivalence_pairs())
+def test_equivalence_matches_the_intertwiner_system(pair):
+    for x, y in (pair, pair[::-1]):
+        g = equivalence(x, y)
+        assert g == _reference_equivalence(x, y)
+        if g is not None:
+            assert act(g, x) == y
 
 
 @settings(max_examples=150, deadline=None)
