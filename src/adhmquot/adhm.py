@@ -27,6 +27,7 @@ from .exactalg import (
     _linear_combination,
     _reduced,
     kernel_basis,
+    rank,
     solve,
 )
 
@@ -109,8 +110,7 @@ def commutator_pairs(n: int) -> list[tuple[int, int]]:
 
 def is_adhm(x: AdhmDatum) -> bool:
     """True iff every commutator vanishes, i.e. the tuple lies in the commuting locus."""
-    return all((x.B[i] @ x.B[j])._lifted == (x.B[j] @ x.B[i])._lifted
-               for i, j in commutator_pairs(x.n))
+    return all(x.B[i] @ x.B[j] == x.B[j] @ x.B[i] for i, j in commutator_pairs(x.n))
 
 
 def is_nilpotent_tuple(x: AdhmDatum) -> bool:
@@ -230,8 +230,7 @@ def stabilizer_lie_dimension(x: AdhmDatum) -> int:
     Zero whenever x is stable: the kernel of such a xi is invariant and
     contains every v_j, hence is all of V.
     """
-    system = _intertwiner_system(x, x)
-    return kernel_basis(system).dim
+    return x.c * x.c - rank(_intertwiner_system(x, x))
 
 
 def equivalence(x: AdhmDatum, y: AdhmDatum) -> Matrix | None:

@@ -223,41 +223,31 @@ Field = Union[RationalField, PrimeField]
 Scalar = Union[Fraction, GFElement]
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Dense matrix with row-major entries over a single exact field.
 
-    Degenerate shapes (0 x k and k x 0) are legal and have rank 0.  Every
-    matrix an operation returns is an int view (:meth:`_of_ints`), canonical:
-    it equals ``_lift(field, entries)``, whichever path built the matrix.
-    Such a matrix makes its scalar ``entries`` on their first read.  ==, hash
-    and repr read them, and a pickled or copied matrix keeps its int view,
-    so it is indistinguishable from one the constructor builds on the same
-    scalars.
+    Degenerate shapes (0 x k and k x 0) are legal and have rank 0.  A matrix
+    is its int view ``_lifted = (ints, d)``, the entries ints[k] / d in the
+    canonical form :func:`_lift` gives, whichever constructor built it: ==,
+    hash and every operation read it.  The scalar ``entries`` are made from
+    it on their first read, unless the constructor was given them.  A matrix
+    is immutable, and a pickled or copied matrix keeps its int view.
     """
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, field: Field, rows: int, cols: int, entries: tuple):
+        if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
-        object.__setattr__(
-            self, "entries", tuple(self.field.coerce(x) for x in self.entries)
-        )
+        if len(entries) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}")
+        entries = tuple(field.coerce(x) for x in entries)
+        self.__dict__.update(field=field, rows=rows, cols=cols, entries=entries,
+                             _lifted=_lift(field, entries))
 
     @classmethod
     def _of_ints(cls, field: Field, rows: int, cols: int, ints: list[int], d: int) -> "Matrix":
         """The matrix of the row-major entries ints[k] / d, built from int sums.
 
-        Takes ownership of ``ints``: it becomes the cached int view, in the
+        Takes ownership of ``ints``: it becomes the matrix's int view, in the
         canonical form :func:`_lift` gives, reduced mod p in place over GF(p)
         (only the nonzero sums are touched) and over QQ divided by
         gcd(d, *ints) when d > 1.  The scalar entries are made on their first
@@ -275,12 +265,28 @@ class Matrix:
         return m
 
     @cached_property
-    def _lifted(self) -> tuple[list[int], int]:
-        """The entries lifted once, (ints, d) as :func:`_lift` gives them.
+    def entries(self) -> tuple:
+        return tuple(_scalars(self.field, *self._lifted))
 
-        Cached outside the dataclass fields: no part of ==, hash or repr.
-        """
-        return _lift(self.field, self.entries)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.rows, self.cols, self._lifted) == (
+            other.field, other.rows, other.cols, other._lifted)
+
+    def __hash__(self):
+        ints, d = self._lifted
+        return hash((self.field, self.rows, self.cols, tuple(ints), d))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(field={self.field!r}, rows={self.rows!r}, "
+                f"cols={self.cols!r}, entries={self.entries!r})")
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
@@ -386,21 +392,6 @@ class Matrix:
         if len(pivots) < n or any(p >= n for p in pivots):
             return None
         return Matrix._of_ints(field, n, n, [a for row in work for a in row[n:]], d)
-
-
-def _entries_from_ints(m: Matrix) -> tuple:
-    """The scalar entries of a matrix from :meth:`Matrix._of_ints`, made from
-    its int view on their first read."""
-    return tuple(_scalars(m.field, *m._lifted))
-
-
-# Set once the dataclass is made, so that it is not taken for the field's
-# default.  A cached_property is a non-data descriptor: the entries every
-# other matrix keeps in its __dict__ shadow it and are read as fast as
-# before, where a __getattr__ would slow every attribute read of every
-# matrix.
-Matrix.entries = cached_property(_entries_from_ints)
-Matrix.entries.__set_name__(Matrix, "entries")
 
 
 def _lift(field: Field, values: Sequence) -> tuple[list[int], int]:

@@ -23,6 +23,7 @@ from .exactalg import (
     kernel_basis,
     rank,
 )
+from .punctual import support
 from .quotmod import NonCommutingError
 
 # sample points have integer coordinates in [-SAMPLE_BOUND, SAMPLE_BOUND]
@@ -297,8 +298,6 @@ def rank_sample_report(x: AdhmDatum, samples: int, seed: int) -> dict:
     Support points are added when the joint spectrum is rational; otherwise
     the report says that sampling used random points only.
     """
-    from .punctual import support
-
     pts = sample_points(x, samples, seed)
     sup = support(x)
     support_pts = [

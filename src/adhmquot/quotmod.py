@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .adhm import AdhmDatum, _krylov_layers, is_adhm, is_stable
 from .exactalg import (
-    QQ, Field, GFElement, Matrix, ShapeError, _lift, _reduced, _scalars, kernel_basis, rref,
+    GF, QQ, Field, GFElement, Matrix, ShapeError, _lift, _reduced, _scalars, kernel_basis, rref,
 )
 
 Term = tuple[tuple[int, ...], int]  # (exponent tuple, slot index, 1-based)
@@ -34,8 +34,6 @@ class QuotientError(ValueError):
 
 
 def scalar_field(x) -> Field:
-    from .exactalg import GF
-
     if isinstance(x, GFElement):
         return GF(x.p)
     return QQ

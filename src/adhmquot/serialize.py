@@ -72,7 +72,9 @@ def parse_scalar(field: Field, raw: Any):
     try:
         return field.coerce(raw)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad scalar {raw!r}: {exc}") from exc
+        # Fraction names a zero denominator only as "Fraction(p, 0)"
+        reason = "division by zero" if field == QQ and isinstance(exc, ZeroDivisionError) else exc
+        raise FormatError(f"bad scalar {raw!r}: {reason}") from exc
 
 
 def matrix_to_obj(m: Matrix) -> list:
@@ -82,14 +84,12 @@ def matrix_to_obj(m: Matrix) -> list:
 def matrix_from_obj(field: Field, obj: Any, rows: int, cols: int) -> Matrix:
     if not isinstance(obj, list) or len(obj) != rows:
         raise FormatError(f"expected a {rows}x{cols} matrix")
-    data = []
+    flat = []
     for row in obj:
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError(f"expected a {rows}x{cols} matrix")
-        data.append([parse_scalar(field, x) for x in row])
-    if not data:
-        return Matrix.zero(field, rows, cols)
-    return Matrix.from_rows(field, data)
+        flat += [parse_scalar(field, x) for x in row]
+    return Matrix(field, rows, cols, flat)
 
 
 def vector_to_obj(field: Field, vec: Sequence) -> list:

@@ -316,6 +316,20 @@ def test_path_run_parses_t_in_the_datum_field(tmp_path, capsys):
     assert err.strip().splitlines() == ["error: bad scalar '1/2': division by zero residue"]
 
 
+def test_a_rational_zero_denominator_exits_2_with_one_line(tmp_path, capsys):
+    src = gen_file(tmp_path, capsys, "x.json",
+                   "--n", "2", "--c", "2", "--r", "1", "--stable", "--seed", "1")
+    doc = json.loads(src.read_text())
+    doc["B"][0][0][0] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["path", "run", str(src), "--t", "1/0"], ["check", str(bad)],
+                 ["monad", "rank", str(src), "--point", "1/0,0,1"]):
+        code, doc, err = run(capsys, *argv)
+        assert code == 2 and doc is None
+        assert err.splitlines() == ["error: bad scalar '1/0': division by zero"]
+
+
 def _captured(argv: list) -> tuple:
     """(exit code, stdout, stderr) of one in-process call, argparse exits included."""
     out, err = io.StringIO(), io.StringIO()

@@ -135,6 +135,19 @@ def test_public_constructor_coerces_and_rejects_foreign_scalars():
         Matrix(GF(3), 1, 1, (GFElement(1, 5),))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_a_matrix_cannot_be_assigned_to(field):
+    # both constructors: the scalar one keeps its entries, _of_ints makes them on first read
+    for m in (Matrix(field, 1, 2, (1, 2)), Matrix._of_ints(field, 1, 2, [1, 2], 1)):
+        before = (m.rows, m._lifted, m.entries)
+        for name, value in [("rows", 2), ("entries", (Fraction(0),) * 2), ("_lifted", ([0, 0], 1))]:
+            with pytest.raises(AttributeError):
+                setattr(m, name, value)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert (m.rows, m._lifted, m.entries) == before
+
+
 def test_rational_gf_do_not_mix():
     with pytest.raises(TypeError):
         Fraction(1) + GFElement(1, 3)
