@@ -32,6 +32,10 @@ from .exactalg import (
 )
 
 
+class NonCommutingError(ValueError):
+    """An operation that needs commuting matrices got a non-commuting tuple."""
+
+
 class GenerationError(ValueError):
     """random_datum could not satisfy the requested flags within its retry budget."""
 
@@ -96,11 +100,7 @@ class AdhmDatum:
 
 def commutators(x: AdhmDatum) -> list[Matrix]:
     """The n(n-1)/2 matrices [B_i, B_j] = B_i B_j - B_j B_i for i < j, lexicographic."""
-    out = []
-    for i in range(x.n):
-        for j in range(i + 1, x.n):
-            out.append(x.B[i] @ x.B[j] - x.B[j] @ x.B[i])
-    return out
+    return [x.B[i] @ x.B[j] - x.B[j] @ x.B[i] for i, j in commutator_pairs(x.n)]
 
 
 def commutator_pairs(n: int) -> list[tuple[int, int]]:
@@ -111,6 +111,12 @@ def commutator_pairs(n: int) -> list[tuple[int, int]]:
 def is_adhm(x: AdhmDatum) -> bool:
     """True iff every commutator vanishes, i.e. the tuple lies in the commuting locus."""
     return all(x.B[i] @ x.B[j] == x.B[j] @ x.B[i] for i, j in commutator_pairs(x.n))
+
+
+def _require_commuting(x: AdhmDatum, message: str) -> None:
+    """The guard of every operation defined only on the commuting locus."""
+    if not is_adhm(x):
+        raise NonCommutingError(message)
 
 
 def is_nilpotent_tuple(x: AdhmDatum) -> bool:

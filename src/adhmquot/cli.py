@@ -69,6 +69,10 @@ def _require_shape(args) -> None:
 # ---------------------------------------------------------------- check
 
 
+def _commutator_residuals(x) -> list:
+    return [serialize.matrix_to_obj(m) for m in adhm.commutators(x) if not m.is_zero()]
+
+
 def _check_one(path: str, args) -> tuple[dict, bool]:
     x = _load_datum(path)
     commuting = adhm.is_adhm(x)
@@ -82,9 +86,7 @@ def _check_one(path: str, args) -> tuple[dict, bool]:
         "is_nilpotent": nilpotent,
     }
     if not commuting:
-        report["commutator_residuals"] = [
-            serialize.matrix_to_obj(m) for m in adhm.commutators(x) if not m.is_zero()
-        ]
+        report["commutator_residuals"] = _commutator_residuals(x)
     ok = True
     if args.adhm and not commuting:
         ok = False
@@ -208,9 +210,7 @@ def cmd_monad_check(args) -> tuple[Any, bool]:
     zero = comp.is_zero()
     obj: dict = {"schema": "monad-check@1", "composition_zero": zero}
     if not zero:
-        obj["commutator_residuals"] = [
-            serialize.matrix_to_obj(m) for m in adhm.commutators(x) if not m.is_zero()
-        ]
+        obj["commutator_residuals"] = _commutator_residuals(x)
     if x.n == 3:
         comp2 = monad.compose(monad.alpha_minus1(x), monad.alpha_minus2_p3(x))
         obj["depth2_composition_zero"] = comp2.is_zero()

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, is_adhm, krylov_closure
+from .adhm import AdhmDatum, _require_commuting, krylov_closure
 from .exactalg import (
     Field,
     Matrix,
@@ -24,7 +24,6 @@ from .exactalg import (
     rank,
 )
 from .punctual import support
-from .quotmod import NonCommutingError
 
 # sample points have integer coordinates in [-SAMPLE_BOUND, SAMPLE_BOUND]
 SAMPLE_BOUND = 7
@@ -213,8 +212,7 @@ def surjectivity_certificate(x: AdhmDatum) -> SurjectivityCertificate:
     verdict is therefore the stability check; for unstable data with rational
     joint spectrum an explicit witness (w, point) is attached.
     """
-    if not is_adhm(x):
-        raise NonCommutingError("certificate requires a commuting datum")
+    _require_commuting(x, "certificate requires a commuting datum")
     closure = krylov_closure(x)
     if closure.dim == x.c:  # stable, as in is_stable
         return SurjectivityCertificate(surjective=True)

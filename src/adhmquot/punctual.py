@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .adhm import AdhmDatum, _krylov_layers, equivalence, is_adhm, is_nilpotent_tuple
+from .adhm import AdhmDatum, _krylov_layers, _require_commuting, equivalence, is_nilpotent_tuple
 from .exactalg import QQ, Matrix, ShapeError, Subspace, _scalars, joint_eigenspaces
-from .quotmod import NonCommutingError
 
 
 class PathConstructionError(ValueError):
@@ -82,8 +81,7 @@ def support(x: AdhmDatum) -> SupportReport:
     part, the report is marked incomplete and carries that part's
     irreducible factors; multiplicities then sum to less than c.
     """
-    if not is_adhm(x):
-        raise NonCommutingError("support requires a commuting datum")
+    _require_commuting(x, "support requires a commuting datum")
     irrational: list = []
     points = tuple(
         (eigs, leaf.dim)
@@ -118,8 +116,7 @@ class PathData:
 def _path_data(x: AdhmDatum, *, experimental: bool) -> PathData:
     if x.r != x.c and not experimental:
         raise PathConstructionError("the contraction path needs r = c")
-    if not is_adhm(x):
-        raise NonCommutingError("the path scales a commuting tuple")
+    _require_commuting(x, "the path scales a commuting tuple")
     # one Krylov walk decides stability and gives the greedily independent
     # v_j, completed to a basis by the later words, in (|alpha|, alpha, j) order
     kept, layers = _krylov_layers(x)

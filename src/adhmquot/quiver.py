@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator
 
-from .adhm import AdhmDatum, is_adhm, is_stable
+from .adhm import AdhmDatum, _require_commuting, is_stable
 from .exactalg import Matrix, PrimeField, Subspace, _int_rows
 
 MAX_ENUM_PRIME = 3
@@ -60,8 +60,7 @@ class QuiverRep:
     datum: AdhmDatum
 
     def __post_init__(self):
-        if not is_adhm(self.datum):
-            raise ValueError("quiver relations require commuting loop maps")
+        _require_commuting(self.datum, "quiver relations require commuting loop maps")
 
 
 def all_subspaces(field: PrimeField, dim: int) -> Iterator[Subspace]:

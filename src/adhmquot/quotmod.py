@@ -13,16 +13,13 @@ from itertools import accumulate
 from operator import add, mul
 from typing import Sequence
 
-from .adhm import AdhmDatum, _krylov_layers, is_adhm, is_stable
+from .adhm import NonCommutingError  # importable from here too
+from .adhm import AdhmDatum, _krylov_layers, _require_commuting, is_adhm, is_stable
 from .exactalg import (
     GF, QQ, Field, GFElement, Matrix, ShapeError, _lift, _reduced, _scalars, kernel_basis, rref,
 )
 
 Term = tuple[tuple[int, ...], int]  # (exponent tuple, slot index, 1-based)
-
-
-class NonCommutingError(ValueError):
-    """An operation that needs commuting matrices got a non-commuting tuple."""
 
 
 class QuotientError(ValueError):
@@ -122,6 +119,12 @@ def term_magnitude(term: Term) -> tuple:
     return (sum(alpha), alpha, -j)
 
 
+def _columns(n: int, r: int, d: int) -> list[Term]:
+    """Terms of degree <= d by decreasing :func:`term_magnitude`, made in that order."""
+    return [(alpha, j) for deg in range(d, -1, -1) for alpha in monomials_of_degree(n, deg)
+            for j in range(1, r + 1)]
+
+
 def _basis_display_key(term: Term) -> tuple:
     alpha, j = term
     return (sum(alpha), tuple(-a for a in alpha), j)
@@ -151,11 +154,6 @@ def _monomial_vector_table(x: AdhmDatum, degree: int) -> tuple[dict[Term, list[i
     return table, e ** (degree + 1)
 
 
-def _require_adhm(x: AdhmDatum) -> None:
-    if not is_adhm(x):
-        raise NonCommutingError("the matrices do not commute")
-
-
 def _image(rows: dict[Term, list[int]], c: int, terms) -> list[int]:
     """sum_j p_j(B) v_j for p given as lifted (term, int) pairs, read off the
     int rows of a monomial vector table covering its terms.
@@ -175,7 +173,7 @@ def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
     Monomials are evaluated as products of the B_i in fixed index order, which
     is unambiguous because commutation is required.
     """
-    _require_adhm(x)
+    _require_commuting(x, "the matrices do not commute")
     if p.n != x.n or p.r != x.r:
         raise ShapeError("polynomial vector shape does not match the datum")
     field = x.field
@@ -192,11 +190,8 @@ def kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
     degree <= e span the whole degree-<= e part of the kernel.  Degree d = c
     is the default presentation degree used by the round trip.
     """
-    _require_adhm(x)
-    columns = [
-        (alpha, j) for alpha in monomials_upto(x.n, d) for j in range(1, x.r + 1)
-    ]
-    columns.sort(key=term_magnitude, reverse=True)
+    _require_commuting(x, "the matrices do not commute")
+    columns = _columns(x.n, x.r, d)
     width = len(columns)
     table, den = _monomial_vector_table(x, d)
     ints = [table[t][row] for row in range(x.c) for t in columns]
@@ -218,7 +213,7 @@ def hilbert_profile(x: AdhmDatum) -> tuple[int, ...]:
     The sequence runs until it stabilizes; its last value is the dimension of
     the Krylov closure and equals c exactly when x is stable.
     """
-    _require_adhm(x)
+    _require_commuting(x, "the matrices do not commute")
     _, layers = _krylov_layers(x)
     return tuple(accumulate(len(layer) for layer in layers))
 
@@ -264,10 +259,7 @@ def module_from_generators(
 
     qdims: list[int] = []
     for d in range(degree_cap + 1):
-        columns = [
-            (alpha, j) for alpha in monomials_upto(n, d) for j in range(1, r + 1)
-        ]
-        columns.sort(key=term_magnitude, reverse=True)
+        columns = _columns(n, r, d)
         col_index = {t: k for k, t in enumerate(columns)}
         ints: list[int] = []
         nrows = 0
@@ -297,10 +289,11 @@ def module_from_generators(
 
 
 def _lifted_generators(field: Field, gens: Sequence[PolyVector]) -> list[tuple[int, list]]:
-    """Each nonzero generator lifted once, as (degree, [(term, int)]): neither
-    the truncation's row space nor a vanishing image depends on its scale."""
+    """Each nonzero generator coerced into ``field`` and lifted once, as (degree,
+    [(term, int)]): neither the row space nor a vanishing image depends on its scale."""
     return [
-        (g.degree(), list(zip(g.terms, _lift(field, list(g.terms.values()))[0])))
+        (g.degree(),
+         list(zip(g.terms, _lift(field, [field.coerce(a) for a in g.terms.values()])[0])))
         for g in gens if g.terms
     ]
 

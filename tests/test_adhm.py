@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from adhmquot import adhm, exactalg
+from adhmquot import adhm, exactalg, monad, punctual, quotmod
 from adhmquot.adhm import (
     AdhmDatum,
     GenerationError,
+    NonCommutingError,
     _krylov_layers,
     act,
     commutator_pairs,
@@ -24,6 +25,7 @@ from adhmquot.adhm import (
     stabilizer_lie_dimension,
 )
 from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, SingularMatrixError
+from adhmquot.quiver import QuiverRep
 
 from helpers import datum, mat
 
@@ -354,3 +356,38 @@ def test_random_datum_prime_field():
 def test_random_datum_impossible_flags():
     with pytest.raises(GenerationError):
         random_datum(2, 0, 1, seed=14, stable=False)
+
+
+# every operation defined only on the commuting locus, with the message of its refusal
+COMMUTING_ONLY = {
+    "phi_apply": (lambda x: quotmod.phi_apply(x, quotmod.PolyVector.unit(2, 4, 1, x.field)),
+                  "the matrices do not commute"),
+    "kernel_basis_up_to_degree": (lambda x: quotmod.kernel_basis_up_to_degree(x, 2),
+                                  "the matrices do not commute"),
+    "hilbert_profile": (quotmod.hilbert_profile, "the matrices do not commute"),
+    "support": (punctual.support, "support requires a commuting datum"),
+    "homotopy_path": (lambda x: punctual.homotopy_path(x, 0), "the path scales a commuting tuple"),
+    "verify_path": (lambda x: punctual.verify_path(x, [0, 1]),
+                    "the path scales a commuting tuple"),
+    "path_permutation": (punctual.path_permutation, "the path scales a commuting tuple"),
+    "surjectivity_certificate": (monad.surjectivity_certificate,
+                                 "certificate requires a commuting datum"),
+    "rank_sample_report": (lambda x: monad.rank_sample_report(x, 4, 1),
+                           "support requires a commuting datum"),
+    "QuiverRep": (QuiverRep, "quiver relations require commuting loop maps"),
+}
+
+
+@pytest.mark.parametrize("entry", COMMUTING_ONLY)
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=repr)
+def test_every_commuting_only_operation_refuses_a_non_commuting_datum(field, entry):
+    # r = c = 4, so the path gets past its r = c check; B_1 B_0 e_1 = e_4 but B_0 B_1 e_1 = 0
+    unit = [[1 if j == i else 0 for j in range(4)] for i in range(4)]
+    b0 = [[0] * 4, unit[0], [0] * 4, [0] * 4]
+    b1 = [[0] * 4, [0] * 4, unit[0], unit[1]]
+    x = AdhmDatum(2, 4, 4, (Matrix.from_rows(field, b0), Matrix.from_rows(field, b1)),
+                  tuple(map(tuple, unit)))
+    call, message = COMMUTING_ONLY[entry]
+    with pytest.raises(NonCommutingError) as refused:
+        call(x)
+    assert type(refused.value) is NonCommutingError and str(refused.value) == message

@@ -119,17 +119,27 @@ def test_quot_present_build_equiv_pipeline(tmp_path, capsys):
     assert code == 0 and eq["equivalent"] and eq["g"] is not None
 
 
-def test_quot_present_noncommuting_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command, options, message", [
+    ("support", [], "support requires a commuting datum"),
+    ("quot present", [], "the matrices do not commute"),
+    ("path run", ["--t", "1/2"], "the path scales a commuting tuple"),
+    ("path verify", [], "the path scales a commuting tuple"),
+    ("quiver check", ["--theta=-1"], "quiver relations require commuting loop maps"),
+    ("monad rank", ["--seed", "1"], "support requires a commuting datum"),
+], ids=["support", "quot-present", "path-run", "path-verify", "quiver-check", "monad-rank"])
+def test_quot_present_noncommuting_is_usage_error(tmp_path, capsys, command, options, message):
+    # r = c = 4, so the path gets past its r = c check; B_1 B_0 e_1 = e_4 but B_0 B_1 e_1 = 0
+    unit = [["1" if j == i else "0" for j in range(4)] for i in range(4)]
+    zero = ["0"] * 4
     doc = {
-        "schema": "adhm-datum@1", "n": 2, "c": 2, "r": 1,
-        "B": [[["0", "1"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
-        "v": [["1", "0"]],
+        "schema": "adhm-datum@1", "n": 2, "c": 4, "r": 4,
+        "B": [[zero, unit[0], zero, zero], [zero, zero, unit[0], unit[1]]],
+        "v": unit,
     }
     path = tmp_path / "nc.json"
     path.write_text(json.dumps(doc))
-    code = main(["quot", "present", str(path)])
-    capsys.readouterr()
-    assert code == 2
+    code, out, err = run(capsys, *command.split(), str(path), *options)
+    assert (code, out, err) == (2, None, f"error: {message}\n")
 
 
 def test_quot_build_infinite_quotient_is_usage_error(tmp_path, capsys):

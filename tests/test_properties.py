@@ -1192,7 +1192,7 @@ def test_phi_matches_reference(case):
     assert _bits(image(moved)) == _bits(_reference_phi(x, moved))
 
 
-def test_cached_view_takes_no_part_in_eq_hash_or_repr():
+def test_both_constructors_give_one_view_hash_and_repr():
     for field, entries in [(QQ, (Fraction(1, 2), 3, Fraction(-2, 7), 0)), (GF(5), (1, 7, 0, 4))]:
         m, fresh = Matrix(field, 2, 2, entries), Matrix(field, 2, 2, entries)
         before = repr(m)

@@ -10,7 +10,7 @@ import pytest
 
 from adhmquot import quotmod
 from adhmquot.adhm import AdhmDatum, equivalence, is_adhm, is_stable, random_datum
-from adhmquot.exactalg import GF, QQ, GFElement, Matrix, kernel_basis
+from adhmquot.exactalg import GF, QQ, FieldMismatchError, GFElement, Matrix, kernel_basis
 from adhmquot.quotmod import (
     NonCommutingError,
     PolyVector,
@@ -136,6 +136,18 @@ def test_module_from_generators_cap_reports_profile():
     with pytest.raises(QuotientError) as info:
         module_from_generators(1, 1, [mono(1, 1, (5,), 1)], degree_cap=3)
     assert info.value.dimension_profile == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("second, message", [
+    # z - 4 over GF(5) has the residues of z + 1, which GF(3) would read as z + 1
+    ({((1,), 1): GF(5).one(), ((0,), 1): GF(5).coerce(-4)}, "residue mod 5 used in GF(3)"),
+    ({((1,), 1): Fraction(1, 2)}, "cannot coerce Fraction(1, 2) into GF(3)"),
+], ids=["GF(5)", "rational"])
+def test_module_from_generators_refuses_coefficients_of_another_field(second, message):
+    gens = [PolyVector(1, 1, {((2,), 1): GF(3).one()}), PolyVector(1, 1, second)]
+    with pytest.raises(FieldMismatchError) as refused:
+        module_from_generators(1, 1, gens)
+    assert str(refused.value) == message
 
 
 def test_module_outputs_pass_flags():
