@@ -36,6 +36,11 @@ class NonCommutingError(ValueError):
     """An operation that needs commuting matrices got a non-commuting tuple."""
 
 
+class UndecidedEquivalenceError(ValueError):
+    """equivalence(x, y) for an unstable x found no invertible intertwiner and
+    cannot prove that none exists."""
+
+
 class GenerationError(ValueError):
     """random_datum could not satisfy the requested flags within its retry budget."""
 
@@ -240,7 +245,7 @@ def stabilizer_lie_dimension(x: AdhmDatum) -> int:
 
 
 def equivalence(x: AdhmDatum, y: AdhmDatum) -> Matrix | None:
-    """A g with act(g, x) = y, or None.
+    """A g with act(g, x) = y, or None when no such g exists.
 
     The Krylov closure U of the joint datum diag(B_i, B'_i), (v_j, v'_j) on
     V + V' projects onto that of x: x is stable iff U has pivots in the first
@@ -251,9 +256,13 @@ def equivalence(x: AdhmDatum, y: AdhmDatum) -> Matrix | None:
     column c - 1 zeroes a row of g.  (A word of a non-commuting tuple is an
     ordered product; the argument stands.)
 
-    For an unstable x the intertwiner solutions may form a positive-
-    dimensional family; a bounded deterministic search then looks for an
-    invertible point of it and may miss one, the documented best effort.
+    For an unstable x, g solves the intertwiner system, whose solutions
+    g0 + H may form a positive-dimensional family.  A bounded deterministic
+    search looks for an invertible point of it.  None then means a proof:
+    the system has no solution, or g0 and all of H kill one common vector
+    (or covector), so every solution is singular.  Otherwise the miss proves
+    nothing, and UndecidedEquivalenceError (a ValueError: exit 2 in the CLI)
+    is raised instead of a verdict.
     """
     if not x.same_shape(y):
         raise ShapeError("equivalence requires matching (n, c, r)")
@@ -296,7 +305,18 @@ def equivalence(x: AdhmDatum, y: AdhmDatum) -> Matrix | None:
         cand = _linear_combination([g0, *hbasis], [1, *(rng.randint(-3, 3) for _ in hbasis)])
         if cand.inverse() is not None:
             return cand
-    return None
+    # a vector that g0 and all of H kill, or a covector they all kill, makes
+    # every point of g0 + H singular
+    blocks = [m._lifted[0] for m in (g0, *hbasis)]
+    tall = [a for block in blocks for a in block]
+    wide = [a for i in range(0, cc, c) for block in blocks for a in block[i : i + c]]
+    k = len(blocks) * c
+    if min(rank(Matrix._of_ints(field, k, c, tall, 1)),
+           rank(Matrix._of_ints(field, c, k, wide, 1))) < c:
+        return None
+    raise UndecidedEquivalenceError(
+        "equivalence is undecided for an unstable datum: "
+        "no invertible intertwiner found, and none ruled out")
 
 
 def _powers(t: Matrix, count: int) -> list[Matrix]:

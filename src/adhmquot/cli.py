@@ -50,7 +50,7 @@ def _emit(report: Any, summary: str) -> None:
     # print writes the newline on its own: on an unbuffered stdout (python -u,
     # PYTHONUNBUFFERED) a write cut short by a reader that left raises
     # nothing, and only the next write sees the closed pipe
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(serialize.dumps(report))
     sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
     print(summary, file=sys.stderr)
 
@@ -143,7 +143,7 @@ def cmd_support(args) -> tuple[Any, bool]:
 def cmd_equiv(args) -> tuple[Any, bool]:
     x = _load_datum(args.file)
     y = _load_datum(args.other)
-    g = adhm.equivalence(x, y)
+    g = adhm.equivalence(x, y)  # undecided raises a ValueError: exit 2, never 1
     obj = {
         "schema": "equiv-report@1",
         "equivalent": g is not None,

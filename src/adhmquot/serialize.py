@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 from typing import Any, Sequence
 
 from .adhm import AdhmDatum
@@ -20,6 +21,7 @@ from .quotmod import PolyVector
 DATUM_SCHEMA = "adhm-datum@1"
 POLYVEC_SCHEMA = "poly-vectors@1"
 FORM_MATRIX_SCHEMA = "linear-form-matrix@1"
+_TERM_KEYS = frozenset(("alpha", "j", "coeff"))
 
 
 class FormatError(ValueError):
@@ -58,18 +60,56 @@ def field_from_obj(obj: Any) -> Field:
     raise FormatError(f"unrecognized field header {obj!r}")
 
 
+def dumps(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    That call runs json's pure-Python encoder (CPython takes the C one only
+    without ``indent``); this one joins each container once and quotes
+    strings and keys with the C ``encode_basestring_ascii``.
+    """
+    return _dumps(obj, "\n")
+
+
+_quote = json.encoder.encode_basestring_ascii
+_int = int.__repr__  # json's int writer; type(v) is int keeps bools out
+
+
+def _dumps(o: Any, newline: str) -> str:
+    # newline is "\n" and the indent of the line that o starts on
+    inner = newline + "  "
+    if isinstance(o, dict):
+        # sorted before the keys are written, as json sorts: int keys numerically
+        parts = [f"{_quote(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_quote(v) if type(v) is str else _int(v) if type(v) is int else _dumps(v, inner)}"
+                 for k, v in sorted(o.items())]
+        ends = "{}"
+    elif isinstance(o, (list, tuple)):
+        parts = [_quote(v) if type(v) is str else _int(v) if type(v) is int else _dumps(v, inner)
+                 for v in o]
+        ends = "[]"
+    else:  # bool, None and floats; anything else raises json's TypeError
+        return _quote(o) if isinstance(o, str) else json.dumps(o)
+    if not parts:
+        return ends
+    return f"{ends[0]}{inner}{(',' + inner).join(parts)}{newline}{ends[1]}"
+
+
 # "p" or "p/q" in ASCII decimal digits; checked before any arithmetic, so
 # forms such as "1e1000000000" never reach the number parser
-_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_scalar(field: Field, raw: Any):
     """A scalar written "p" or "p/q", as a field element; FormatError otherwise."""
     if not isinstance(raw, str):
         raise FormatError(f"scalars are strings, got {raw!r}")
-    if not _SCALAR.fullmatch(raw):
+    match = _SCALAR.fullmatch(raw)
+    if match is None:
         raise FormatError(f"bad scalar {raw!r}: expected p or p/q")
     try:
+        if field == QQ:  # the match's ints, not a second parse of raw
+            num, den = match.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         return field.coerce(raw)
     except (ValueError, ZeroDivisionError) as exc:
         # Fraction names a zero denominator only as "Fraction(p, 0)"
@@ -162,12 +202,17 @@ def polyvectors_from_obj(obj: Any) -> tuple[int, int, list[PolyVector], Field]:
     for rec_list in _typed(obj["generators"], list, "generators"):
         terms = {}
         for rec in _typed(rec_list, list, "each generator"):
-            if not isinstance(rec, dict) or not {"alpha", "j", "coeff"} <= set(rec):
+            if not isinstance(rec, dict) or not _TERM_KEYS <= rec.keys():
                 raise FormatError("term records need alpha, j and coeff")
-            alpha = tuple(
-                _typed(a, int, "alpha entries") for a in _typed(rec["alpha"], list, "alpha")
-            )
-            j = _typed(rec["j"], int, "j")
+            # exact types take the short test; _typed runs only to raise, so
+            # every message and the first error reported stay its own
+            alpha, j = rec["alpha"], rec["j"]
+            if type(alpha) is list and all(type(a) is int for a in alpha):
+                alpha = tuple(alpha)
+            else:
+                alpha = tuple(_typed(a, int, "alpha entries") for a in _typed(alpha, list, "alpha"))
+            if type(j) is not int:
+                j = _typed(j, int, "j")
             coeff = parse_scalar(field, rec["coeff"])
             if (alpha, j) in terms:
                 raise FormatError(f"duplicate term {(alpha, j)}")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import copy
+import json
 import math
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from adhmquot.adhm import (
     AdhmDatum,
     GenerationError,
     NonCommutingError,
+    UndecidedEquivalenceError,
     _krylov_layers,
     act,
     commutator_pairs,
@@ -26,6 +29,7 @@ from adhmquot.adhm import (
 )
 from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, SingularMatrixError
 from adhmquot.quiver import QuiverRep
+from adhmquot.serialize import datum_from_obj
 
 from helpers import datum, mat
 
@@ -258,6 +262,26 @@ def test_equivalence_search_reaches_random_combinations(field):
     assert act(h, x) == y
 
 
+def test_a_missed_search_is_undecided_not_a_verdict():
+    # x: n = r = 1, v = 0 and B nilpotent over GF(2) with Jordan blocks of
+    # sizes 1..6 (c = 21); y = act(g, x) for the sixth invertible g drawn
+    # from random.Random(1), the first of those draws the search misses
+    x, y = (datum_from_obj(json.loads(path.read_text()))
+            for path in sorted(Path(__file__).parent.glob("data/gf2_jordan_c21_*.json")))
+    field, c = GF(2), 21
+    starts = {sum(range(1, k)) for k in range(1, 8)}
+    shift = [[int(i == k + 1 and i not in starts) for k in range(c)] for i in range(c)]
+    assert x == AdhmDatum(1, c, 1, (Matrix.from_rows(field, shift),), ((0,) * c,))
+    rng, invertible = random.Random(1), []
+    while len(invertible) < 6:
+        g = Matrix(field, c, c, tuple(field.coerce(rng.randint(0, 1)) for _ in range(c * c)))
+        if g.inverse() is not None:
+            invertible.append(g)
+    assert act(invertible[-1], x) == y and not is_stable(x)
+    with pytest.raises(UndecidedEquivalenceError, match="undecided for an unstable datum"):
+        equivalence(x, y)
+
+
 # B e_1 = e_2 makes the first stable, B e_1 = 0 the second unstable
 STABLE_PAIR_X = datum(1, 2, 1, [[[0, 0], [1, 0]]], [(1, 0)])
 UNSTABLE_PAIR_Y = datum(1, 2, 1, [[[0, 1], [0, 0]]], [(1, 0)])
@@ -282,6 +306,17 @@ def test_equivalence_of_a_stable_and_an_unstable_datum_is_none(monkeypatch):
     # x unstable: the intertwiner system has no solution
     assert equivalence(UNSTABLE_PAIR_Y, STABLE_PAIR_X) is None
     assert calls == [(UNSTABLE_PAIR_Y, STABLE_PAIR_X)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_a_kernel_shared_by_every_intertwiner_proves_inequivalence(field, monkeypatch):
+    # v = 0: g B = B' g.  From B = 0 to the Jordan block J every g has second
+    # row 0 (a common covector); from J to 0 every g kills e_1 (a common vector)
+    calls = _counting_system(monkeypatch)
+    zero, jordan = (AdhmDatum(1, 2, 1, (Matrix.from_rows(field, b),), ((0, 0),))
+                    for b in ([[0, 0], [0, 0]], [[0, 1], [0, 0]]))
+    assert equivalence(zero, jordan) is None and equivalence(jordan, zero) is None
+    assert calls == [(zero, jordan), (jordan, zero)]  # both took the unstable path
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(32003)])

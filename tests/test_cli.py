@@ -182,6 +182,14 @@ def test_equiv_failure_exit(tmp_path, capsys):
         assert not doc["equivalent"] and doc["g"] is None
 
 
+def test_equiv_of_a_missed_unstable_search_exits_2_with_one_line(capsys):
+    # an equivalent GF(2) pair, c = 21, whose intertwiner search misses
+    x, y = sorted(str(p) for p in Path(__file__).parent.glob("data/gf2_jordan_c21_*.json"))
+    assert _captured(["equiv", x, y]) == (2, "", (
+        "error: equivalence is undecided for an unstable datum: "
+        "no invertible intertwiner found, and none ruled out\n"))
+
+
 def test_monad_check_perturbed(tmp_path, capsys):
     src = gen_file(tmp_path, capsys, "m.json",
                    "--n", "2", "--c", "2", "--r", "1", "--seed", "8")
@@ -338,6 +346,35 @@ def test_a_rational_zero_denominator_exits_2_with_one_line(tmp_path, capsys):
         code, doc, err = run(capsys, *argv)
         assert code == 2 and doc is None
         assert err.splitlines() == ["error: bad scalar '1/0': division by zero"]
+
+
+def test_the_readme_examples_print_json_dumps_layout(tmp_path):
+    # every command of the README's CLI example list: 2-space indent, sorted
+    # keys, ASCII escapes and one trailing newline
+    x, kernel, y = (str(tmp_path / name) for name in ("X.json", "kernel.json", "Y.json"))
+    commands = [
+        (["gen", "--n", "3", "--c", "2", "--r", "2", "--stable", "--nilpotent", "--seed", "7"], x),
+        (["check", x, "--stable", "--nilpotent"], None),
+        (["support", x], None),
+        (["monad", "build", x], None),
+        (["monad", "check", x], None),
+        (["monad", "rank", x, "--samples", "32", "--seed", "0"], None),
+        (["monad", "rank", x, "--point=-1,2,0,1"], None),
+        (["quot", "present", x], kernel),
+        (["quot", "build", kernel], y),
+        (["equiv", x, y], None),
+        (["quiver", "check", x, "--theta=-2/3"], None),
+        (["path", "run", x, "--t", "1/2"], None),
+        (["path", "verify", x, "--grid", "64"], None),
+        (["dim", "experiment", "--n", "3", "--c", "2", "--r", "1", "--punctual",
+          "--trials", "20", "--seed", "1"], None),
+    ]
+    for argv, target in commands:
+        code, out, _ = _captured(argv)
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+        if target:
+            Path(target).write_text(out)
 
 
 def _captured(argv: list) -> tuple:
@@ -501,6 +538,16 @@ def test_loose_scalars_are_rejected_before_parsing(tmp_path, capsys, monkeypatch
         assert err.splitlines() == [f"error: bad scalar {shown!r}: expected p or p/q"]
 
 
+def _int_limit(digits: str) -> str:
+    """The message of the ValueError that int() raises on digits."""
+    with pytest.raises(ValueError) as info:
+        int(digits)
+    return str(info.value)
+
+
+LONG_NUMERATOR = "7" * 5000
+
+
 def _generators_doc(**changes) -> dict:
     """z_0 and z_1 in one slot, a colength-1 quotient, with top-level changes."""
     doc = {"schema": "poly-vectors@1", "n": 2, "r": 1, "generators": [
@@ -527,8 +574,27 @@ def _with_first_term(**changes) -> dict:
     (_generators_doc(n=0, generators=[[{"alpha": [], "j": 1, "coeff": "1"}]]),
      "n must be at least 1, got 0"),
     (_generators_doc(field={"prime": None}), "field prime must be an integer, got null"),
+    (_with_first_term(coeff="1/0"), "bad scalar '1/0': division by zero"),
+    ({**_with_first_term(coeff="1/0"), "field": {"prime": 3}},
+     "bad scalar '1/0': division by zero residue"),
+    (_with_first_term(coeff="1.5"), "bad scalar '1.5': expected p or p/q"),
+    (_with_first_term(coeff=" 1"), "bad scalar ' 1': expected p or p/q"),
+    (_with_first_term(coeff="1_0"), "bad scalar '1_0': expected p or p/q"),
+    (_with_first_term(coeff=LONG_NUMERATOR),
+     f"bad scalar {LONG_NUMERATOR!r}: {_int_limit(LONG_NUMERATOR)}"),
+    ({**_with_first_term(coeff=LONG_NUMERATOR + "/2"), "field": {"prime": 3}},
+     f"bad scalar {LONG_NUMERATOR + '/2'!r}: {_int_limit(LONG_NUMERATOR)}"),
+    (_with_first_term(alpha=[True, 0]), "alpha entries must be an integer, got true"),
+    (_with_first_term(j=1.5), "j must be an integer, got 1.5"),
+    (_generators_doc(generators=[[{"alpha": [1, 0], "j": 1}]]),
+     "term records need alpha, j and coeff"),
+    (_generators_doc(generators=[[{"alpha": [1, 0], "j": 1, "coeff": "1"},
+                                  {"alpha": [1, 0], "j": 1, "coeff": "2"}]]),
+     "duplicate term ((1, 0), 1)"),
 ], ids=["n-null", "n-bool", "generators-int", "alpha-int", "j-null", "alpha-float", "n-zero",
-        "prime-null"])
+        "prime-null", "coeff-zero-den", "coeff-zero-den-GF3", "coeff-decimal", "coeff-space",
+        "coeff-underscore", "coeff-5000-digits", "coeff-5000-digits-GF3", "alpha-bool",
+        "j-float", "coeff-missing", "duplicate-term"])
 def test_malformed_generator_documents_exit_2(tmp_path, capsys, doc, message):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(doc))

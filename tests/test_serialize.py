@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from adhmquot.adhm import random_datum
 from adhmquot.exactalg import GF, QQ, Matrix
@@ -12,10 +16,12 @@ from adhmquot.serialize import (
     FormatError,
     datum_from_obj,
     datum_to_obj,
+    dumps,
     field_from_obj,
     field_to_obj,
     form_matrix_from_obj,
     form_matrix_to_obj,
+    parse_scalar,
     polyvectors_from_obj,
     polyvectors_to_obj,
 )
@@ -168,3 +174,60 @@ def test_form_matrix_integer_fields_are_checked(changes, message):
     with pytest.raises(FormatError) as info:
         form_matrix_from_obj(obj)
     assert str(info.value) == message
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(-10**400, 10**400) | st.floats() | st.text())
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)
+                      | st.dictionaries(st.integers(), children)),
+    max_leaves=40,
+)
+
+
+@given(JSON_TREES)
+@example({"\u00e9\u2603\x00\n\"": [[], {}, (), [[]], {"a": {}}], "b": (True, None, False)})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, -10**300])
+@example({10: 1, 9: 2, -1: 3})  # int keys sort numerically, then turn into strings
+def test_dumps_is_json_dumps_indented_and_sorted(tree):
+    assert dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_dumps_raises_json_type_errors():
+    for bad in ({"a": 1, 2: "b"}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            dumps(bad)
+        assert str(got.value) == str(expected.value)
+
+
+@given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
+@example("007")
+@example("-0")
+@example("0/7")
+@example("-0012/000")
+@example("-559380/13283")
+def test_rational_scalars_read_as_fraction(raw):
+    try:
+        expected = Fraction(raw)
+    except ZeroDivisionError:
+        with pytest.raises(FormatError, match="division by zero$"):
+            parse_scalar(QQ, raw)
+        return
+    got = parse_scalar(QQ, raw)
+    assert type(got) is Fraction and got == expected
+    if int(raw.partition("/")[2] or 1) % 32003:  # else no residue to compare
+        assert parse_scalar(GF(32003), raw) == GF(32003).coerce(raw)
+
+
+def test_an_over_long_scalar_is_a_bad_scalar():
+    for raw in ("7" * 5000, "-" + "7" * 4301 + "/3", "3/" + "1" * 4400):
+        with pytest.raises(ValueError) as limit:
+            Fraction(raw)
+        for field in (QQ, GF(3)):
+            with pytest.raises(FormatError) as info:
+                parse_scalar(field, raw)
+            assert str(info.value) == f"bad scalar {raw!r}: {limit.value}"
