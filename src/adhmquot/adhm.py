@@ -18,6 +18,7 @@ from .exactalg import (
     QQ,
     Field,
     Matrix,
+    PrimeField,
     ShapeError,
     SingularMatrixError,
     Subspace,
@@ -114,8 +115,22 @@ def commutator_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def is_adhm(x: AdhmDatum) -> bool:
-    """True iff every commutator vanishes, i.e. the tuple lies in the commuting locus."""
-    return all(x.B[i] @ x.B[j] == x.B[j] @ x.B[i] for i, j in commutator_pairs(x.n))
+    """True iff every commutator vanishes, i.e. the tuple lies in the commuting locus.
+
+    Read on the datum's int view: entry (a, b) of B_i B_j and of B_j B_i is
+    row a of one times column b of the other, both over d^2 (compared mod p
+    over GF(p)), and the check stops at the first entry where they differ.
+    """
+    rows = x._ints[0]
+    cols = [list(zip(*b)) for b in rows]
+    p = x.field.p if isinstance(x.field, PrimeField) else 0
+    for i, j in commutator_pairs(x.n):
+        for row_i, row_j in zip(rows[i], rows[j]):
+            for col_i, col_j in zip(cols[i], cols[j]):
+                diff = sum(map(mul, row_i, col_j)) - sum(map(mul, row_j, col_i))
+                if diff and (not p or diff % p):
+                    return False
+    return True
 
 
 def _require_commuting(x: AdhmDatum, message: str) -> None:

@@ -752,61 +752,154 @@ def rational_factorization(
     first, then ascending; the remainder is the input divided exactly by the
     product of the (z - root)^multiplicity, so it keeps the leading
     coefficient.  The irreducible factors of the remainder are primitive
-    integer polynomials in the same layout, with multiplicities, in sympy's
-    order.  All three are read off one factorization over ZZ (sympy's
-    ``dup_factor_list`` on the integer coefficients, the routine behind
-    ``Poly.factor_list``), and the remainder is multiplied out on ints; a
-    linear input needs none.
+    integer polynomials in the same layout, with positive leading
+    coefficients and multiplicities, in sympy's order (by length, then
+    multiplicity, then coefficients).  The roots and the remainder come from
+    :func:`_split_rational_roots`, with no factoring; a root-free remainder
+    of degree 2 or 3 is its own irreducible factor, and only one of degree
+    4 or more is factored by sympy's ``dup_factor_list`` (imported then).
+    """
+    roots, remainder, rest = _split_rational_roots(coeffs)
+    if len(rest) <= 4:  # degree <= 3 with no linear factor: irreducible
+        return roots, remainder, [(tuple(rest), 1)] if len(rest) > 1 else []
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    _, factors = dup_factor_list(rest[::-1], ZZ)
+    return roots, remainder, [(tuple(int(c) for c in reversed(f)), mult) for f, mult in factors]
+
+
+def _split_rational_roots(
+    coeffs: Sequence[Fraction],
+) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...], list[int]]:
+    """The roots and remainder of :func:`rational_factorization`, and the
+    remainder's primitive integer part with a positive leading coefficient.
+
+    The input, stripped of its zero roots, is (content / scale) * g for the
+    primitive integer g with positive leading coefficient.  Each rational
+    root a/b of g (:func:`_rational_roots_of_primitive`) has the
+    multiplicity of b z - a in g, found by exact division; the quotient is
+    the remainder's integer part.
     """
     work = [Fraction(c) for c in coeffs]
     while len(work) > 1 and not work[-1]:
         work.pop()
     if len(work) <= 1:
         return [], tuple(work), []
-    if len(work) == 2:  # a_1 z + a_0 = a_1 (z - root)
-        a0, a1 = work
-        return [(-a0 / a1, 1)], (a1,), []
-    from sympy import ZZ
-    from sympy.polys.factortools import dup_factor_list
-
+    zeros = next(k for k, c in enumerate(work) if c)
+    roots = [(Fraction(0), zeros)] if zeros else []
     scale = math.lcm(*(c.denominator for c in work))
-    ints = [c.numerator * (scale // c.denominator) for c in reversed(work)]
-    content, factors = dup_factor_list(ints, ZZ)
-    # work = (content / scale) * prod(factor^mult), factors leading term
-    # first; a linear factor a z + b is a (z - root), so the remainder
-    # collects the a's and the other factors
-    lead = Fraction(int(content), scale)
-    rest = [1]
-    roots: list[tuple[Fraction, int]] = []
-    irreducible: list[tuple[tuple[int, ...], int]] = []
-    for factor, mult in factors:
-        if len(factor) == 2:
-            a, b = (int(c) for c in factor)
-            roots.append((Fraction(-b, a), mult))
-            lead *= a**mult
-        else:
-            low_first = tuple(int(c) for c in reversed(factor))
-            irreducible.append((low_first, mult))
-            for _ in range(mult):
-                rest = _poly_product(rest, low_first)
-    roots.sort(key=lambda rm: (rm[0] != 0, rm[0]))
-    return roots, tuple(lead * c for c in rest), irreducible
+    ints = [c.numerator * (scale // c.denominator) for c in work[zeros:]]
+    g = _primitive(ints)
+    lead = Fraction(ints[-1] // g[-1], scale)
+    for root in _rational_roots_of_primitive(g):
+        linear, mult = [-root.numerator, root.denominator], 0
+        while (quotient := _poly_divide(g, linear)) is not None:
+            g, mult = quotient, mult + 1
+        roots.append((root, mult))
+        lead *= root.denominator**mult
+    return roots, tuple(lead * a for a in g), g
 
 
-def _poly_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two integer polynomials, same layout."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _rational_roots_of_primitive(g: list[int]) -> list[Fraction]:
+    """The distinct rational roots, ascending, of a primitive integer
+    polynomial g (constant term first) with a positive leading coefficient.
+
+    They are the roots of the square-free part s = g / gcd(g, g'), and
+    y -> y / L (L the leading coefficient of s) maps the integer roots of the
+    monic integer t(y) = L^(deg s - 1) s(y / L) onto them (Loos 1983).  For
+    the first prime p not dividing L at which every root of t mod p is simple
+    (one exists, as t is square-free), the roots mod p are found by
+    evaluation, each is Newton-lifted past twice the Cauchy bound
+    1 + max |t_i| of the integer roots, and a symmetric residue y is kept
+    when t(y) == 0 exactly.  Every integer root of t reduces to a simple
+    root mod p and lifts back to itself, so the list is complete.
+    """
+    if len(g) <= 1:
+        return []
+    s = _poly_divide(g, _poly_gcd(g, [k * a for k, a in enumerate(g) if k]))
+    m, L = len(s) - 1, s[-1]
+    t = [a * L ** (m - 1 - k) for k, a in enumerate(s[:-1])] + [1]
+    dt = [k * a for k, a in enumerate(t) if k]
+    bound = 2 * (1 + max(map(abs, t)))
+    p = 1
+    while True:
+        p += 1
+        if not _is_prime(p) or L % p == 0:
+            continue
+        residues = [r for r in range(p) if _poly_value(t, r) % p == 0]
+        if all(_poly_value(dt, r) % p for r in residues):
+            break
+    found = []
+    for y in residues:
+        q = p
+        while q <= bound:
+            q *= q
+            y = (y - _poly_value(t, y) * pow(_poly_value(dt, y), -1, q)) % q
+        if y > q // 2:
+            y -= q
+        if not _poly_value(t, y):
+            found.append(Fraction(y, L))
+    return sorted(found)
+
+
+def _poly_value(a: Sequence[int], x: int) -> int:
+    """a(x) for an integer polynomial a, constant term first, by Horner."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_divide(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """The quotient a / b of integer polynomials (constant term first) when
+    it is exact in Z[z], else None; b must be nonzero with b[-1] != 0."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    q = [0] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, left = divmod(r[k + db], lb)
+        if left:
+            return None
+        q[k] = c
+        if c:
+            for i, x in enumerate(b):
+                r[k + i] -= c * x
+    return None if any(r[:db]) else q
+
+
+def _poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive gcd, with positive leading coefficient, of two nonzero
+    integer polynomials (constant term first), by the primitive
+    pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        r, db, lb = list(a), len(b) - 1, b[-1]
+        while len(r) > db:  # r <- lb * r - r[-1] z^(deg r - deg b) b
+            c = r.pop()
+            r = [x * lb for x in r]
+            for i in range(db):
+                r[len(r) - db + i] -= c * b[i]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    """a divided by its content, signed so the leading coefficient is positive."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [x // g for x in a]
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[tuple[Fraction, int]], tuple[Fraction, ...]]:
     """Rational roots (with multiplicity) and the root-free remaining factor,
-    as in :func:`rational_factorization`."""
-    roots, remainder, _ = rational_factorization(coeffs)
+    as in :func:`rational_factorization`, found by lifted roots alone: no
+    factoring, and sympy is never imported."""
+    roots, remainder, _ = _split_rational_roots(coeffs)
     return roots, remainder
 
 
@@ -817,7 +910,8 @@ def rational_eigenvalues(
 
     Also returns the irreducible non-linear factors of the characteristic
     polynomial with multiplicities (empty when the spectrum splits), as in
-    :func:`rational_factorization`.
+    :func:`rational_factorization`.  A caller after the eigenvalues alone
+    reads ``rational_roots(char_poly(m))``, which never factors.
     """
     roots, _, irreducible = rational_factorization(char_poly(m))
     return roots, irreducible
@@ -836,7 +930,8 @@ def joint_eigenspaces(
     generalized eigenspace, when ``generalized`` is set, and of op - lambda
     otherwise.  The irreducible non-linear factors met on the way are
     appended to ``irrational`` as (axis, factors), in the order the split
-    meets them.  The walk is lazy, so a caller after one leaf stops early.
+    meets them; without ``irrational`` only the rational roots of each
+    characteristic polynomial are computed, and nothing is factored.  The walk is lazy, so a caller after one leaf stops early.
     """
 
     def walk(space: Subspace, eigs: tuple):
@@ -853,9 +948,12 @@ def joint_eigenspaces(
         # column s of the restricted operator: image s in the RREF basis, read at its pivots
         op = Matrix._of_ints(space.field, space.dim, space.dim,
                              [u[piv] for piv in space._pivots for u in images], da * db)
-        roots, factors = rational_eigenvalues(op)
-        if factors and irrational is not None:
-            irrational.append((axis, factors))
+        if irrational is None:
+            roots, _ = rational_roots(char_poly(op))
+        else:
+            roots, factors = rational_eigenvalues(op)
+            if factors:
+                irrational.append((axis, factors))
         for lam, mult in sorted(roots):
             shifted = _linear_combination([op, Matrix.identity(space.field, op.rows)], [1, -lam])
             part = kernel_basis(shifted.power(mult if generalized else 1))

@@ -8,8 +8,11 @@ target @ source, with row counts matching the target term.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 from .adhm import AdhmDatum, _require_commuting, krylov_closure
@@ -18,7 +21,7 @@ from .exactalg import (
     Matrix,
     ShapeError,
     Subspace,
-    _linear_combination,
+    _lift,
     joint_eigenspaces,
     kernel_basis,
     rank,
@@ -64,6 +67,21 @@ class LinearFormMatrix:
 
     def entry(self, i: int, j: int) -> LinearForm:
         return LinearForm(tuple(a.entry(i, j) for a in self.coeffs))
+
+    @cached_property
+    def _terms(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """The A_k over one common denominator d, (terms, d): terms[k] lists
+        the nonzero (cell, int) pairs of A_k in row-major order, the one
+        layout :func:`compose` and :func:`evaluate` read.
+
+        Cached outside the dataclass fields: no part of ==, hash or repr.
+        """
+        d = math.lcm(*(a._lifted[1] for a in self.coeffs))
+        terms = []
+        for a in self.coeffs:
+            ints, scale = a._lifted[0], d // a._lifted[1]
+            terms.append([(cell, scale * ints[cell]) for cell in compress(range(len(ints)), ints)])
+        return terms, d
 
 
 @dataclass(frozen=True)
@@ -149,31 +167,68 @@ def alpha_minus2_p3(x: AdhmDatum) -> LinearFormMatrix:
 def compose(a: LinearFormMatrix, b: LinearFormMatrix) -> QuadraticFormMatrix:
     """Exact product a @ b: C_kl = A_k B_l + A_l B_k for k < l, C_kk = A_k B_k.
 
-    Only the nonzero C_kl are kept; over GF(p) a sum that vanishes mod p
-    counts as zero.
+    One sparse pass over the :attr:`LinearFormMatrix._terms` of both
+    factors: every nonzero of every A_k meets the nonzero entries of the
+    matching row of every B_l and adds into C_kk or C_kl (k < l), as ints
+    over the product of the two common denominators.  Each nonzero C_kl is
+    built once with ``Matrix._of_ints``; the others, over GF(p) also a sum
+    that vanishes mod p, are left out.
     """
     if a.cols != b.rows:
         raise ShapeError("inner dimensions do not match")
     if a.var_count != b.var_count or a.field != b.field:
         raise ShapeError("factors disagree on variables or field")
-    one, out = a.field.one(), {}
-    for k, (ak, bk) in enumerate(zip(a.coeffs, b.coeffs)):
-        out[(k, k)] = ak @ bk
-        for l in range(k + 1, a.var_count):
-            out[(k, l)] = _linear_combination([ak @ b.coeffs[l], a.coeffs[l] @ bk], [one, one])
-    nonzero = {key: c for key, c in out.items() if not c.is_zero()}
-    return QuadraticFormMatrix(a.field, a.rows, b.cols, nonzero)
+    field, inner, cols, count = a.field, a.cols, b.cols, a.var_count
+    (terms_a, da), (terms_b, db) = a._terms, b._terms
+    # rows[l][j]: the nonzero (column, int) pairs of row j of B_l
+    rows = []
+    for pairs in terms_b:
+        by_row = [[] for _ in range(inner)]
+        for cell, y in pairs:
+            j, q = divmod(cell, cols)
+            by_row[j].append((q, y))
+        rows.append(by_row)
+    keys = [(k, l) for k in range(count) for l in range(k, count)]
+    acc = {key: [0] * (a.rows * cols) for key in keys}
+    targets = [[acc[min(k, l), max(k, l)] for l in range(count)] for k in range(count)]
+    for pairs, sums in zip(terms_a, targets):
+        for cell, x in pairs:
+            i, j = divmod(cell, inner)
+            base = i * cols
+            for row_l, out in zip(rows, sums):
+                for q, y in row_l[j]:
+                    out[base + q] += x * y
+    nonzero = {}
+    for key in keys:
+        if any(acc[key]):
+            c = Matrix._of_ints(field, a.rows, cols, acc[key], da * db)
+            if not c.is_zero():
+                nonzero[key] = c
+    return QuadraticFormMatrix(field, a.rows, cols, nonzero)
 
 
 def evaluate(m: LinearFormMatrix, point: Sequence) -> Matrix:
     """Scalar matrix obtained by evaluating every entry at a point of P^n:
-    the sum of z_k A_k."""
-    pt = tuple(m.field.coerce(z) for z in point)
+    the sum of z_k A_k.
+
+    The point is coerced and lifted to ints once; each z_k != 0 then adds
+    z_k times the nonzero (cell, int) pairs of A_k, all over the common
+    denominator of :attr:`LinearFormMatrix._terms`.
+    """
+    field = m.field
+    pt = [field.coerce(z) for z in point]
     if len(pt) != m.var_count:
         raise ShapeError("point arity does not match the variable count")
-    if all(not z for z in pt):
+    zs, dz = _lift(field, pt)
+    if not any(zs):
         raise ValueError("the zero tuple is not a point of projective space")
-    return _linear_combination(m.coeffs, pt)
+    terms, d = m._terms
+    acc = [0] * (m.rows * m.cols)
+    for z, pairs in zip(zs, terms):
+        if z:
+            for cell, a in pairs:
+                acc[cell] += z * a
+    return Matrix._of_ints(field, m.rows, m.cols, acc, d * dz)
 
 
 @dataclass(frozen=True)

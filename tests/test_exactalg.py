@@ -415,6 +415,27 @@ _FACTORIZATION_CASES = [
                    [Fraction(0), Fraction(4, 9)])) + (Fraction(0),),
     # the incomplete support of `gen --n 2 --c 4 --r 1 --unstable --seed 1`
     (Fraction(405), Fraction(45), Fraction(1)),
+    # a repeated root: (z - 1/2)^5
+    tuple(_power([Fraction(-1, 2), Fraction(1)], 5)),
+    # non-monic rational roots 2/3 and -7/5 beside an irreducible quadratic
+    tuple(poly_mul(poly_mul([Fraction(-2), Fraction(3)], [Fraction(7), Fraction(5)]),
+                   [Fraction(2), Fraction(0), Fraction(1)])),
+    # coefficients above 2^64: the root 3 / 2^70 and a root 2^66 + 5
+    tuple(poly_mul(poly_mul([Fraction(-3), Fraction(2**70)], [Fraction(-(2**66) - 5), Fraction(1)]),
+                   [Fraction(2**65 + 1), Fraction(0), Fraction(1)])),
+    # an irreducible quartic times a square, and times the square of a quadratic
+    tuple(poly_mul([Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(1)],
+                   _power([Fraction(3), Fraction(2)], 2))),
+    tuple(poly_mul([Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(1)],
+                   _power([Fraction(1), Fraction(0), Fraction(1)], 2))),
+    # a root-free quartic that splits into two quadratics
+    tuple(poly_mul([Fraction(1), Fraction(0), Fraction(1)], [Fraction(2), Fraction(0), Fraction(1)])),
+    # zero roots beside a rational root and an irreducible quadratic
+    tuple(poly_mul(poly_mul([Fraction(0)] * 3 + [Fraction(1)], [Fraction(-1), Fraction(2)]),
+                   [Fraction(1), Fraction(0), Fraction(1)])),
+    # (2z - 1)^2 (3z - 19): the square-free part has L = 6 and t(y) = (y - 3)(y - 38),
+    # so 2 and 3 divide L and 5 and 7 divide disc(t) = 35^2
+    tuple(poly_mul(_power([Fraction(-1), Fraction(2)], 2), [Fraction(-19), Fraction(3)])),
 ]
 
 
@@ -440,6 +461,22 @@ def test_rational_factorization_matches_the_poly_reference_on_random_products(se
         poly += [Fraction(0)] * rng.randint(0, 1)
         got = exactalg.rational_factorization(poly)
         assert _typed(got) == _typed(_reference_rational_factorization(poly))
+
+
+def test_the_prime_loop_skips_primes_dividing_the_leading_coefficient_or_the_discriminant(monkeypatch):
+    # t(y) = (y - 3)(y - 38) for (2z - 1)^2 (3z - 19): 2 and 3 divide L = 6, and
+    # the roots of t meet mod 5 and mod 7, so 11 is the first usable prime
+    tried = []
+    original = exactalg._is_prime
+
+    def recording(p):
+        tried.append(p)
+        return original(p)
+
+    monkeypatch.setattr(exactalg, "_is_prime", recording)
+    coeffs = tuple(poly_mul(_power([Fraction(-1), Fraction(2)], 2), [Fraction(-19), Fraction(3)]))
+    assert rational_roots(coeffs) == ([(Fraction(1, 2), 2), (Fraction(19, 3), 1)], (Fraction(12),))
+    assert [p for p in tried if original(p)] == [2, 3, 5, 7, 11]
 
 
 def test_rational_roots_large_constant_term():

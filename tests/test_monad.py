@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from adhmquot import adhm, monad
 from adhmquot.adhm import AdhmDatum, is_stable, random_datum
-from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, rank
+from adhmquot.exactalg import GF, QQ, Matrix, ShapeError, _linear_combination, rank
 from adhmquot.monad import (
     LinearForm,
     LinearFormMatrix,
@@ -147,6 +147,81 @@ def test_compose_matches_dense_products(field, n, c, r, seed, perturb):
     assert compose(alpha0(x), alpha_minus1(x)).is_zero()
 
 
+def _rational_datum(field, n, c, r, rng) -> AdhmDatum:
+    """A datum, commuting or not, with entries over mixed denominators in QQ
+    and spread residues in GF(p)."""
+
+    def scalar():
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7)))
+        return field.coerce(rng.choice((0, 1, -1, rng.randrange(field.p))))
+
+    bs = tuple(Matrix(field, c, c, tuple(scalar() for _ in range(c * c))) for _ in range(n))
+    return AdhmDatum(n, c, r, bs, tuple(tuple(scalar() for _ in range(c)) for _ in range(r)))
+
+
+def _composed_by_definition(a: LinearFormMatrix, b: LinearFormMatrix) -> dict:
+    """The nonzero C_kk = A_k @ B_k and C_kl = A_k @ B_l + A_l @ B_k (k < l)."""
+    out = {}
+    for k in range(a.var_count):
+        for l in range(k, a.var_count):
+            c = a.coeffs[k] @ b.coeffs[l]
+            if l != k:
+                c = c + a.coeffs[l] @ b.coeffs[k]
+            if not c.is_zero():
+                out[(k, l)] = c
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compose_and_evaluate_match_their_definitions(field, n):
+    rng = random.Random(1300 + n)
+    for c, r in ((1, 1), (2, 3), (3, 2)):
+        x = _rational_datum(field, n, c, r, rng)
+        pairs = [(alpha0(x), alpha_minus1(x))]
+        if n == 3:
+            pairs.append((alpha_minus1(x), alpha_minus2_p3(x)))
+        for a, b in pairs:
+            got = compose(a, b)
+            assert (got.field, got.rows, got.cols) == (field, a.rows, b.cols)
+            assert got.coeffs == _composed_by_definition(a, b)
+            assert list(got.coeffs) == list(_composed_by_definition(a, b))
+        maps = [alpha0(x), alpha_minus1(x)] + ([alpha_minus2_p3(x)] if n == 3 else [])
+        for m in maps:
+            for _ in range(4):
+                raw = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n + 1)]
+                if not any(raw):
+                    raw[-1] = Fraction(1)
+                pt = tuple(field.coerce(z.numerator) / field.coerce(z.denominator) for z in raw)
+                assert evaluate(m, pt) == _linear_combination(m.coeffs, pt)
+
+
+def test_compose_drops_a_coefficient_that_vanishes_mod_p():
+    field = GF(7)
+    one, minus_one = Matrix.identity(field, 2), Matrix.identity(field, 2).scale(field.coerce(-1))
+    a = LinearFormMatrix(field, 2, 2, (one, one))
+    b = LinearFormMatrix(field, 2, 2, (one, minus_one))
+    # C_01 = 1 * (-1) + 1 * 1 sums to 7 on the residues 1 and 6: zero mod 7
+    got = compose(a, b)
+    assert got.coeffs == {(0, 0): one, (1, 1): minus_one}
+    assert got.coeffs == _composed_by_definition(a, b)
+    assert got.coefficient_matrix(1, 0) == Matrix.zero(field, 2, 2)
+
+
+def test_evaluate_rejects_a_wrong_arity_and_the_zero_point():
+    x = _rational_datum(QQ, 2, 2, 1, random.Random(5))
+    a0 = alpha0(x)
+    with pytest.raises(ShapeError):
+        evaluate(a0, (1, 2))
+    with pytest.raises(ShapeError):
+        evaluate(a0, (1, 2, 3, 4))
+    with pytest.raises(ValueError):
+        evaluate(a0, (0, Fraction(0), 0))
+    with pytest.raises(ValueError):
+        evaluate(alpha0(random_datum(2, 2, 1, seed=3, field=GF(5))), (5, 10, 0))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_compose_vanishes_iff_commuting(seed, noncommuting_pair):
     rng = random.Random(seed)
@@ -254,6 +329,25 @@ def test_certificate_irrational_witness():
     cert = surjectivity_certificate(x)
     assert not cert.surjective
     assert cert.witness_available is False
+
+
+def test_certificate_witness_never_factors(monkeypatch):
+    # B is the companion matrix of (z - 1)(z^4 + z + 1) and v = 0: the witness
+    # needs only the rational eigenvalue 1, and only support factors the quartic
+    from sympy.polys import factortools
+
+    def refuse(*args):
+        raise RuntimeError("dup_factor_list called")
+
+    monkeypatch.setattr(factortools, "dup_factor_list", refuse)
+    low_first = (-1, 0, 1, 0, -1)  # z^5 - z^4 + z^2 - 1 without its leading 1
+    companion = [[int(i == j + 1) for j in range(4)] + [-low_first[i]] for i in range(5)]
+    x = datum(1, 5, 1, [companion], [(0,) * 5])
+    cert = surjectivity_certificate(x)
+    assert cert.witness_available and cert.witness_point == (Fraction(1), Fraction(1))
+    assert rank(evaluate(alpha0(x), cert.witness_point)) < x.c
+    with pytest.raises(RuntimeError, match="dup_factor_list called"):
+        support(x)
 
 
 def test_certificate_rejects_noncommuting(noncommuting_pair):
