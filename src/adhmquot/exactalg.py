@@ -438,9 +438,13 @@ def _linear_combination(matrices: Sequence[Matrix], coeffs: Sequence) -> Matrix:
     Summed as ints on the cached int views of the coefficients and of the
     matrices, over one common denominator, into a matrix whose scalars are
     made on first read.  Each term walks only its matrix's nonzero entries.
+    Python-int coefficients are taken as they are (reduced mod p over GF(p)).
     """
     field, rows, cols = matrices[0].field, matrices[0].rows, matrices[0].cols
-    nums, dc = _lift(field, [field.coerce(a) for a in coeffs])
+    if all(type(a) is int for a in coeffs):
+        nums, dc = _reduced(field, list(coeffs)), 1
+    else:
+        nums, dc = _lift(field, [field.coerce(a) for a in coeffs])
     terms = [(a, m._lifted) for a, m in zip(nums, matrices) if a]
     d = math.lcm(*(dm for _, (_, dm) in terms))
     cells = range(rows * cols)

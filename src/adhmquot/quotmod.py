@@ -8,8 +8,9 @@ with z_0 heaviest; term magnitude breaks ties by slot, slot 1 largest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+import math
+from functools import cached_property, lru_cache
+from itertools import accumulate, compress
 from operator import add, mul
 from typing import Sequence
 
@@ -30,60 +31,99 @@ class QuotientError(ValueError):
         self.dimension_profile = tuple(dimension_profile)
 
 
-def scalar_field(x) -> Field:
-    if isinstance(x, GFElement):
-        return GF(x.p)
-    return QQ
+def _term_error(n: int, r: int, alpha: tuple, j: int) -> str | None:
+    """Why (alpha, j) is not a term of (polynomials in z_0..z_{n-1})^r, or None."""
+    if len(alpha) != n or any(a < 0 for a in alpha):
+        return f"bad exponent tuple {alpha} for n = {n}"
+    if not 1 <= j <= r:
+        return f"slot {j} out of range 1..{r}"
+    return None
 
 
-@dataclass(frozen=True, eq=False)
 class PolyVector:
-    """Element of (polynomials in z_0..z_{n-1})^r as a sparse term -> coeff map."""
+    """Element of (polynomials in z_0..z_{n-1})^r as a sparse term -> coeff map.
 
-    n: int
-    r: int
-    terms: dict
+    A vector is its int view ``_view = (field, pairs, d)``: its nonzero terms
+    as (term, int) pairs in the order given, each coefficient int / d, with d
+    the lcm of the reduced denominators over QQ and residues with d = 1 over
+    GF(p).  ==, :meth:`degree`, :func:`phi_apply`, the quotient rebuild and
+    the serializer read it.  The field is GF(p) when a coefficient is a
+    residue mod p, else QQ (also for the zero vector).  The scalar ``terms``
+    are made from the view on their first read, unless the public
+    constructor was given them: then they are its coefficients as given,
+    zero ones dropped.  A vector is immutable.
+    """
 
-    def __post_init__(self):
+    def __init__(self, n: int, r: int, terms: dict):
         clean = {}
-        for (alpha, j), coeff in self.terms.items():
+        for (alpha, j), coeff in terms.items():
             alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.n or any(a < 0 for a in alpha):
-                raise ShapeError(f"bad exponent tuple {alpha} for n = {self.n}")
-            if not 1 <= j <= self.r:
-                raise ShapeError(f"slot {j} out of range 1..{self.r}")
+            if error := _term_error(n, r, alpha, j):
+                raise ShapeError(error)
             if coeff:
                 clean[(alpha, j)] = coeff
-        object.__setattr__(self, "terms", clean)
+        field = next((GF(a.p) for a in clean.values() if isinstance(a, GFElement)), QQ)
+        ints, d = _lift(field, [field.coerce(a) for a in clean.values()])
+        pairs = [(t, a) for t, a in zip(clean, ints) if a]
+        degree = max((sum(alpha) for (alpha, _), _ in pairs), default=-1)
+        self.__dict__.update(n=n, r=r, terms=clean, _view=(field, pairs, d), _degree=degree)
 
     @classmethod
-    def _of(cls, n: int, r: int, terms: dict) -> "PolyVector":
-        """A vector whose terms are already clean (exponent tuples of length n,
-        slots in 1..r, nonzero field coefficients), taken as they are."""
+    def _of_ints(cls, n: int, r: int, field: Field, pairs: list, d: int,
+                 degree: int) -> "PolyVector":
+        """The vector of the coefficients int / d of ``pairs``, nonzero (term,
+        int) pairs of clean terms (residues and d = 1 over GF(p)), whose
+        largest total degree is ``degree``.  Takes ownership of ``pairs``; over
+        QQ it is divided by gcd(d, *ints), as :meth:`Matrix._of_ints` does,
+        and with no pairs the field is QQ, as for the public constructor."""
+        if d > 1 and (g := math.gcd(d, *(a for _, a in pairs))) > 1:
+            pairs, d = [(t, a // g) for t, a in pairs], d // g
         v = object.__new__(cls)
-        v.__dict__.update(n=n, r=r, terms=terms)
+        v.__dict__.update(n=n, r=r, _view=(field if pairs else QQ, pairs, d), _degree=degree)
         return v
+
+    @cached_property
+    def terms(self) -> dict:
+        field, pairs, d = self._view
+        return dict(zip([t for t, _ in pairs], _scalars(field, [a for _, a in pairs], d)))
+
+    @property
+    def field(self) -> Field:
+        return self._view[0]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if not isinstance(other, PolyVector):
             return NotImplemented
-        return (self.n, self.r) == (other.n, other.r) and self.terms == other.terms
+        (f, pairs, d), (g, others, e) = self._view, other._view
+        return ((self.n, self.r, f, d) == (other.n, other.r, g, e)
+                and dict(pairs) == dict(others))
+
+    def __repr__(self):
+        return f"PolyVector(n={self.n!r}, r={self.r!r}, terms={self.terms!r})"
+
+    def _ints_in(self, field: Field) -> tuple[list, int]:
+        """(pairs, d) of the view, read in ``field``.  A vector of another
+        field has its scalar terms coerced and lifted instead: integer
+        coefficients read in any field, and a residue or fraction that does
+        not belong raises :class:`FieldMismatchError`."""
+        own, pairs, d = self._view
+        if own == field or not pairs:
+            return pairs, d
+        ints, d = _lift(field, [field.coerce(a) for a in self.terms.values()])
+        return [(t, a) for t, a in zip(self.terms, ints) if a], d
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._view[1]
 
     def degree(self) -> int:
         """Max total degree of a stored term; -1 for the zero element."""
-        if not self.terms:
-            return -1
-        return max(sum(alpha) for alpha, _ in self.terms)
-
-    def sorted_terms(self) -> list[tuple[Term, object]]:
-        """Terms in serialization order: slot-major, then degree, then z_0-major."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][1], sum(kv[0][0]), tuple(-a for a in kv[0][0])),
-        )
+        return self._degree
 
     @classmethod
     def unit(cls, n: int, r: int, j: int, field: Field = QQ) -> "PolyVector":
@@ -94,22 +134,27 @@ class PolyVector:
         return cls(n, r, {(tuple(alpha), j): coeff})
 
 
-def monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree d, z_0-heaviest first."""
+@lru_cache(maxsize=512)
+def _monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     if n == 1:
-        return [(d,)]
-    out = []
-    for first in range(d, -1, -1):
-        for rest in monomials_of_degree(n - 1, d - first):
-            out.append((first,) + rest)
-    return out
+        return ((d,),)
+    return tuple((first,) + rest for first in range(d, -1, -1)
+                 for rest in _monomials(n - 1, d - first))
+
+
+def monomials_of_degree(n: int, d: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of total degree d, z_0-heaviest first.
+
+    Made once per (n, d); each call returns a fresh list.
+    """
+    return list(_monomials(n, d))
 
 
 def monomials_upto(n: int, d: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total degree <= d: degree ascending, z_0-heaviest first."""
     out = []
     for deg in range(d + 1):
-        out.extend(monomials_of_degree(n, deg))
+        out.extend(_monomials(n, deg))
     return out
 
 
@@ -119,10 +164,18 @@ def term_magnitude(term: Term) -> tuple:
     return (sum(alpha), alpha, -j)
 
 
+@lru_cache(maxsize=512)
+def _column_terms(n: int, r: int, d: int) -> tuple[Term, ...]:
+    return tuple((alpha, j) for deg in range(d, -1, -1) for alpha in _monomials(n, deg)
+                 for j in range(1, r + 1))
+
+
 def _columns(n: int, r: int, d: int) -> list[Term]:
-    """Terms of degree <= d by decreasing :func:`term_magnitude`, made in that order."""
-    return [(alpha, j) for deg in range(d, -1, -1) for alpha in monomials_of_degree(n, deg)
-            for j in range(1, r + 1)]
+    """Terms of degree <= d by decreasing :func:`term_magnitude`, made in that order.
+
+    Made once per (n, r, d); each call returns a fresh list.
+    """
+    return list(_column_terms(n, r, d))
 
 
 def _basis_display_key(term: Term) -> tuple:
@@ -142,7 +195,7 @@ def _monomial_vector_table(x: AdhmDatum, degree: int) -> tuple[dict[Term, list[i
     rows, vecs, e = x._ints
     table = {((0,) * n, j): vecs[j - 1] for j in range(1, x.r + 1)}
     for d in range(1, degree + 1):
-        for alpha in monomials_of_degree(n, d):
+        for alpha in _monomials(n, d):
             i = next(k for k, a in enumerate(alpha) if a > 0)
             parent = tuple(a - 1 if k == i else a for k, a in enumerate(alpha))
             for j in range(1, x.r + 1):
@@ -177,9 +230,9 @@ def phi_apply(x: AdhmDatum, p: PolyVector) -> tuple:
     if p.n != x.n or p.r != x.r:
         raise ShapeError("polynomial vector shape does not match the datum")
     field = x.field
-    coeffs, dc = _lift(field, [field.coerce(a) for a in p.terms.values()])
+    pairs, dc = p._ints_in(field)
     rows, d = _monomial_vector_table(x, p.degree())
-    return tuple(_scalars(field, _image(rows, x.c, zip(p.terms, coeffs)), d * dc))
+    return tuple(_scalars(field, _image(rows, x.c, pairs), d * dc))
 
 
 def kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
@@ -200,9 +253,9 @@ def kernel_basis_up_to_degree(x: AdhmDatum, d: int) -> list[PolyVector]:
     out = []
     for start in range(0, kernel.dim * width, width):
         row = basis[start : start + width]
-        support = [k for k, a in enumerate(row) if a]
-        coeffs = _scalars(x.field, [row[k] for k in support], kd)
-        out.append(PolyVector._of(x.n, x.r, {columns[k]: a for k, a in zip(support, coeffs)}))
+        pairs = [(columns[k], row[k]) for k in compress(range(width), row)]
+        # the leading term comes first, and the columns run by decreasing degree
+        out.append(PolyVector._of_ints(x.n, x.r, x.field, pairs, kd, sum(pairs[0][0][0])))
     out.reverse()
     return out
 
@@ -219,10 +272,8 @@ def hilbert_profile(x: AdhmDatum) -> tuple[int, ...]:
 
 
 def _gens_field(gens: Sequence[PolyVector]) -> Field:
-    for g in gens:
-        for coeff in g.terms.values():
-            return scalar_field(coeff)
-    return QQ
+    """The field of the first nonzero generator; QQ when there is none."""
+    return next((g.field for g in gens if not g.is_zero()), QQ)
 
 
 def module_from_generators(
@@ -289,13 +340,18 @@ def module_from_generators(
 
 
 def _lifted_generators(field: Field, gens: Sequence[PolyVector]) -> list[tuple[int, list]]:
-    """Each nonzero generator coerced into ``field`` and lifted once, as (degree,
-    [(term, int)]): neither the row space nor a vanishing image depends on its scale."""
-    return [
-        (g.degree(),
-         list(zip(g.terms, _lift(field, [field.coerce(a) for a in g.terms.values()])[0])))
-        for g in gens if g.terms
-    ]
+    """Each nonzero generator's int view read in ``field``, as (degree, [(term,
+    int)]), its denominator dropped: neither the row space nor a vanishing
+    image depends on its scale."""
+    return [(g.degree(), g._ints_in(field)[0]) for g in gens if not g.is_zero()]
+
+
+def _units_generate(rows: dict[Term, list[int]], d: int, c: int) -> bool:
+    """Whether every unit vector d e_k (k < c) is an entry B^alpha v_j of a
+    monomial vector table over d (residues and d = 1 over GF(p)); then the
+    Krylov words span V.  False leaves the question open."""
+    found = {u.index(d) for u in rows.values() if u.count(0) == c - 1 and d in u}
+    return len(found) == c
 
 
 def _certified(datum: AdhmDatum, lifted: Sequence[tuple[int, list]]) -> bool:
@@ -305,11 +361,16 @@ def _certified(datum: AdhmDatum, lifted: Sequence[tuple[int, list]]) -> bool:
 
     Below a degree gap every monomial reduces onto the frozen classes, so
     they span the true quotient and vanishing generators force the
-    surjection onto it to be an isomorphism.
+    surjection onto it to be an isomorphism.  Generation is read off the
+    monomial vector table that the vanishing check builds
+    (:func:`_units_generate`), and :func:`is_stable` decides only when that
+    scan does not.
     """
-    if not is_adhm(datum) or not is_stable(datum):
+    if not is_adhm(datum):
         return False
-    rows, _ = _monomial_vector_table(datum, max((gdeg for gdeg, _ in lifted), default=0))
+    rows, d = _monomial_vector_table(datum, max((gdeg for gdeg, _ in lifted), default=0))
+    if not (_units_generate(rows, d, datum.c) or is_stable(datum)):
+        return False
     return not any(any(_reduced(datum.field, _image(rows, datum.c, terms)))
                    for _, terms in lifted)
 

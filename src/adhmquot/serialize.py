@@ -9,14 +9,15 @@ once per file in the "field" header.  On input every scalar must match
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .adhm import AdhmDatum
-from .exactalg import QQ, Field, GF, Matrix, PrimeField
+from .exactalg import QQ, Field, GF, GFElement, Matrix, PrimeField
 from .monad import LinearFormMatrix
-from .quotmod import PolyVector
+from .quotmod import PolyVector, _term_error
 
 DATUM_SCHEMA = "adhm-datum@1"
 POLYVEC_SCHEMA = "poly-vectors@1"
@@ -99,22 +100,43 @@ def _dumps(o: Any, newline: str) -> str:
 _SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_scalar(field: Field, raw: Any):
-    """A scalar written "p" or "p/q", as a field element; FormatError otherwise."""
+def _scalar_ints(field: Field, raw: Any) -> tuple[int, int]:
+    """A scalar written "p" or "p/q" as ints (a, b) with value a / b: a residue
+    and b = 1 over GF(p), b > 0 over QQ; FormatError otherwise."""
     if not isinstance(raw, str):
         raise FormatError(f"scalars are strings, got {raw!r}")
     match = _SCALAR.fullmatch(raw)
     if match is None:
         raise FormatError(f"bad scalar {raw!r}: expected p or p/q")
+    num, den = match.groups()
     try:
-        if field == QQ:  # the match's ints, not a second parse of raw
-            num, den = match.groups()
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        return field.coerce(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        # Fraction names a zero denominator only as "Fraction(p, 0)"
-        reason = "division by zero" if field == QQ and isinstance(exc, ZeroDivisionError) else exc
-        raise FormatError(f"bad scalar {raw!r}: {reason}") from exc
+        num, den = int(num), int(den) if den else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"bad scalar {raw!r}: {exc}") from exc
+    if isinstance(field, PrimeField):
+        if den % field.p == 0:
+            raise FormatError(f"bad scalar {raw!r}: division by zero residue")
+        return num * pow(den, -1, field.p) % field.p, 1
+    if den == 0:
+        raise FormatError(f"bad scalar {raw!r}: division by zero")
+    return num, den
+
+
+def parse_scalar(field: Field, raw: Any):
+    """A scalar written "p" or "p/q", as a field element; FormatError otherwise."""
+    a, b = _scalar_ints(field, raw)
+    if isinstance(field, PrimeField):
+        return GFElement(a, field.p)
+    return Fraction(a, b)
+
+
+def _format_ints(a: int, d: int) -> str:
+    """The scalar a / d as "p" or "p/q" in lowest terms (a residue when d = 1),
+    as ``field.format`` writes it."""
+    if d == 1:
+        return str(a)
+    g = math.gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
 
 
 def matrix_to_obj(m: Matrix) -> list:
@@ -172,10 +194,17 @@ def datum_from_obj(obj: Any) -> AdhmDatum:
         raise FormatError(str(exc)) from exc
 
 
+def _serial_key(pair: tuple) -> tuple:
+    """Serialization order of (term, int) pairs: slot-major, then degree, then z_0-major."""
+    (alpha, j), _ = pair
+    return (j, sum(alpha), tuple(-a for a in alpha))
+
+
 def polyvector_to_obj(p: PolyVector, field: Field) -> list:
+    pairs, d = p._ints_in(field)
     return [
-        {"alpha": list(alpha), "j": j, "coeff": field.format(coeff)}
-        for (alpha, j), coeff in p.sorted_terms()
+        {"alpha": list(alpha), "j": j, "coeff": _format_ints(a, d)}
+        for (alpha, j), a in sorted(pairs, key=_serial_key)
     ]
 
 
@@ -200,7 +229,7 @@ def polyvectors_from_obj(obj: Any) -> tuple[int, int, list[PolyVector], Field]:
     r = _typed(obj["r"], int, "r")
     gens = []
     for rec_list in _typed(obj["generators"], list, "generators"):
-        terms = {}
+        seen, pairs, dens, degree, shape_error = set(), [], [], -1, None
         for rec in _typed(rec_list, list, "each generator"):
             if not isinstance(rec, dict) or not _TERM_KEYS <= rec.keys():
                 raise FormatError("term records need alpha, j and coeff")
@@ -213,14 +242,22 @@ def polyvectors_from_obj(obj: Any) -> tuple[int, int, list[PolyVector], Field]:
                 alpha = tuple(_typed(a, int, "alpha entries") for a in _typed(alpha, list, "alpha"))
             if type(j) is not int:
                 j = _typed(j, int, "j")
-            coeff = parse_scalar(field, rec["coeff"])
-            if (alpha, j) in terms:
+            a, b = _scalar_ints(field, rec["coeff"])
+            if (alpha, j) in seen:
                 raise FormatError(f"duplicate term {(alpha, j)}")
-            terms[(alpha, j)] = coeff
-        try:
-            gens.append(PolyVector(n, r, terms))
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
+            seen.add((alpha, j))
+            # a bad term is reported once the whole generator has parsed
+            shape_error = shape_error or _term_error(n, r, alpha, j)
+            if a:
+                pairs.append(((alpha, j), a))
+                dens.append(b)
+                degree = max(degree, sum(alpha))
+        if shape_error:
+            raise FormatError(shape_error)
+        d = math.lcm(*dens)
+        if d > 1:
+            pairs = [(t, a * (d // b)) for (t, a), b in zip(pairs, dens)]
+        gens.append(PolyVector._of_ints(n, r, field, pairs, d, degree))
     return n, r, gens, field
 
 

@@ -591,10 +591,23 @@ def _with_first_term(**changes) -> dict:
     (_generators_doc(generators=[[{"alpha": [1, 0], "j": 1, "coeff": "1"},
                                   {"alpha": [1, 0], "j": 1, "coeff": "2"}]]),
      "duplicate term ((1, 0), 1)"),
+    (_with_first_term(alpha=[1]), "bad exponent tuple (1,) for n = 2"),
+    (_with_first_term(alpha=[1, -1], coeff="0"), "bad exponent tuple (1, -1) for n = 2"),
+    (_with_first_term(j=2), "slot 2 out of range 1..1"),
+    # a bad term is reported after its generator parses, a bad scalar at once
+    (_generators_doc(generators=[[{"alpha": [1], "j": 1, "coeff": "1"},
+                                  {"alpha": [0, 1], "j": 0, "coeff": "1"},
+                                  {"alpha": [1, 1], "j": 1, "coeff": "1/0"}]]),
+     "bad scalar '1/0': division by zero"),
+    (_generators_doc(generators=[[{"alpha": [0, 0], "j": 3, "coeff": "1"},
+                                  {"alpha": [1], "j": 1, "coeff": "1"}],
+                                 [{"alpha": [0, 1], "j": 1, "coeff": "x"}]]),
+     "slot 3 out of range 1..1"),
 ], ids=["n-null", "n-bool", "generators-int", "alpha-int", "j-null", "alpha-float", "n-zero",
         "prime-null", "coeff-zero-den", "coeff-zero-den-GF3", "coeff-decimal", "coeff-space",
         "coeff-underscore", "coeff-5000-digits", "coeff-5000-digits-GF3", "alpha-bool",
-        "j-float", "coeff-missing", "duplicate-term"])
+        "j-float", "coeff-missing", "duplicate-term", "alpha-short", "alpha-negative-zero-coeff",
+        "slot-range", "bad-scalar-before-bad-term", "first-bad-term-of-its-generator"])
 def test_malformed_generator_documents_exit_2(tmp_path, capsys, doc, message):
     path = tmp_path / "gens.json"
     path.write_text(json.dumps(doc))

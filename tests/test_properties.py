@@ -2012,6 +2012,51 @@ def test_module_from_generators_matches_reference(case):
         assert quotmod._certified(y, lifted) and _reference_certified(y, gens)
 
 
+@st.composite
+def certificate_cases(draw):
+    """A candidate datum and generators for the certificate: commuting data
+    over QQ (often conjugated into mixed denominators), GF(32003) and GF(3),
+    stable or not, sometimes rebuilt from their kernel presentation (a frozen
+    datum on standard monomials); the generators are the kernel presentation
+    of that datum or of another at some degree, sometimes with random
+    generators over denominators or residues added."""
+    field = draw(st.sampled_from([QQ, GF(32003), GF(3)]))
+    n, c, r = draw(st.integers(1, 3)), draw(st.integers(0, 3)), draw(st.integers(1, 2))
+
+    def drawn_datum():
+        try:
+            x = random_datum(n, c, r, draw(st.integers(0, 10**6)),
+                             stable=draw(st.sampled_from((True, False, None))),
+                             nilpotent=draw(st.booleans()), field=field)
+        except GenerationError:
+            assume(False)
+        if field == QQ and c and draw(st.booleans()):
+            x = act(draw(invertible(field, c)), x)
+        return x
+
+    x = drawn_datum()
+    if is_stable(x) and draw(st.booleans()):
+        x = module_from_generators(n, r, kernel_basis_up_to_degree(x, c), degree_cap=c + 2)
+    source = x if draw(st.booleans()) else drawn_datum()
+    gens = kernel_basis_up_to_degree(source, draw(st.integers(0, source.c + 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            alpha = tuple(draw(st.integers(0, 2)) for _ in range(n))
+            terms[(alpha, draw(st.integers(1, r)))] = _draw_scalar(draw, field)
+        gens.append(PolyVector(n, r, terms))
+    return x, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_cases())
+def test_certificate_matches_reference(case):
+    # the unit scan of the table, with is_stable behind it, decides as the Krylov walk does
+    x, gens = case
+    lifted = quotmod._lifted_generators(x.field, gens)
+    assert quotmod._certified(x, lifted) == _reference_certified(x, gens)
+
+
 def _reference_all_subspaces(field, dim: int):
     """The earlier enumeration: each candidate basis built from scalar rows."""
     yield Subspace.zero(field, dim)

@@ -43,10 +43,41 @@ def test_monomial_enumeration():
         assert len(monomials_upto(n, d)) == math.comb(n + d, n)
 
 
+def test_cached_monomial_lists_are_fresh():
+    first = monomials_of_degree(2, 3)
+    first[0] = (9, 9)
+    first.append((0, 0))
+    assert monomials_of_degree(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert monomials_of_degree(2, 3) is not monomials_of_degree(2, 3)
+    columns = quotmod._columns(1, 2, 1)
+    columns.clear()
+    assert quotmod._columns(1, 2, 1) == [((1,), 1), ((1,), 2), ((0,), 1), ((0,), 2)]
+
+
 def test_polyvector_drops_zero_terms():
     p = PolyVector(2, 1, {((1, 0), 1): Fraction(0), ((0, 1), 1): Fraction(2)})
     assert len(p.terms) == 1
     assert p.degree() == 1
+
+
+def test_vectors_from_fractions_and_from_ints_are_equal():
+    ints = PolyVector(2, 1, {((1, 0), 1): 2, ((0, 0), 1): -3})
+    fractions = PolyVector(2, 1, {((1, 0), 1): Fraction(4, 2), ((0, 0), 1): Fraction(-3)})
+    assert ints == fractions and ints._view == fractions._view
+    assert ints.terms == {((1, 0), 1): 2, ((0, 0), 1): -3}  # as given
+    # the order of the terms takes no part in ==, a coefficient does
+    assert PolyVector(2, 1, {((0, 0), 1): Fraction(-3), ((1, 0), 1): 2}) == ints
+    assert ints != PolyVector(2, 1, {((1, 0), 1): 2, ((0, 0), 1): Fraction(-3, 2)})
+    # mixed denominators share their lcm, as the int constructor divides its gcd out
+    mixed = PolyVector(1, 1, {((1,), 1): Fraction(1, 2), ((0,), 1): Fraction(-1, 3)})
+    assert mixed._view == (QQ, [(((1,), 1), 3), (((0,), 1), -2)], 6)
+    built = PolyVector._of_ints(1, 1, QQ, [(((1,), 1), 12), (((0,), 1), -8)], 24, 1)
+    assert built == mixed and built._view == mixed._view and built.degree() == 1
+    assert list(built.terms.items()) == list(mixed.terms.items())
+    # residues over GF(p); the zero vector is over QQ whatever its field
+    field = GF(5)
+    assert PolyVector(1, 1, {((1,), 1): field.coerce(7)})._view == (field, [(((1,), 1), 2)], 1)
+    assert PolyVector._of_ints(1, 1, field, [], 1, -1) == PolyVector(1, 1, {((0,), 1): field.zero()})
 
 
 def test_phi_unit_and_monomial(jordan2):
@@ -169,6 +200,32 @@ def test_module_spurious_plateau_is_rejected():
         module_from_generators(1, 1, [p, high], degree_cap=5)
 
 
+def test_generation_is_read_off_the_table_and_is_stable_decides_the_rest():
+    # (z_0^3, z_1^3): the socle z_0^2 z_1^2 has degree 4, above both generators,
+    # so the table up to degree 3 holds no unit vector for it
+    cubes = [mono(2, 1, (3, 0), 1), mono(2, 1, (0, 3), 1)]
+    with mock.patch("adhmquot.quotmod.is_stable", wraps=is_stable) as stable:
+        x = module_from_generators(2, 1, cubes)
+    assert x.c == 9 and stable.call_count == 1
+    for degree, decided in [(3, False), (4, True)]:
+        rows, d = quotmod._monomial_vector_table(x, degree)
+        assert quotmod._units_generate(rows, d, x.c) is decided
+    # every unit vector is a table entry below the generators' degree: no Krylov walk
+    with mock.patch("adhmquot.quotmod.is_stable", wraps=is_stable) as stable:
+        for field in (QQ, GF(3), GF(32003)):
+            y = random_datum(2, 3, 2, seed=4, stable=True, field=field)
+            gens = kernel_basis_up_to_degree(y, y.c)
+            assert equivalence(y, module_from_generators(2, 2, gens)) is not None
+        module_from_generators(1, 1, [mono(1, 1, (4,), 1)])
+    assert stable.call_count == 0
+    # an unstable datum whose generators vanish: the scan cannot decide, the walk refuses
+    unstable = datum(1, 2, 1, [[[0, 0], [0, 0]]], [(1, 0)])
+    lifted = _lifted_generators(QQ, [mono(1, 1, (1,), 1)])
+    with mock.patch("adhmquot.quotmod.is_stable", wraps=is_stable) as stable:
+        assert not _certified(unstable, lifted)
+    assert stable.call_count == 1
+
+
 def test_module_freezes_below_the_first_degree_gap():
     # k[z]^2 / (z^2 e_1, 2 e_2 - 3 z e_1): z^d e_2 survives every truncation
     # at degree d, yet degree 1 has no standard monomial from d = 2 on
@@ -250,13 +307,16 @@ def test_kernel_presentation_makes_scalars_only_for_its_terms(field):
     with mock.patch("adhmquot.quotmod._scalars", wraps=quotmod._scalars) as made, \
             mock.patch("adhmquot.quotmod.kernel_basis", side_effect=kept):
         gens = kernel_basis_up_to_degree(x, x.c)
-    # one scalar per nonzero coordinate, none for the kernel basis itself
-    assert sum(len(call.args[1]) for call in made.call_args_list) == sum(len(g.terms) for g in gens)
-    assert len(kernels) == 1 and "entries" not in vars(kernels[0].basis)
+        # no scalar at all until terms is read, none for the kernel basis itself
+        assert made.call_count == 0
+        assert len(kernels) == 1 and "entries" not in vars(kernels[0].basis)
+        terms = [g.terms for g in gens]
+    # then one scalar per nonzero coordinate
+    assert sum(len(call.args[1]) for call in made.call_args_list) == sum(map(len, terms))
     scalar = Fraction if field == QQ else GFElement
     for g in gens:
         public = PolyVector(g.n, g.r, g.terms)
-        assert g == public and list(g.terms) == list(public.terms)
+        assert g == public and list(g.terms.items()) == list(public.terms.items())
         assert all(type(a) is scalar and a for a in g.terms.values())
         assert all(type(e) is int for alpha, _ in g.terms for e in alpha)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from adhmquot.adhm import random_datum
 from adhmquot.exactalg import GF, QQ, Matrix
 from adhmquot.monad import alpha0, alpha_minus1, evaluate
-from adhmquot.quotmod import kernel_basis_up_to_degree
+from adhmquot.quotmod import PolyVector, kernel_basis_up_to_degree
 from adhmquot.serialize import (
     FormatError,
     datum_from_obj,
@@ -102,6 +102,46 @@ def test_polyvectors_duplicate_term_rejected():
     }
     with pytest.raises(FormatError):
         polyvectors_from_obj(obj)
+
+
+@st.composite
+def generator_documents(draw):
+    """One poly-vectors@1 generator over QQ, GF(3) or GF(32003) whose scalars
+    are unreduced fractions, explicit zeros and residues past p."""
+    field = draw(st.sampled_from([QQ, GF(3), GF(32003)]))
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    records, seen = [], set()
+    for _ in range(draw(st.integers(0, 6))):
+        alpha = [draw(st.integers(0, 3)) for _ in range(n)]
+        j = draw(st.integers(1, r))
+        if (tuple(alpha), j) in seen:
+            continue
+        seen.add((tuple(alpha), j))
+        num = draw(st.integers(-40000, 40000) | st.integers(-3, 3))
+        den = draw(st.integers(1, 12).filter(lambda b: b % field.p if field != QQ else True))
+        coeff = f"{num}/{den}" if den > 1 or draw(st.booleans()) else str(num)
+        records.append({"alpha": alpha, "j": j, "coeff": coeff})
+    return {"schema": "poly-vectors@1", "field": field_to_obj(field), "n": n, "r": r,
+            "generators": [records]}
+
+
+@given(generator_documents())
+@example({"schema": "poly-vectors@1", "field": "rational", "n": 1, "r": 1, "generators": [[
+    {"alpha": [2], "j": 1, "coeff": "2/4"}, {"alpha": [1], "j": 1, "coeff": "0/5"},
+    {"alpha": [0], "j": 1, "coeff": "-5/6"}]]})
+def test_parsed_generators_are_the_public_constructors(doc):
+    n, r, (got,), field = polyvectors_from_obj(doc)
+    expected = PolyVector(n, r, {(tuple(rec["alpha"]), rec["j"]): parse_scalar(field, rec["coeff"])
+                                 for rec in doc["generators"][0]})
+    assert got == expected and got._view == expected._view
+    assert got.degree() == expected.degree()
+    assert [(t, type(a), a) for t, a in got.terms.items()] == \
+        [(t, type(a), a) for t, a in expected.terms.items()]
+    written = polyvectors_to_obj(n, r, [got], field)
+    assert written == polyvectors_to_obj(n, r, [expected], field)
+    assert [rec["coeff"] for rec in written["generators"][0]] == \
+        [field.format(a) for _, a in sorted(
+            expected.terms.items(), key=lambda kv: (kv[0][1], sum(kv[0][0]), [-e for e in kv[0][0]]))]
 
 
 @pytest.mark.parametrize("seed", range(3))
